@@ -1,6 +1,7 @@
-# Tier-1 verification and perf-trajectory targets.
+# Tier-1 verification targets. Performance is measured by the benchmark in
+# perfbench/ (bash perfbench/run.sh; see perfbench/README.md).
 
-.PHONY: check vet bench bench-parallel bench-soak profile test build
+.PHONY: check vet profile test build
 
 check: ## vet + build + race-enabled tests, one command
 	./scripts/check.sh
@@ -8,14 +9,6 @@ check: ## vet + build + race-enabled tests, one command
 vet: ## toolchain vet plus the repo's determinism analyzers (cmd/protovet)
 	go vet ./...
 	go run ./cmd/protovet
-
-bench: bench-parallel bench-soak ## refresh both BENCH_*.json perf records
-
-bench-parallel: ## record BENCH_parallel.json (parallel runner + build cache)
-	./scripts/bench_parallel.sh
-
-bench-soak: ## record BENCH_soak.json (soak harness: full run + per-unit cost)
-	./scripts/bench_soak.sh
 
 profile: ## capture CPU+alloc pprof profiles of the hot workloads into profiles/
 	./scripts/profile.sh

@@ -29,13 +29,18 @@
 //
 // See docs/CLI.md for the complete flag reference with worked examples.
 //
-// Samples and table cells are independent simulations, so they run on a
-// bounded worker pool (-parallel, default GOMAXPROCS). Results assemble in
-// index order and are bit-for-bit identical to a serial run; -json output
-// is likewise byte-identical at any -parallel width.
+// Every mode that writes a document parses its flags into a study spec
+// and runs it through the same registry entry the daemon uses, so a -json
+// document is byte-identical to the daemon's for the same spec. Samples
+// and table cells are independent simulations, so they run on a bounded
+// worker pool (-parallel, default GOMAXPROCS). Results assemble in index
+// order and are bit-for-bit identical to a serial run; -json output is
+// likewise byte-identical at any -parallel width.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -47,361 +52,184 @@ import (
 	"repro"
 )
 
-func main() {
+func main() { os.Exit(protolat(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// protolat runs one invocation and returns its exit status: 2 for a bad
+// flag or spec (the same *SpecError the daemon answers with a 400), 1 for
+// a failed run.
+func protolat(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("protolat", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		table    = flag.Int("table", 0, "print one table (1..9); 0 = all")
-		figure   = flag.Int("figure", 0, "print one figure (1 or 2); 0 = per -table setting")
-		quality  = flag.String("quality", "quick", "measurement effort: quick or paper")
-		stack    = flag.String("stack", "", "run a single configuration: tcpip or rpc")
-		version  = flag.String("version", "ALL", "version for -stack: BAD STD OUT CLO PIN ALL")
-		samples  = flag.Int("samples", 3, "samples for -stack runs")
-		classify = flag.Bool("classifier", false, "charge packet-classifier cost on PIN/ALL")
-		tput     = flag.Bool("throughput", false, "run the throughput check instead of tables")
-		sens     = flag.String("sensitivity", "", "run a sensitivity sweep: cache, machine, or assoc")
-		mconn    = flag.Bool("multiconn", false, "run the connection-time cloning experiment")
-		faultrun = flag.Bool("faults", false, "run the fault-injection study (degraded-path latency per layout strategy)")
-		soakrun  = flag.Bool("soak", false, "run the resumable soak: fault regimes x recovery policies x versions with tail-latency digests")
-		policy   = flag.String("policy", "", "recovery policy for -stack runs: fixed (default) or adaptive")
-		chkpoint = flag.String("checkpoint", "", "journal path for -soak; written after every chunk so a killed soak can -resume")
-		resume   = flag.Bool("resume", false, "continue a -soak run from its -checkpoint journal instead of starting fresh")
-		soakstop = flag.Int("soakstop", 0, "stop the soak at the first chunk boundary at or after this many units (0 = run to completion)")
-		seed     = flag.Uint64("seed", 1, "deterministic seed for -faults, -soak and -optimize; same seed = byte-identical report at any -parallel")
-		rates    = flag.String("rates", "", "comma-separated fault rates for -faults (default 0,0.02,0.05,0.10)")
-		machsel  = flag.String("machines", "", "run the machine-matrix study on these models: \"all\", a comma-separated list of names, or \"list\" to print the matrix")
-		profile  = flag.Bool("profile", false, "per-function mCPI attribution and i-cache conflict heatmap per version")
-		lint     = flag.Bool("lint", false, "static layout lint: predicted i-cache conflicts per version from placed addresses, no simulation")
-		optimiz  = flag.String("optimize", "", "search code placements with the static cost engine on these machine models (\"all\" or a comma-separated list); every candidate is equivalence-proved, winners confirmed by simulation")
-		budget   = flag.Int("budget", 0, "annealing steps per machine for -optimize (0 = default)")
-		cands    = flag.Int("candidates", 0, "searched placements confirmed by full simulation per machine for -optimize (0 = default)")
-		top      = flag.Int("top", 10, "functions listed per version in -profile output")
-		jsonPath = flag.String("json", "", "also write the run as a structured JSON document (manifest + data) to this path")
-		parallel = flag.Int("parallel", 0, "worker pool for samples and table cells (0 = GOMAXPROCS, 1 = serial); output is identical at any setting")
-		serveM   = flag.Bool("serve", false, "run the experiment daemon: accept specs over HTTP, memoize results in -store, recover after crashes")
-		addr     = flag.String("addr", "127.0.0.1:8080", "listen address for -serve (\":0\" picks a free port, announced on stderr) and daemon address for -submit")
-		storeDir = flag.String("store", "protolat-store", "store directory for -serve: memoized documents, the journaled job queue, soak checkpoints")
-		drainTO  = flag.Duration("drain-timeout", 30*time.Second, "how long -serve waits for in-flight jobs on SIGTERM before cancelling them (journals survive for restart)")
-		submit   = flag.String("submit", "", "submit a spec file (\"-\" = stdin) to the daemon at -addr and print the resulting document")
-		workers  = flag.Int("workers", 1, "concurrent job executors for -serve; each job gets an equal share of the -parallel pool, output identical at any count")
-		storeMax = flag.Int64("store-max", 0, "store byte cap for -serve: evict least-recently-used memoized documents past this size (0 = uncapped; journaled-but-unserved jobs never evicted)")
-		retries  = flag.Int("retries", 0, "retry -submit this many times on 429/503, honoring the daemon's Retry-After hint with capped exponential backoff (0 = fail fast)")
+		table    = fs.Int("table", 0, "print one table (1..9); 0 = all")
+		figure   = fs.Int("figure", 0, "print one figure (1 or 2); 0 = per -table setting")
+		quality  = fs.String("quality", "quick", "measurement effort: quick or paper")
+		stack    = fs.String("stack", "", "run a single configuration: tcpip or rpc")
+		version  = fs.String("version", "ALL", "version for -stack: BAD STD OUT CLO PIN ALL")
+		samples  = fs.Int("samples", 3, "samples for -stack runs")
+		classify = fs.Bool("classifier", false, "charge packet-classifier cost on PIN/ALL")
+		tput     = fs.Bool("throughput", false, "run the throughput check instead of tables")
+		sens     = fs.String("sensitivity", "", "run a sensitivity sweep: cache, machine, or assoc")
+		mconn    = fs.Bool("multiconn", false, "run the connection-time cloning experiment")
+		faultrun = fs.Bool("faults", false, "run the fault-injection study (degraded-path latency per layout strategy)")
+		soakrun  = fs.Bool("soak", false, "run the resumable soak: fault regimes x recovery policies x versions with tail-latency digests")
+		policy   = fs.String("policy", "", "recovery policy for -stack runs: fixed (default) or adaptive")
+		chkpoint = fs.String("checkpoint", "", "journal path for -soak; written after every chunk so a killed soak can -resume")
+		resume   = fs.Bool("resume", false, "continue a -soak run from its -checkpoint journal instead of starting fresh")
+		soakstop = fs.Int("soakstop", 0, "stop the soak at the first chunk boundary at or after this many units (0 = run to completion)")
+		seed     = fs.Uint64("seed", 1, "deterministic seed for -faults, -soak, -machines and -optimize; same seed = byte-identical report at any -parallel")
+		rates    = fs.String("rates", "", "comma-separated fault rates for -faults (default 0,0.02,0.05,0.10) and -machines (default 0)")
+		machsel  = fs.String("machines", "", "run the machine-matrix study on these models: \"all\", a comma-separated list of names, or \"list\" to print the matrix")
+		profile  = fs.Bool("profile", false, "per-function mCPI attribution and i-cache conflict heatmap per version")
+		lint     = fs.Bool("lint", false, "static layout lint: predicted i-cache conflicts per version from placed addresses, no simulation")
+		optimiz  = fs.String("optimize", "", "search code placements with the static cost engine on these machine models (\"all\" or a comma-separated list); every candidate is equivalence-proved, winners confirmed by simulation")
+		budget   = fs.Int("budget", 0, "annealing steps per machine for -optimize (0 = default)")
+		cands    = fs.Int("candidates", 0, "searched placements confirmed by full simulation per machine for -optimize (0 = default)")
+		top      = fs.Int("top", 10, "functions listed per version in -profile output")
+		jsonPath = fs.String("json", "", "also write the run as a structured JSON document (manifest + data) to this path")
+		parallel = fs.Int("parallel", 0, "worker pool for samples and table cells (0 = GOMAXPROCS, 1 = serial); output is identical at any setting")
+		serveM   = fs.Bool("serve", false, "run the experiment daemon: accept specs over HTTP, memoize results in -store, recover after crashes")
+		addr     = fs.String("addr", "127.0.0.1:8080", "listen address for -serve (\":0\" picks a free port, announced on stderr) and daemon address for -submit")
+		storeDir = fs.String("store", "protolat-store", "store directory for -serve: memoized documents, the journaled job queue, soak checkpoints")
+		drainTO  = fs.Duration("drain-timeout", 30*time.Second, "how long -serve waits for in-flight jobs on SIGTERM before cancelling them (journals survive for restart)")
+		submit   = fs.String("submit", "", "submit a spec file (\"-\" = stdin) to the daemon at -addr and print the resulting document")
+		workers  = fs.Int("workers", 1, "concurrent job executors for -serve; each job gets an equal share of the -parallel pool, output identical at any count")
+		storeMax = fs.Int64("store-max", 0, "store byte cap for -serve: evict least-recently-used memoized documents past this size (0 = uncapped; journaled-but-unserved jobs never evicted)")
+		retries  = fs.Int("retries", 0, "retry -submit this many times on 429/503, honoring the daemon's Retry-After hint with capped exponential backoff (0 = fail fast)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	repro.SetParallelism(*parallel)
 
-	q := repro.Quick
-	if *quality == "paper" {
-		q = repro.PaperQuality
+	spec := repro.Spec{
+		Stack: *stack, Version: *version, Quality: *quality, Samples: *samples,
+		Policy: *policy, Classifier: *classify, Table: *table, Seed: *seed,
+		Rates: *rates, Top: *top, Budget: *budget, Candidates: *cands,
 	}
-	kind := repro.StackTCPIP
-	if strings.EqualFold(*stack, "rpc") {
-		kind = repro.StackRPC
-	}
-
-	// export writes the structured document when -json was given. command
-	// is the semantic invocation recorded in the manifest: it excludes
-	// -parallel and -json themselves, which cannot change the output.
-	export := func(command string, docSeed uint64, fill func(*repro.Document) error) {
-		if *jsonPath == "" {
-			return
+	// emit prints a rendered report.
+	emit := func(text string, err error) error {
+		if err == nil {
+			_, err = fmt.Fprintln(stdout, text)
 		}
-		doc := repro.Document{Manifest: repro.NewManifest(command, docSeed, q)}
-		doc.Manifest.GitDescribe = gitDescribe()
-		check(fill(&doc))
-		b, err := doc.Marshal()
-		check(err)
-		check(repro.StorageDisk.WriteFile(*jsonPath, b, 0o644))
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonPath)
+		return err
 	}
+	run := func() error {
+		switch {
+		case *serveM:
+			// PROTOLAT_FSFAULT injects a deterministic storage fault
+			// layer beneath the daemon's store — the black-box seam the
+			// fsfault smoke test uses to starve the real binary's disk
+			// writes.
+			fsys, err := repro.StorageFromEnv(os.Getenv("PROTOLAT_FSFAULT"))
+			if err != nil {
+				return err
+			}
+			srv, err := repro.NewServer(repro.ServeConfig{
+				Addr:          *addr,
+				StoreDir:      *storeDir,
+				DrainTimeout:  *drainTO,
+				GitDescribe:   gitDescribe(),
+				Workers:       *workers,
+				StoreMaxBytes: *storeMax,
+				FS:            fsys,
+			})
+			if err != nil {
+				return err
+			}
+			return srv.ListenAndServe()
+		case *submit != "":
+			return submitSpec(*addr, *submit, *retries, stdout, stderr)
 
-	switch {
-	case *serveM:
-		// PROTOLAT_FSFAULT injects a deterministic storage fault layer
-		// beneath the daemon's store — the black-box seam the fsfault
-		// smoke test uses to starve the real binary's disk writes.
-		fsys, err := repro.StorageFromEnv(os.Getenv("PROTOLAT_FSFAULT"))
-		check(err)
-		srv, err := repro.NewServer(repro.ServeConfig{
-			Addr:          *addr,
-			StoreDir:      *storeDir,
-			DrainTimeout:  *drainTO,
-			GitDescribe:   gitDescribe(),
-			Workers:       *workers,
-			StoreMaxBytes: *storeMax,
-			FS:            fsys,
+		case *soakrun:
+			spec.Kind = "soak"
+		case *optimiz != "":
+			spec.Kind, spec.Models = "optimize", *optimiz
+		case *lint:
+			spec.Kind = "lint"
+		case *profile:
+			spec.Kind = "profile"
+		case *faultrun:
+			spec.Kind = "faults"
+		case *machsel == "list":
+			for _, m := range repro.MachineMatrix() {
+				fmt.Fprintf(stdout, "%-12s %s\n", m.Name, m.Title)
+			}
+			return nil
+		case *machsel != "":
+			spec.Kind, spec.Models = "machines", *machsel
+
+		// The text-only modes write no document.
+		case *tput:
+			return emit(repro.ThroughputTable(40, 1400))
+		case *mconn:
+			return emit(repro.MultiConnectionTable(32))
+		case *sens != "":
+			q := repro.Quick
+			if *quality == "paper" {
+				q = repro.PaperQuality
+			}
+			kind := repro.StackTCPIP
+			if strings.EqualFold(*stack, "rpc") {
+				kind = repro.StackRPC
+			}
+			switch *sens {
+			case "machine":
+				return emit(repro.Sensitivity(kind, repro.MachineSweep(), q))
+			case "assoc":
+				return emit(repro.SensitivityVersions(kind, repro.BAD, repro.ALL, repro.AssocSweep(), q))
+			default:
+				return emit(repro.Sensitivity(kind, repro.CacheSweep(), q))
+			}
+
+		case *stack != "":
+			spec.Kind = "run"
+		case *figure != 0:
+			spec.Kind, spec.Table = "figure", *figure
+		case *table != 0:
+			spec.Kind = "table"
+		default:
+			spec.Kind = "all"
+		}
+
+		out, err := repro.RunSpec(context.Background(), spec, repro.Env{
+			Checkpoint: *chkpoint, Resume: *resume, StopAfter: *soakstop,
 		})
-		check(err)
-		check(srv.ListenAndServe())
-
-	case *submit != "":
-		check(submitSpec(*addr, *submit, *retries))
-
-	case *soakrun:
-		cfg := repro.DefaultSoak(kind, *seed)
-		if *quality == "paper" {
-			cfg.BatchesPerCell = 10
-			cfg.BatchRoundtrips = 24
+		if err != nil {
+			return err
 		}
-		cfg.CheckpointPath = *chkpoint
-		cfg.StopAfterUnits = *soakstop
-		run := repro.Soak
-		if *resume {
-			run = repro.ResumeSoak
+		if err := emit(out.Text()); err != nil || *jsonPath == "" {
+			return err
 		}
-		res, err := run(cfg)
-		check(err)
-		fmt.Println(repro.SoakReport(res))
-		if res.Stopped {
+		if out.Doc == nil {
 			// A partial soak exports nothing: the document describes a
 			// completed schedule, and the journal already holds the rest.
-			if *jsonPath != "" {
-				fmt.Fprintf(os.Stderr, "soak stopped early; no JSON written (resume with -resume -checkpoint %s)\n", *chkpoint)
-			}
-			return
-		}
-		// The manifest's quality block records the soak's own batch shape
-		// (export reads q through the closure).
-		q = repro.Quality{Warmup: cfg.Warmup, Measured: cfg.BatchRoundtrips, Samples: cfg.BatchesPerCell}
-		export(fmt.Sprintf("protolat -soak -stack %s -seed %d -quality %s", stackName(kind), *seed, *quality), *seed,
-			func(doc *repro.Document) error {
-				doc.Soak = repro.SoakDocOf(res)
-				return nil
-			})
-
-	case *optimiz != "":
-		models, err := repro.SelectMachines(*optimiz)
-		check(err)
-		cfg := repro.DefaultOptimize(kind, *seed)
-		cfg.Models = models
-		if *budget > 0 {
-			cfg.Budget = *budget
-		}
-		if *cands > 0 {
-			cfg.TopK = *cands
-		}
-		if *quality == "paper" {
-			cfg.Quality = repro.Quality{Warmup: 8, Measured: 24, Samples: 3}
-		}
-		results, err := repro.Optimize(cfg)
-		check(err)
-		fmt.Println(repro.RenderOptimize(cfg, results))
-		export(fmt.Sprintf("protolat -optimize %s -stack %s -seed %d -budget %d -candidates %d -quality %s",
-			*optimiz, stackName(kind), *seed, cfg.Budget, cfg.TopK, *quality), *seed,
-			func(doc *repro.Document) error {
-				doc.Optimize = repro.OptimizeDocOf(cfg, results)
-				return nil
-			})
-
-	case *lint:
-		cells, err := repro.LintStudy(kind, repro.Bipartite)
-		check(err)
-		fmt.Println(repro.RenderLintStudy(kind, repro.Bipartite, cells))
-		export(fmt.Sprintf("protolat -lint -stack %s", stackName(kind)), 0,
-			func(doc *repro.Document) error {
-				doc.Verify = repro.LintStudyDocOf(kind, repro.Bipartite, cells)
-				return nil
-			})
-
-	case *profile:
-		text, results, err := repro.ProfileReport(kind, q, *top)
-		check(err)
-		fmt.Println(text)
-		export(fmt.Sprintf("protolat -profile -stack %s -top %d -quality %s", stackName(kind), *top, *quality), 0,
-			func(doc *repro.Document) error {
-				doc.Runs = repro.RunsDoc(results)
-				doc.Figures = append(doc.Figures, repro.Figure{
-					Name: "profile", Title: "Per-function mCPI attribution", Text: text})
-				return nil
-			})
-
-	case *faultrun:
-		cfg := repro.DefaultFaultStudy(kind, *seed)
-		if *quality != "paper" {
-			cfg.Quality = repro.Quality{Warmup: 3, Measured: 12, Samples: 1}
-		}
-		if *rates != "" {
-			cfg.Rates = parseRates(*rates)
-		}
-		text, err := repro.RunFaultStudy(cfg)
-		check(err)
-		fmt.Println(text)
-		export(fmt.Sprintf("protolat -faults -stack %s -seed %d -rates %s -quality %s",
-			stackName(kind), *seed, *rates, *quality), *seed,
-			func(doc *repro.Document) error {
-				cells, err := repro.FaultStudy(cfg)
-				if err != nil {
-					return err
-				}
-				doc.FaultStudy = repro.FaultStudyDocOf(cfg, cells)
-				rcells, err := repro.RecoveryComparison(kind, *seed, cfg.Quality)
-				if err != nil {
-					return err
-				}
-				doc.FaultStudy.Recovery = repro.RecoveryDocOf(rcells)
-				return nil
-			})
-
-	case *machsel != "":
-		if *machsel == "list" {
-			for _, m := range repro.MachineMatrix() {
-				fmt.Printf("%-12s %s\n", m.Name, m.Title)
-			}
-			return
-		}
-		models, err := repro.SelectMachines(*machsel)
-		check(err)
-		cfg := repro.DefaultMachineStudy(kind, *seed)
-		cfg.Models = models
-		if *quality == "paper" {
-			cfg.Quality = repro.Quality{Warmup: 8, Measured: 24, Samples: 3}
-		}
-		// The -rates default belongs to -faults; the machine matrix sweeps
-		// the clean rate unless fault rates are asked for explicitly.
-		machRates := ""
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "rates" {
-				machRates = *rates
-			}
-		})
-		if machRates != "" {
-			cfg.Rates = parseRates(machRates)
-		}
-		cells, err := repro.MachineStudy(cfg)
-		check(err)
-		fmt.Println(repro.RenderMachineStudy(cfg, cells))
-		export(fmt.Sprintf("protolat -machines %s -stack %s -seed %d -rates %s -quality %s",
-			*machsel, stackName(kind), *seed, machRates, *quality), *seed,
-			func(doc *repro.Document) error {
-				doc.Machines = repro.MachineStudyDocOf(cfg, cells)
-				return nil
-			})
-
-	case *tput:
-		emit(repro.ThroughputTable(40, 1400))
-
-	case *mconn:
-		emit(repro.MultiConnectionTable(32))
-
-	case *sens != "":
-		switch *sens {
-		case "machine":
-			emit(repro.Sensitivity(kind, repro.MachineSweep(), q))
-		case "assoc":
-			emit(repro.SensitivityVersions(kind, repro.BAD, repro.ALL, repro.AssocSweep(), q))
-		default:
-			emit(repro.Sensitivity(kind, repro.CacheSweep(), q))
-		}
-
-	case *stack != "":
-		runOne(kind, *version, *samples, *classify, *policy, q, *jsonPath != "", export)
-
-	case *figure == 1:
-		text, err := repro.Figure1()
-		check(err)
-		fmt.Println(text)
-		export("protolat -figure 1", 0, func(doc *repro.Document) error {
-			doc.Figures = []repro.Figure{{Name: "figure1", Title: "Test Protocol Stacks", Text: text}}
+			fmt.Fprintf(stderr, "soak stopped early; no JSON written (resume with -resume -checkpoint %s)\n", *chkpoint)
 			return nil
-		})
-
-	case *figure == 2:
-		text, err := repro.Figure2()
-		check(err)
-		fmt.Println(text)
-		export("protolat -figure 2", 0, func(doc *repro.Document) error {
-			doc.Figures = []repro.Figure{{Name: "figure2",
-				Title: "Effects of Outlining and Cloning on the i-cache footprint", Text: text}}
-			return nil
-		})
-
-	case *table >= 1 && *table <= 3:
-		var text string
-		var data repro.Table
-		var err error
-		switch *table {
-		case 1:
-			text, data, err = repro.Table1Full(q)
-		case 2:
-			text, data, err = repro.Table2Full(q)
-		case 3:
-			text, data, err = repro.Table3Full(q)
 		}
-		check(err)
-		fmt.Println(text)
-		export(fmt.Sprintf("protolat -table %d -quality %s", *table, *quality), 0,
-			func(doc *repro.Document) error {
-				doc.Tables = []repro.Table{data}
-				return nil
-			})
-
-	case *table >= 4 && *table <= 9:
-		// With -json the sweep runs profiled, so the document carries the
-		// per-function attribution behind the table's aggregates; the
-		// printed table is identical either way (a tested invariant).
-		tcpip, rpc, err := runSweeps(q, *jsonPath != "")
-		check(err)
-		var text string
-		var data []repro.Table
-		switch *table {
-		case 4, 5:
-			text, data = repro.Table45(tcpip, rpc), repro.Table45Data(tcpip, rpc)
-		case 6:
-			text, data = repro.Table6(tcpip, rpc), []repro.Table{repro.Table6Data(tcpip, rpc)}
-		case 7:
-			text, data = repro.Table7(tcpip, rpc), []repro.Table{repro.Table7Data(tcpip, rpc)}
-		case 8:
-			text, data = repro.Table8(tcpip, rpc), []repro.Table{repro.Table8Data(tcpip, rpc)}
-		case 9:
-			text, data = repro.Table9(tcpip, rpc), []repro.Table{repro.Table9Data(tcpip, rpc)}
+		out.Doc.Manifest.GitDescribe = gitDescribe()
+		b, err := out.Doc.Marshal()
+		if err != nil {
+			return err
 		}
-		fmt.Println(text)
-		export(fmt.Sprintf("protolat -table %d -quality %s", *table, *quality), 0,
-			func(doc *repro.Document) error {
-				doc.Tables = data
-				doc.Runs = append(repro.RunsDoc(tcpip), repro.RunsDoc(rpc)...)
-				return nil
-			})
-
-	default:
-		text, err := repro.RenderAll(q)
-		check(err)
-		fmt.Println(text)
-		export(fmt.Sprintf("protolat -quality %s", *quality), 0,
-			func(doc *repro.Document) error {
-				tcpip, rpc, err := runSweeps(q, true)
-				if err != nil {
-					return err
-				}
-				doc.Tables = append(doc.Tables, repro.Table45Data(tcpip, rpc)...)
-				doc.Tables = append(doc.Tables,
-					repro.Table6Data(tcpip, rpc), repro.Table7Data(tcpip, rpc),
-					repro.Table8Data(tcpip, rpc), repro.Table9Data(tcpip, rpc))
-				doc.Runs = append(repro.RunsDoc(tcpip), repro.RunsDoc(rpc)...)
-				return nil
-			})
+		if err := repro.StorageDisk.WriteFile(*jsonPath, b, 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "wrote %s\n", *jsonPath)
+		return nil
 	}
-}
-
-// runSweeps runs both stacks' version sweeps, profiled when the document
-// export needs attribution data.
-func runSweeps(q repro.Quality, profiled bool) (tcpip, rpc map[repro.Version]*repro.Result, err error) {
-	run := repro.RunVersions
-	if profiled {
-		run = repro.RunVersionsProfiled
+	if err := run(); err != nil {
+		fmt.Fprintln(stderr, "protolat:", err)
+		var se *repro.SpecError
+		if errors.As(err, &se) {
+			return 2
+		}
+		return 1
 	}
-	if tcpip, err = run(repro.StackTCPIP, q); err != nil {
-		return nil, nil, err
-	}
-	if rpc, err = run(repro.StackRPC, q); err != nil {
-		return nil, nil, err
-	}
-	return tcpip, rpc, nil
-}
-
-func stackName(kind repro.StackKind) string {
-	if kind == repro.StackRPC {
-		return "rpc"
-	}
-	return "tcpip"
+	return 0
 }
 
 // gitDescribe identifies the checkout for the manifest; empty (and omitted
@@ -414,53 +242,11 @@ func gitDescribe() string {
 	return strings.TrimSpace(string(out))
 }
 
-func runOne(kind repro.StackKind, version string, samples int, classify bool, policy string,
-	q repro.Quality, profiled bool, export func(string, uint64, func(*repro.Document) error)) {
-	var ver repro.Version
-	found := false
-	for _, v := range repro.Versions() {
-		if strings.EqualFold(v.String(), version) {
-			ver, found = v, true
-		}
-	}
-	if !found {
-		fmt.Fprintf(os.Stderr, "unknown version %q\n", version)
-		os.Exit(2)
-	}
-	rk, err := repro.ParseRecovery(policy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	cfg := repro.DefaultConfig(kind, ver)
-	cfg.Warmup, cfg.Measured, cfg.Samples = q.Warmup, q.Measured, samples
-	cfg.UseClassifier = classify
-	cfg.Recovery = rk
-	cfg.Profile = profiled
-	res, err := repro.Run(cfg)
-	check(err)
-	s := res.First()
-	fmt.Printf("%v %v: Te %.1f +- %.2f us | Tp %.1f us | %0.f instrs | CPI %.2f (iCPI %.2f, mCPI %.2f)\n",
-		kind, ver, res.TeMeanUS, res.TeStdUS, s.TpUS, s.TraceLen, s.CPI, s.ICPI, s.MCPI)
-	fmt.Printf("  i-cache %v | d-cache/wb %v | b-cache %v\n", s.ICache, s.DCache, s.BCache)
-	fmt.Printf("  phases: wire %.1f us | controller %.1f us | processing %.1f us | timer wait %.1f us\n",
-		s.Phases.WireUS, s.Phases.ControllerUS, s.Phases.ProcessUS, s.Phases.TimerWaitUS)
-	command := fmt.Sprintf("protolat -stack %s -version %v -samples %d", stackName(kind), ver, samples)
-	if policy != "" {
-		command += " -policy " + string(rk)
-	}
-	export(command, 0,
-		func(doc *repro.Document) error {
-			doc.Runs = []repro.RunExport{repro.RunDoc(res)}
-			return nil
-		})
-}
-
 // submitSpec posts a spec file to the daemon at addr and prints the
 // resulting document to stdout; cache/fingerprint metadata goes to stderr.
 // retries > 0 retries 429/503 rejections with the daemon's Retry-After hint
 // and capped exponential backoff.
-func submitSpec(addr, path string, retries int) error {
+func submitSpec(addr, path string, retries int, stdout, stderr io.Writer) error {
 	var data []byte
 	var err error
 	if path == "-" {
@@ -475,32 +261,7 @@ func submitSpec(addr, path string, retries int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "cache: %s  fingerprint: %s\n", res.Cache, res.Fingerprint)
-	_, err = os.Stdout.Write(res.Body)
+	fmt.Fprintf(stderr, "cache: %s  fingerprint: %s\n", res.Cache, res.Fingerprint)
+	_, err = stdout.Write(res.Body)
 	return err
-}
-
-func parseRates(s string) []float64 {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		var r float64
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%g", &r); err != nil || r < 0 || r > 1 {
-			fmt.Fprintf(os.Stderr, "bad fault rate %q (want 0..1)\n", part)
-			os.Exit(2)
-		}
-		out = append(out, r)
-	}
-	return out
-}
-
-func emit(s string, err error) {
-	check(err)
-	fmt.Println(s)
-}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "protolat:", err)
-		os.Exit(1)
-	}
 }

@@ -1,0 +1,143 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro"
+)
+
+// daemon starts an in-process daemon on a temp store, salted with the
+// same checkout identity the CLI stamps, and returns its submit URL.
+func daemon(t *testing.T) string {
+	t.Helper()
+	srv, err := repro.NewServer(repro.ServeConfig{StoreDir: t.TempDir(), GitDescribe: gitDescribe()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+	return ts.URL + "/v1/experiments"
+}
+
+// submit posts a spec and returns the status and body.
+func submit(t *testing.T, url string, spec any) (int, []byte) {
+	t.Helper()
+	b, ok := spec.([]byte)
+	if !ok {
+		var err error
+		if b, err = json.Marshal(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+// kindCases holds, for every registry kind, a small quick-quality CLI
+// invocation and the spec a daemon client would send for it.
+var kindCases = map[string]struct {
+	args []string
+	spec repro.Spec
+}{
+	"run": {[]string{"-stack", "rpc", "-version", "pin", "-samples", "1", "-classifier", "-policy", "adaptive"},
+		repro.Spec{Kind: "run", Stack: "rpc", Version: "PIN", Samples: 1, Classifier: true, Policy: "adaptive"}},
+	"table":  {[]string{"-table", "7"}, repro.Spec{Kind: "table", Table: 7}},
+	"figure": {[]string{"-figure", "1"}, repro.Spec{Kind: "figure", Table: 1}},
+	"all":    {nil, repro.Spec{Kind: "all"}},
+	"faults": {[]string{"-faults", "-seed", "3", "-rates", "0, 0.05"},
+		repro.Spec{Kind: "faults", Seed: 3, Rates: "0,0.05"}},
+	"soak":    {[]string{"-soak", "-seed", "2"}, repro.Spec{Kind: "soak", Seed: 2}},
+	"lint":    {[]string{"-lint", "-stack", "rpc"}, repro.Spec{Kind: "lint", Stack: "rpc"}},
+	"profile": {[]string{"-profile", "-top", "3"}, repro.Spec{Kind: "profile", Top: 3}},
+	"machines": {[]string{"-machines", "dec3000", "-rates", "0.05"},
+		repro.Spec{Kind: "machines", Models: "DEC3000", Rates: "0.05"}},
+	"optimize": {[]string{"-optimize", "dec3000", "-budget", "20", "-candidates", "1"},
+		repro.Spec{Kind: "optimize", Models: "dec3000", Budget: 20, Candidates: 1}},
+}
+
+// TestCLIMatchesDaemon: for every registered kind, the CLI's -json bytes
+// equal the daemon's document for the same spec. It walks the registry,
+// so a kind without a case here fails instead of going unchecked.
+func TestCLIMatchesDaemon(t *testing.T) {
+	url := daemon(t)
+	for _, kind := range repro.Kinds() {
+		c, ok := kindCases[kind]
+		if !ok {
+			t.Errorf("kind %q has no CLI case", kind)
+			continue
+		}
+		t.Run(kind, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "doc.json")
+			var stdout, stderr bytes.Buffer
+			if code := protolat(append(c.args, "-json", path), &stdout, &stderr); code != 0 {
+				t.Fatalf("protolat %v: exit %d: %s", c.args, code, stderr.String())
+			}
+			cli, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			status, body := submit(t, url, c.spec)
+			if status != http.StatusOK {
+				t.Fatalf("daemon: %d: %s", status, body)
+			}
+			if !bytes.Equal(cli, body) {
+				t.Fatalf("CLI -json and daemon documents differ\ncli:    %.300s\ndaemon: %.300s", cli, body)
+			}
+		})
+	}
+}
+
+// TestBadInputBothShells: an invalid value is a *SpecError in both
+// shells — exit 2 from the CLI, a 400 from the daemon, one message.
+func TestBadInputBothShells(t *testing.T) {
+	url := daemon(t)
+	cases := []struct {
+		name string
+		args []string
+		spec string
+	}{
+		{"stack", []string{"-stack", "tcp", "-quality", "fast"}, `{"kind":"run","stack":"tcp","quality":"fast"}`},
+		{"quality", []string{"-quality", "fast"}, `{"kind":"all","quality":"fast"}`},
+		{"version", []string{"-stack", "rpc", "-version", "NOPE"}, `{"kind":"run","stack":"rpc","version":"NOPE"}`},
+		{"faults stack", []string{"-faults", "-stack", "osi"}, `{"kind":"faults","stack":"osi"}`},
+		{"policy", []string{"-stack", "rpc", "-policy", "psychic"}, `{"kind":"run","stack":"rpc","policy":"psychic"}`},
+		{"table", []string{"-table", "12"}, `{"kind":"table","table":12}`},
+		{"figure", []string{"-figure", "3"}, `{"kind":"figure","table":3}`},
+		{"rates", []string{"-faults", "-rates", "0.5,2"}, `{"kind":"faults","rates":"0.5,2"}`},
+		{"models", []string{"-machines", "pdp11"}, `{"kind":"machines","models":"pdp11"}`},
+	}
+	for _, tc := range cases {
+		var stdout, stderr bytes.Buffer
+		code := protolat(tc.args, &stdout, &stderr)
+		status, body := submit(t, url, []byte(tc.spec))
+		var eb struct{ Error, Reason string }
+		if err := json.Unmarshal(body, &eb); err != nil {
+			t.Fatalf("%s: daemon body %s: %v", tc.name, body, err)
+		}
+		if code != 2 || status != http.StatusBadRequest || eb.Reason != "spec" {
+			t.Fatalf("%s: CLI exit %d, daemon %d %q; want 2 and 400 spec", tc.name, code, status, eb.Reason)
+		}
+		if want := "protolat: " + eb.Error + "\n"; stderr.String() != want || !strings.HasPrefix(eb.Error, "spec field") {
+			t.Fatalf("%s: CLI said %q, daemon %q", tc.name, stderr.String(), eb.Error)
+		}
+		if stdout.Len() != 0 {
+			t.Fatalf("%s: CLI printed a report for an invalid spec", tc.name)
+		}
+	}
+}

@@ -253,6 +253,19 @@ func RunFaultStudyCtx(ctx context.Context, cfg FaultStudyConfig) (string, error)
 	if err != nil {
 		return "", err
 	}
+	if cfg.Quality.Samples < 1 {
+		cfg.Quality = DefaultFaultStudy(cfg.Stack, cfg.Seed).Quality
+	}
+	rcells, err := RecoveryComparisonCtx(ctx, cfg.Stack, cfg.Seed, cfg.Quality)
+	if err != nil {
+		return "", err
+	}
+	return RenderFaultStudy(cfg, cells, rcells), nil
+}
+
+// RenderFaultStudy renders computed fault-study cells and the recovery
+// comparison run at the same seed and quality.
+func RenderFaultStudy(cfg FaultStudyConfig, cells []FaultCell, rcells []RecoveryCell) string {
 	// Re-derive the effective shape for the header (FaultStudy fills the
 	// same defaults).
 	if len(cfg.Rates) == 0 {
@@ -315,11 +328,7 @@ func RunFaultStudyCtx(ctx context.Context, cfg FaultStudyConfig) (string, error)
 		total.LinkFrames, total.LinkDelivered, total.LinkDropped, total.LinkDuplicated,
 		inj.Corrupted, inj.Reordered)
 
-	rcells, err := RecoveryComparisonCtx(ctx, cfg.Stack, cfg.Seed, cfg.Quality)
-	if err != nil {
-		return "", err
-	}
 	b.WriteString("\n")
 	b.WriteString(RenderRecoveryTable(rcells))
-	return b.String(), nil
+	return b.String()
 }

@@ -2,9 +2,7 @@ package core
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/arch"
 	"repro/internal/protocols/features"
@@ -161,68 +159,6 @@ func TestParallelTablesMatchSerial(t *testing.T) {
 	}
 	if sensS != sensP {
 		t.Fatalf("Sensitivity differs under parallelism:\nserial:\n%s\nparallel:\n%s", sensS, sensP)
-	}
-}
-
-// TestParallelScalingGuard is the regression tripwire for parallel
-// efficiency: on a multi-core machine, widening the worker pool must
-// actually shorten the Table-4-shaped sweep. The historical failure mode was
-// not lock contention but allocation churn — per-sample cache construction
-// made the GC the real serializer, so every width ran at workers=1 speed.
-// The guard asserts a deliberately conservative floor (≥1.3x at 2 cores,
-// ≥1.9x at ≥4) so scheduler jitter cannot flake it; the precise numbers live
-// in BENCH_parallel.json.
-//
-// Skipped under -short (it runs the full version sweep several times) and on
-// single-core machines, where no parallel speedup is physically possible and
-// the worker pool legitimately degenerates to a serial loop.
-func TestParallelScalingGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scaling guard runs the full sweep; skipped under -short")
-	}
-	ncpu := runtime.NumCPU()
-	if ncpu < 2 {
-		t.Skipf("NumCPU = %d: parallel speedup is impossible on this machine", ncpu)
-	}
-	wide := 4
-	if ncpu < wide {
-		wide = ncpu
-	}
-	minSpeedup := 1.3
-	if wide >= 4 {
-		minSpeedup = 1.9
-	}
-
-	q := Quality{Warmup: 4, Measured: 8, Samples: 4}
-	sweep := func() {
-		for _, kind := range []StackKind{StackTCPIP, StackRPC} {
-			if _, err := RunVersions(kind, q); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	// Warm the program cache so neither timing pays the one-time builds.
-	sweep()
-	timed := func(workers int) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		withParallelism(t, workers, func() {
-			for i := 0; i < 3; i++ {
-				start := time.Now()
-				sweep()
-				if d := time.Since(start); d < best {
-					best = d
-				}
-			}
-		})
-		return best
-	}
-	serial := timed(1)
-	parallel := timed(wide)
-	speedup := float64(serial) / float64(parallel)
-	t.Logf("workers=1: %v  workers=%d: %v  speedup=%.2fx (floor %.1fx)", serial, wide, parallel, speedup, minSpeedup)
-	if speedup < minSpeedup {
-		t.Errorf("workers=%d speedup %.2fx below %.1fx floor: the pool is serialized again (profile for allocation churn first)",
-			wide, speedup, minSpeedup)
 	}
 }
 

@@ -422,48 +422,3 @@ func Figure2() (string, error) {
 	}
 	return sb.String(), nil
 }
-
-// RenderAll produces the full evaluation report.
-func RenderAll(q Quality) (string, error) {
-	var sb strings.Builder
-	add := func(s string, err error) error {
-		if err != nil {
-			return err
-		}
-		sb.WriteString(s + "\n")
-		return nil
-	}
-	if err := add(Figure1()); err != nil {
-		return "", err
-	}
-	if err := add(Table1(q)); err != nil {
-		return "", err
-	}
-	if err := add(Table2(q)); err != nil {
-		return "", err
-	}
-	if err := add(Table3(q)); err != nil {
-		return "", err
-	}
-	// The two stacks' version sweeps are independent; run them
-	// concurrently (each fans its own cells out on the shared pool).
-	kinds := []StackKind{StackTCPIP, StackRPC}
-	byKind := make([]map[Version]*Result, len(kinds))
-	if err := forEachIndexed(len(kinds), Parallelism(), func(i int) error {
-		r, err := RunVersions(kinds[i], q)
-		byKind[i] = r
-		return err
-	}); err != nil {
-		return "", err
-	}
-	tcpip, rpc := byKind[0], byKind[1]
-	sb.WriteString(Table45(tcpip, rpc) + "\n")
-	sb.WriteString(Table6(tcpip, rpc) + "\n")
-	sb.WriteString(Table7(tcpip, rpc) + "\n")
-	sb.WriteString(Table8(tcpip, rpc) + "\n")
-	sb.WriteString(Table9(tcpip, rpc) + "\n")
-	if err := add(Figure2()); err != nil {
-		return "", err
-	}
-	return sb.String(), nil
-}

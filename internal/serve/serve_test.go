@@ -413,10 +413,9 @@ func TestCrashRecoveryRun(t *testing.T) {
 	if st := s.Stats(); st.Recovered != 1 {
 		t.Fatalf("Recovered = %d, want 1", st.Recovered)
 	}
-	waitFor(t, "recovered job to complete", func() bool {
-		doc, err := s.store.Get(fp)
-		return err == nil && doc != nil
-	})
+	// The worker persists the document before it drops the job journal
+	// and counts the job completed only after both, so wait for the count.
+	waitFor(t, "recovered job to complete", func() bool { return s.Stats().Completed >= 1 })
 	resp, body := post(t, ts, runSpec)
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Protolat-Cache") != "hit" {
 		t.Fatalf("re-request after recovery: %s cache=%q", resp.Status, resp.Header.Get("X-Protolat-Cache"))
@@ -432,7 +431,7 @@ func TestCrashRecoveryRun(t *testing.T) {
 // soakTestSpec is a small soak: 16 units in two checkpoint chunks.
 const soakTestSpec = `{"kind":"soak","seed":5,"soak_batches":1,"soak_roundtrips":4}`
 
-// soakCfgFor mirrors document.go's soak config assembly for the test spec,
+// soakCfgFor mirrors the soak entry's config assembly (registry.go) for the test spec,
 // so the test can plant a mid-schedule checkpoint the daemon will resume.
 func soakCfgFor(store *Store, fp string) soak.Config {
 	cfg := soak.DefaultConfig(core.StackTCPIP, 5)

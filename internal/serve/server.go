@@ -293,6 +293,24 @@ func (s *Server) buildWatched(ctx context.Context, cancel context.CancelFunc, j 
 	}
 }
 
+// buildDocument computes a job's document through the registry — the
+// same call the protolat CLI makes for -json, so the two are
+// byte-identical by construction.
+func (s *Server) buildDocument(ctx context.Context, spec Spec, fp string) (*obs.Document, error) {
+	// Only a soak checkpoints, under its fingerprint. A journal left by an
+	// interrupted earlier attempt resumes instead of recomputing the
+	// chunks it finished.
+	env := Env{EventBudget: s.cfg.EventBudget, FS: s.store.fs, Checkpoint: s.store.JournalPath(fp)}
+	_, err := s.store.fs.Stat(env.Checkpoint)
+	env.Resume = err == nil
+	out, err := Run(ctx, spec, env)
+	if err != nil {
+		return nil, err
+	}
+	out.Doc.Manifest.GitDescribe = s.cfg.GitDescribe
+	return out.Doc, nil
+}
+
 // classify maps a job failure to its HTTP status and machine-readable
 // reason — the daemon's degradation ladder.
 func classify(err error) (int, string) {
@@ -518,7 +536,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 // schema, so the same tooling that reads experiment exports reads daemon
 // health.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	doc := s.newDoc("protolat -serve", 0, core.Quick)
+	doc := &obs.Document{Manifest: core.NewManifest("protolat -serve", 0, core.Quick)}
+	doc.Manifest.GitDescribe = s.cfg.GitDescribe
 	st := s.Stats()
 	doc.Serve = &st
 	b, err := doc.Marshal()

@@ -1,6 +1,15 @@
-// Package serve implements the protolat experiment daemon: a persistent
-// HTTP/JSON service that accepts experiment specs (single runs, tables,
-// fault studies, soaks, lints, profiles), validates and fingerprints them,
+// Package serve holds the study registry and the protolat experiment
+// daemon built on it.
+//
+// The registry (registry.go) maps each experiment kind — single runs,
+// tables, figures, the full report, fault studies, soaks, lints,
+// profiles, machine studies and layout searches — to one entry that
+// declares its parameters, computes its document and derives the
+// manifest command. The protolat CLI and the daemon are both thin shells
+// over Run, so a document is byte-identical whichever one computed it.
+//
+// The daemon is a persistent HTTP/JSON service that accepts experiment
+// specs, validates and fingerprints them,
 // schedules them on the shared worker pool through a bounded journaled job
 // queue, and memoizes completed documents in a crash-safe on-disk store
 // built on the soak journal's tmp+rename+CRC32 discipline.
@@ -36,6 +45,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -44,13 +54,14 @@ import (
 	"repro/internal/protocols/recovery"
 )
 
-// Spec is one experiment request. Kind selects the mode (mirroring the
-// protolat CLI modes); the remaining fields parameterize it and are
-// canonicalized by Normalized so that semantically identical requests
-// fingerprint — and therefore memoize and coalesce — identically.
+// Spec is one experiment request: the CLI parses its flags into one, the
+// daemon decodes one from a request body. Kind selects the registry
+// entry; the remaining fields parameterize it and are canonicalized by
+// Normalized so that semantically identical requests fingerprint — and
+// therefore memoize and coalesce — identically.
 type Spec struct {
-	// Kind is the experiment mode: "run", "table", "faults", "soak",
-	// "lint", "profile", "machines", or "optimize".
+	// Kind is the registry entry: "run", "table", "figure", "all",
+	// "faults", "soak", "lint", "profile", "machines", or "optimize".
 	Kind string `json:"kind"`
 	// Stack selects the protocol stack: "tcpip" (default) or "rpc".
 	Stack string `json:"stack,omitempty"`
@@ -63,12 +74,17 @@ type Spec struct {
 	// Policy is the recovery policy for "run": "fixed" (default) or
 	// "adaptive".
 	Policy string `json:"policy,omitempty"`
-	// Table selects the table (1..9) for "table".
+	// Classifier charges the packet-classifier cost on the PIN/ALL
+	// receive path of a "run".
+	Classifier bool `json:"classifier,omitempty"`
+	// Table selects the table (1..9) for "table" and the figure (1..2)
+	// for "figure".
 	Table int `json:"table,omitempty"`
-	// Seed drives the fault plans of "faults" and "soak" (default 1).
+	// Seed drives the fault plans of "faults", "soak" and "machines" and
+	// the search of "optimize" (default 1).
 	Seed uint64 `json:"seed,omitempty"`
-	// Rates is the comma-separated fault-rate list for "faults" (empty
-	// keeps the study default).
+	// Rates is the comma-separated fault-rate list for "faults" and
+	// "machines" (empty keeps the study default).
 	Rates string `json:"rates,omitempty"`
 	// Top is the per-version function count for "profile" (default 10).
 	Top int `json:"top,omitempty"`
@@ -85,13 +101,17 @@ type Spec struct {
 	// Budget is the annealing steps per machine for "optimize" (0 keeps
 	// the search default).
 	Budget int `json:"budget,omitempty"`
+	// Candidates is the number of searched placements "optimize" confirms
+	// by full simulation per machine (0 keeps the search default).
+	Candidates int `json:"candidates,omitempty"`
 	// TimeoutMS bounds the job's execution (0 = the daemon default). A
 	// deadline is an execution detail, not a semantic input, so it is
 	// excluded from the fingerprint.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 
-// SpecError reports an invalid spec field; the daemon maps it to a 400.
+// SpecError reports an invalid spec field; the daemon maps it to a 400
+// and the CLI to exit status 2.
 type SpecError struct {
 	Field string
 	Msg   string
@@ -100,146 +120,156 @@ type SpecError struct {
 // Error renders the failure with its field.
 func (e *SpecError) Error() string { return fmt.Sprintf("spec field %q: %s", e.Field, e.Msg) }
 
-// Normalized canonicalizes the spec: defaults filled, case folded, and
-// every field irrelevant to the kind zeroed, so two requests that would
-// compute the same document carry the same bytes into Fingerprint.
-func (s Spec) Normalized() Spec {
-	s.Kind = strings.ToLower(strings.TrimSpace(s.Kind))
-	s.Stack = strings.ToLower(strings.TrimSpace(s.Stack))
-	if s.Stack == "" {
-		s.Stack = "tcpip"
-	}
-	s.Quality = strings.ToLower(strings.TrimSpace(s.Quality))
-	if s.Quality == "" {
-		s.Quality = "quick"
-	}
-	s.Policy = strings.ToLower(strings.TrimSpace(s.Policy))
-	s.Rates = strings.ReplaceAll(s.Rates, " ", "")
-	if s.TimeoutMS < 0 {
-		s.TimeoutMS = 0
-	}
-	switch s.Kind {
-	case "run":
-		if s.Version == "" {
-			s.Version = "ALL"
-		}
-		for _, v := range core.Versions() {
-			if strings.EqualFold(v.String(), s.Version) {
-				s.Version = v.String()
+// A param is one parameter an entry can declare. Its name is the CLI flag
+// that sets it where one exists.
+type param struct {
+	// keep copies the parameter from src to dst in canonical form, its
+	// default filled.
+	keep func(dst *Spec, src Spec)
+	// check validates the canonical value; nil accepts every value.
+	check func(Spec) error
+	// flag renders the value as the command line sets it ("-seed 7");
+	// nil for a parameter only a spec can set.
+	flag func(Spec) string
+}
+
+// params are all parameters any entry declares. Stack and quality are
+// kept for every kind; the rest only where an entry names them.
+var params = map[string]param{
+	"stack": {
+		keep:  func(d *Spec, s Spec) { d.Stack = orDefault(lower(s.Stack), "tcpip") },
+		check: func(s Spec) error { return oneOf("stack", s.Stack, "tcpip", "rpc") },
+		flag:  func(s Spec) string { return "-stack " + s.Stack },
+	},
+	"quality": {
+		keep:  func(d *Spec, s Spec) { d.Quality = orDefault(lower(s.Quality), "quick") },
+		check: func(s Spec) error { return oneOf("quality", s.Quality, "quick", "paper") },
+		flag:  func(s Spec) string { return "-quality " + s.Quality },
+	},
+	"version": {
+		keep: func(d *Spec, s Spec) {
+			d.Version = orDefault(strings.TrimSpace(s.Version), "ALL")
+			if v, err := d.version(); err == nil {
+				d.Version = v.String()
 			}
-		}
-		if s.Samples <= 0 {
-			s.Samples = 3
-		}
-		s.Table, s.Seed, s.Rates, s.Top = 0, 0, "", 0
-		s.SoakBatches, s.SoakRoundtrips, s.Models, s.Budget = 0, 0, "", 0
-	case "table":
-		s.Version, s.Samples, s.Policy = "", 0, ""
-		s.Seed, s.Rates, s.Top = 0, "", 0
-		s.SoakBatches, s.SoakRoundtrips, s.Models, s.Budget = 0, 0, "", 0
-	case "faults":
-		if s.Seed == 0 {
-			s.Seed = 1
-		}
-		s.Version, s.Samples, s.Policy, s.Table, s.Top = "", 0, "", 0, 0
-		s.SoakBatches, s.SoakRoundtrips, s.Models, s.Budget = 0, 0, "", 0
-	case "soak":
-		if s.Seed == 0 {
-			s.Seed = 1
-		}
-		s.Version, s.Samples, s.Policy, s.Table = "", 0, "", 0
-		s.Rates, s.Top, s.Models, s.Budget = "", 0, "", 0
-	case "lint":
-		// Lint is static: neither quality nor any run parameter matters.
-		s.Quality = "quick"
-		s.Version, s.Samples, s.Policy, s.Table = "", 0, "", 0
-		s.Seed, s.Rates, s.Top = 0, "", 0
-		s.SoakBatches, s.SoakRoundtrips, s.Models, s.Budget = 0, 0, "", 0
-	case "profile":
-		if s.Top <= 0 {
-			s.Top = 10
-		}
-		s.Version, s.Samples, s.Policy, s.Table = "", 0, "", 0
-		s.Seed, s.Rates = 0, ""
-		s.SoakBatches, s.SoakRoundtrips, s.Models, s.Budget = 0, 0, "", 0
-	case "machines":
-		if s.Seed == 0 {
-			s.Seed = 1
-		}
+		},
+		check: func(s Spec) error { _, err := s.version(); return err },
+		flag:  func(s Spec) string { return "-version " + s.Version },
+	},
+	"samples": {
+		keep: func(d *Spec, s Spec) { d.Samples = positiveOr(s.Samples, 3) },
+		flag: func(s Spec) string { return "-samples " + strconv.Itoa(s.Samples) },
+	},
+	"policy": {
+		keep:  func(d *Spec, s Spec) { d.Policy = lower(s.Policy) },
+		check: func(s Spec) error { _, err := recovery.ParseKind(s.Policy); return fieldErr("policy", err) },
+		flag:  func(s Spec) string { return "-policy " + s.Policy },
+	},
+	"classifier": {
+		keep: func(d *Spec, s Spec) { d.Classifier = s.Classifier },
+		flag: func(s Spec) string {
+			if s.Classifier {
+				return "-classifier"
+			}
+			return ""
+		},
+	},
+	"table": {
+		keep:  func(d *Spec, s Spec) { d.Table = s.Table },
+		check: func(s Spec) error { return inRange("table", s.Table, 9) },
+		flag:  func(s Spec) string { return "-table " + strconv.Itoa(s.Table) },
+	},
+	// figure shares the Table field: a figure request names its number
+	// there, so a spec needs no field of its own for it.
+	"figure": {
+		keep:  func(d *Spec, s Spec) { d.Table = s.Table },
+		check: func(s Spec) error { return inRange("figure", s.Table, 2) },
+		flag:  func(s Spec) string { return "-figure " + strconv.Itoa(s.Table) },
+	},
+	"seed": {
+		keep: func(d *Spec, s Spec) { d.Seed = max(s.Seed, 1) },
+		flag: func(s Spec) string { return "-seed " + strconv.FormatUint(s.Seed, 10) },
+	},
+	"rates": {
+		keep:  func(d *Spec, s Spec) { d.Rates = strings.ReplaceAll(s.Rates, " ", "") },
+		check: func(s Spec) error { _, err := parseRates(s.Rates); return fieldErr("rates", err) },
+		flag:  func(s Spec) string { return "-rates " + s.Rates },
+	},
+	"top": {
+		keep: func(d *Spec, s Spec) { d.Top = positiveOr(s.Top, 10) },
+		flag: func(s Spec) string { return "-top " + strconv.Itoa(s.Top) },
+	},
+	"soak_batches":    {keep: func(d *Spec, s Spec) { d.SoakBatches = s.SoakBatches }},
+	"soak_roundtrips": {keep: func(d *Spec, s Spec) { d.SoakRoundtrips = s.SoakRoundtrips }},
+	// models is set on the command line by the flag that selects the
+	// kind: -machines or -optimize.
+	"models": {
 		// "all" and "" select the same sweep; canonicalize to "all" so
 		// both spellings share one fingerprint. Explicit lists keep their
 		// order — it is report order, a semantic input.
-		s.Models = strings.ReplaceAll(strings.ToLower(s.Models), " ", "")
-		if s.Models == "" {
-			s.Models = "all"
-		}
-		s.Version, s.Samples, s.Policy, s.Table, s.Top = "", 0, "", 0, 0
-		s.SoakBatches, s.SoakRoundtrips, s.Budget = 0, 0, 0
-	case "optimize":
-		if s.Seed == 0 {
-			s.Seed = 1
-		}
-		if s.Budget <= 0 {
-			// The default budget is part of the canonical spec: a request
-			// that spells it out fingerprints like one that relies on it.
-			s.Budget = optimize.DefaultBudget
-		}
-		s.Models = strings.ReplaceAll(strings.ToLower(s.Models), " ", "")
-		if s.Models == "" {
-			s.Models = "all"
-		}
-		s.Version, s.Samples, s.Policy, s.Table, s.Top = "", 0, "", 0, 0
-		s.Rates, s.SoakBatches, s.SoakRoundtrips = "", 0, 0
+		keep:  func(d *Spec, s Spec) { d.Models = orDefault(strings.ReplaceAll(lower(s.Models), " ", ""), "all") },
+		check: func(s Spec) error { _, err := machines.Select(s.Models); return fieldErr("models", err) },
+		flag:  func(s Spec) string { return "-" + s.Kind + " " + s.Models },
+	},
+	// The default budget is part of the canonical spec: a request that
+	// spells it out fingerprints like one that relies on it.
+	"budget": {
+		keep: func(d *Spec, s Spec) { d.Budget = positiveOr(s.Budget, optimize.DefaultBudget) },
+		flag: func(s Spec) string { return "-budget " + strconv.Itoa(s.Budget) },
+	},
+	// Candidates joined the spec after budget: its default canonicalizes
+	// to 0, so every spec written before it keeps its fingerprint.
+	"candidates": {
+		keep: func(d *Spec, s Spec) {
+			if s.Candidates > 0 && s.Candidates != optimize.DefaultTopK {
+				d.Candidates = s.Candidates
+			}
+		},
+		flag: func(s Spec) string {
+			return "-candidates " + strconv.Itoa(positiveOr(s.Candidates, optimize.DefaultTopK))
+		},
+	},
+}
+
+// Normalized canonicalizes the spec: defaults filled, case folded, and
+// every parameter the kind's entry does not declare zeroed, so two
+// requests that would compute the same document carry the same bytes
+// into Fingerprint. An unknown kind keeps only its kind, stack and
+// quality; Validate rejects it.
+func (s Spec) Normalized() Spec {
+	c := Spec{Kind: lower(s.Kind), TimeoutMS: max(s.TimeoutMS, 0)}
+	params["stack"].keep(&c, s)
+	params["quality"].keep(&c, s)
+	e := lookup(c.Kind)
+	if e == nil {
+		return c
 	}
-	return s
+	for _, name := range e.declared() {
+		params[name].keep(&c, s)
+	}
+	if e.static {
+		// A static study measures nothing: quality cannot change it.
+		c.Quality = "quick"
+	}
+	return c
 }
 
 // Validate checks a normalized spec, returning a *SpecError naming the
 // first offending field.
 func (s Spec) Validate() error {
-	switch s.Kind {
-	case "run", "table", "faults", "soak", "lint", "profile", "machines", "optimize":
-	case "":
-		return &SpecError{Field: "kind", Msg: "required (run, table, faults, soak, lint, profile, machines, optimize)"}
-	default:
-		return &SpecError{Field: "kind", Msg: fmt.Sprintf("unknown kind %q (want run, table, faults, soak, lint, profile, machines, optimize)", s.Kind)}
-	}
-	if s.Stack != "tcpip" && s.Stack != "rpc" {
-		return &SpecError{Field: "stack", Msg: fmt.Sprintf("unknown stack %q (want tcpip or rpc)", s.Stack)}
-	}
-	if s.Quality != "quick" && s.Quality != "paper" {
-		return &SpecError{Field: "quality", Msg: fmt.Sprintf("unknown quality %q (want quick or paper)", s.Quality)}
-	}
-	switch s.Kind {
-	case "run":
-		if _, err := s.version(); err != nil {
-			return err
+	e := lookup(s.Kind)
+	if e == nil {
+		msg := "required (" + strings.Join(Kinds(), ", ") + ")"
+		if s.Kind != "" {
+			msg = fmt.Sprintf("unknown kind %q (want %s)", s.Kind, strings.Join(Kinds(), ", "))
 		}
-		if _, err := recovery.ParseKind(s.Policy); err != nil {
-			return &SpecError{Field: "policy", Msg: err.Error()}
-		}
-	case "table":
-		if s.Table < 1 || s.Table > 9 {
-			return &SpecError{Field: "table", Msg: fmt.Sprintf("table %d out of range (want 1..9)", s.Table)}
-		}
-	case "faults":
-		if s.Rates != "" {
-			if _, err := parseRates(s.Rates); err != nil {
-				return &SpecError{Field: "rates", Msg: err.Error()}
+		return &SpecError{Field: "kind", Msg: msg}
+	}
+	for _, name := range append([]string{"stack", "quality"}, e.declared()...) {
+		if check := params[name].check; check != nil {
+			if err := check(s); err != nil {
+				return err
 			}
-		}
-	case "machines":
-		if _, err := machines.Select(s.Models); err != nil {
-			return &SpecError{Field: "models", Msg: err.Error()}
-		}
-		if s.Rates != "" {
-			if _, err := parseRates(s.Rates); err != nil {
-				return &SpecError{Field: "rates", Msg: err.Error()}
-			}
-		}
-	case "optimize":
-		if _, err := machines.Select(s.Models); err != nil {
-			return &SpecError{Field: "models", Msg: err.Error()}
 		}
 	}
 	return nil
@@ -258,6 +288,40 @@ func (s Spec) Fingerprint(gitDescribe string) string {
 	}
 	h := sha256.Sum256(append(b, []byte("|"+gitDescribe)...))
 	return hex.EncodeToString(h[:8])
+}
+
+// command is the protolat invocation that reproduces the document of a
+// canonical spec — the manifest's command. It walks the entry's
+// parameters in order: a literal flag ("-faults") is written as is, a
+// parameter through its flag, and a parameter marked optional ("policy?")
+// only when it differs from the kind's default.
+func (s Spec) command() string {
+	e := lookup(s.Kind)
+	if e == nil {
+		return "protolat"
+	}
+	var def *Spec
+	words := []string{"protolat"}
+	for _, w := range e.params {
+		name, optional := strings.CutSuffix(w, "?")
+		p, ok := params[name]
+		switch {
+		case !ok:
+			words = append(words, w) // a literal flag
+		case p.flag == nil:
+		case optional:
+			if def == nil {
+				d := Spec{Kind: s.Kind}.Normalized()
+				def = &d
+			}
+			if arg := p.flag(s); arg != p.flag(*def) {
+				words = append(words, arg)
+			}
+		default:
+			words = append(words, p.flag(s))
+		}
+	}
+	return strings.Join(words, " ")
 }
 
 // version resolves the spec's Version name.
@@ -286,8 +350,20 @@ func (s Spec) quality() core.Quality {
 	return core.Quick
 }
 
+// rates parses the spec's fault-rate list; nil when it is empty.
+func (s Spec) rates() []float64 {
+	if s.Rates == "" {
+		return nil
+	}
+	r, _ := parseRates(s.Rates) // validated: cannot fail
+	return r
+}
+
 // parseRates parses a comma-separated fault-rate list.
 func parseRates(s string) ([]float64, error) {
+	if s == "" {
+		return nil, nil
+	}
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
 		var r float64
@@ -297,4 +373,44 @@ func parseRates(s string) ([]float64, error) {
 		out = append(out, r)
 	}
 	return out, nil
+}
+
+func lower(s string) string { return strings.ToLower(strings.TrimSpace(s)) }
+
+func orDefault(s, def string) string {
+	if s == "" {
+		return def
+	}
+	return s
+}
+
+func positiveOr(n, def int) int {
+	if n <= 0 {
+		return def
+	}
+	return n
+}
+
+// fieldErr names the field a parse error belongs to; nil stays nil.
+func fieldErr(field string, err error) error {
+	if err == nil {
+		return nil
+	}
+	return &SpecError{Field: field, Msg: err.Error()}
+}
+
+func oneOf(field, v string, allowed ...string) error {
+	for _, a := range allowed {
+		if v == a {
+			return nil
+		}
+	}
+	return &SpecError{Field: field, Msg: fmt.Sprintf("unknown %s %q (want %s)", field, v, strings.Join(allowed, " or "))}
+}
+
+func inRange(field string, n, hi int) error {
+	if n < 1 || n > hi {
+		return &SpecError{Field: field, Msg: fmt.Sprintf("%s %d out of range (want 1..%d)", field, n, hi)}
+	}
+	return nil
 }

@@ -12,31 +12,27 @@
 // cloning (with bipartite, linear, micro-positioned and adversarial
 // layouts), and path-inlining.
 //
-// Quick start:
+// One experiment:
 //
 //	res, err := repro.Run(repro.DefaultConfig(repro.StackTCPIP, repro.ALL))
 //	fmt.Printf("roundtrip: %.1f us, mCPI %.2f\n", res.TeMeanUS, res.First().MCPI)
 //
-// Or regenerate the paper's entire evaluation section:
+// Every table, figure and study of the evaluation, as the protolat CLI and
+// the experiment daemon compute it — a document plus its text report:
 //
-//	report, err := repro.RenderAll(repro.PaperQuality)
+//	out, err := repro.RunSpec(ctx, repro.Spec{Kind: "table", Table: 4}, repro.Env{})
 //
 // The building blocks (machine simulator, object-code models, layout
 // engine, protocol implementations) live under internal/; this package
-// re-exports the experiment-level API a downstream user drives.
+// re-exports what a downstream user drives.
 package repro
 
 import (
 	"context"
 
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/machines"
-	"repro/internal/obs"
-	"repro/internal/optimize"
-	"repro/internal/protocols/recovery"
 	"repro/internal/serve"
-	"repro/internal/soak"
 	"repro/internal/storage"
 )
 
@@ -71,16 +67,6 @@ const (
 	StackRPC   = core.StackRPC
 )
 
-// CloneStrategy selects the cloned-code layout (the §3.2 ablation).
-type CloneStrategy = core.CloneStrategy
-
-// Cloned-code layout strategies.
-const (
-	Bipartite     = core.Bipartite
-	MicroPosition = core.MicroPosition
-	LinearLayout  = core.LinearLayout
-)
-
 // Config describes one experiment; Result carries its measurements.
 type (
 	Config  = core.Config
@@ -103,462 +89,80 @@ func DefaultConfig(kind StackKind, v Version) Config { return core.DefaultConfig
 // bit-for-bit identical to serial execution.
 func Run(cfg Config) (*Result, error) { return core.Run(cfg) }
 
-// RunCtx is Run with cooperative cancellation: ctx is consulted between
-// samples, so a cancelled experiment stops at the next sample boundary.
-// Cancellation changes only whether a result is produced, never its bytes.
-func RunCtx(ctx context.Context, cfg Config) (*Result, error) { return core.RunCtx(ctx, cfg) }
-
-// SetParallelism bounds the worker pool Run and the table generators use;
-// n <= 0 restores the default (GOMAXPROCS). Every sample and table cell is
-// an independent simulation sharing only immutable linked programs, so the
-// setting changes wall-clock time, never results.
+// SetParallelism bounds the worker pool every study uses; n <= 0 restores
+// the default (GOMAXPROCS). Every sample and table cell is an independent
+// simulation sharing only immutable linked programs, so the setting
+// changes wall-clock time, never results.
 func SetParallelism(n int) { core.SetParallelism(n) }
 
-// Parallelism reports the current worker-pool width.
-func Parallelism() int { return core.Parallelism() }
-
-// RunVersions runs all six configurations of one stack.
-func RunVersions(kind StackKind, q Quality) (map[Version]*Result, error) {
-	return core.RunVersions(kind, q)
-}
-
-// Table and figure regeneration, one function per exhibit of the paper's
-// evaluation section.
-var (
-	Table1  = core.Table1
-	Table2  = core.Table2
-	Table3  = core.Table3
-	Table45 = core.Table45
-	Table6  = core.Table6
-	Table7  = core.Table7
-	Table8  = core.Table8
-	Table9  = core.Table9
-	Figure1 = core.Figure1
-	Figure2 = core.Figure2
-)
-
-// RenderAll regenerates the full evaluation section.
-func RenderAll(q Quality) (string, error) { return core.RenderAll(q) }
-
-// ThroughputResult reports a bulk-transfer measurement; Throughput and
-// ThroughputTable verify the paper's §4.1 claim that the latency techniques
-// do not hurt throughput.
-type ThroughputResult = core.ThroughputResult
-
-// Throughput streams TCP segments in the given version and measures
-// goodput over the 10 Mb/s simulated Ethernet.
-func Throughput(v Version, segments, payloadBytes int) (ThroughputResult, error) {
-	return core.Throughput(v, segments, payloadBytes)
-}
-
-// ThroughputTable runs the throughput check for every version.
-func ThroughputTable(segments, payloadBytes int) (string, error) {
-	return core.ThroughputTable(segments, payloadBytes)
-}
-
-// SweepPoint names one machine geometry of a sensitivity sweep.
-type SweepPoint = core.SweepPoint
-
-// CacheSweep and MachineSweep return the built-in geometry sweeps; the
-// latter contrasts the DEC 3000/600 with the paper's closing remark about a
-// 266 MHz / 66 MB/s machine.
-var (
-	CacheSweep   = core.CacheSweep
-	MachineSweep = core.MachineSweep
-)
-
-// Sensitivity records STD/ALL traces once and replays them across machine
-// geometries, quantifying how the techniques' value scales with the
-// processor/memory gap.
-func Sensitivity(kind StackKind, points []SweepPoint, q Quality) (string, error) {
-	return core.Sensitivity(kind, points, q)
-}
-
-// RecordTrace captures the client's instruction trace for one steady-state
-// path invocation; replay it with internal/trace or cmd/tracesim.
-var RecordTrace = core.RecordTrace
-
-// AssocSweep varies first-level cache associativity — the what-if ablation
-// behind the paper's remark about "small associativity caches".
-var AssocSweep = core.AssocSweep
-
-// SensitivityVersions replays an arbitrary version pair across machine
-// geometries.
-func SensitivityVersions(kind StackKind, a, b Version, points []SweepPoint, q Quality) (string, error) {
-	return core.SensitivityVersions(kind, a, b, points, q)
-}
-
-// MultiConnResult measures a round-robin ping-pong over several TCP
-// connections; MultiConnection and MultiConnectionTable explore §3.2's
-// connection-time cloning trade-off and the demux cache's locality
-// assumption.
-type MultiConnResult = core.MultiConnResult
-
-// MultiConnection runs the round-robin multi-connection ping-pong.
-func MultiConnection(nConns, roundtrips int, perConnClones bool) (MultiConnResult, error) {
-	return core.MultiConnection(nConns, roundtrips, perConnClones)
-}
-
-// MultiConnectionTable sweeps connection counts with shared vs
-// per-connection clones.
-func MultiConnectionTable(roundtrips int) (string, error) {
-	return core.MultiConnectionTable(roundtrips)
-}
-
-// FaultPlan is a deterministic per-link fault plan (loss, burst loss,
-// corruption, duplication, reordering, jitter); set Config.Faults to run
-// any experiment under it. FaultCounters tallies what an injector did.
+// The study registry (see internal/serve): one entry per kind of
+// experiment, shared by the protolat CLI and the daemon.
 type (
-	FaultPlan     = faults.Plan
-	BurstPlan     = faults.BurstPlan
-	FaultCounters = faults.Counters
+	// Spec is one experiment request, the POST /v1/experiments body.
+	Spec = serve.Spec
+	// Env carries execution details that never change a document.
+	Env = serve.Env
+	// Output is a study's document plus its text report.
+	Output = serve.Output
+	// SpecError reports an invalid spec field.
+	SpecError = serve.SpecError
 )
 
-// FaultStats is one run's fault accounting, surfaced per sample in
-// Result.Samples and aggregated by Result.FaultTotals.
-type FaultStats = core.FaultStats
-
-// FaultStudyConfig and FaultCell parameterize and report the degraded-path
-// latency study.
-type (
-	FaultStudyConfig = core.FaultStudyConfig
-	FaultCell        = core.FaultCell
-)
-
-// DefaultFaultStudy returns the standard study shape: STD/OUT/CLO/PIN at
-// fault rates {0, 0.02, 0.05, 0.10}.
-func DefaultFaultStudy(kind StackKind, seed uint64) FaultStudyConfig {
-	return core.DefaultFaultStudy(kind, seed)
+// RunSpec computes the study a spec describes; an invalid spec fails with
+// a *SpecError before any work starts.
+func RunSpec(ctx context.Context, spec Spec, env Env) (*Output, error) {
+	return serve.Run(ctx, spec, env)
 }
 
-// FaultStudy runs every (version, rate) cell and returns the raw cells;
-// RunFaultStudy renders them as a table. Both are deterministic at any
-// parallelism for a fixed seed.
-func FaultStudy(cfg FaultStudyConfig) ([]FaultCell, error) { return core.FaultStudy(cfg) }
+// Kinds lists the registered study kinds.
+func Kinds() []string { return serve.Kinds() }
 
-// RunFaultStudy renders the fault-injection study: per layout strategy and
-// fault rate, mainline vs degraded-path roundtrip latency with reconciled
-// fault counters and the §4.3 phase split of each population.
-func RunFaultStudy(cfg FaultStudyConfig) (string, error) { return core.RunFaultStudy(cfg) }
-
-// FaultStudyCtx and RunFaultStudyCtx are the cancellable forms: ctx is
-// consulted between cells and between the samples within a cell.
-func FaultStudyCtx(ctx context.Context, cfg FaultStudyConfig) ([]FaultCell, error) {
-	return core.FaultStudyCtx(ctx, cfg)
-}
-
-// RunFaultStudyCtx renders the fault study under cooperative cancellation.
-func RunFaultStudyCtx(ctx context.Context, cfg FaultStudyConfig) (string, error) {
-	return core.RunFaultStudyCtx(ctx, cfg)
-}
-
-// MachineModel is one named machine configuration of the curated matrix
-// (internal/machines): the paper's DEC 3000/600 plus variants that change
-// one hardware dimension at a time.
-type MachineModel = machines.Model
-
-// MachineMatrix returns the full curated matrix in canonical report order.
-func MachineMatrix() []MachineModel { return machines.Matrix() }
-
-// SelectMachines resolves a -machines style selection: "all" (or "") for
-// the whole matrix, otherwise a comma-separated list of model names.
-func SelectMachines(spec string) ([]MachineModel, error) { return machines.Select(spec) }
-
-// MachineByName returns one model of the matrix by its stable name.
-func MachineByName(name string) (MachineModel, error) { return machines.ByName(name) }
-
-// MachineStudyConfig and MachineCell parameterize and report the
-// machine-matrix study: layout versions × machine models (× optional fault
-// rates), each cell cross-checked against the static layout lint on the
-// model's own cache geometry.
-type (
-	MachineStudyConfig = core.MachineStudyConfig
-	MachineCell        = core.MachineCell
-)
-
-// DefaultMachineStudy returns the standard study shape: the full matrix,
-// all six layout versions, clean links, quick per-cell quality.
-func DefaultMachineStudy(kind StackKind, seed uint64) MachineStudyConfig {
-	return core.DefaultMachineStudy(kind, seed)
-}
-
-// MachineStudy runs every (model, version, rate) cell and returns the raw
-// cells; RenderMachineStudy formats them. Deterministic at any parallelism.
-func MachineStudy(cfg MachineStudyConfig) ([]MachineCell, error) { return core.MachineStudy(cfg) }
-
-// MachineStudyCtx is MachineStudy with cooperative cancellation.
-func MachineStudyCtx(ctx context.Context, cfg MachineStudyConfig) ([]MachineCell, error) {
-	return core.MachineStudyCtx(ctx, cfg)
-}
-
-// RenderMachineStudy renders the machine-matrix study: per machine, every
-// version's latency and cache behaviour, then the per-machine summary of
-// what each technique still buys over STD.
-func RenderMachineStudy(cfg MachineStudyConfig, cells []MachineCell) string {
-	return core.RenderMachineStudy(cfg, cells)
-}
-
-// Observability layer (see internal/obs). Profile is the per-function
-// attribution of one traced path invocation — set Config.Profile (or use
-// RunVersionsProfiled) to collect one per sample. PhaseSplit decomposes a
-// roundtrip into the §4.3 phases. Document, Manifest, Table and Figure are
-// the deterministic JSON export schema behind `protolat -json`.
-type (
-	Profile    = obs.Profile
-	FuncStats  = obs.FuncStats
-	PhaseSplit = obs.PhaseSplit
-	Document   = obs.Document
-	Manifest   = obs.Manifest
-	Table      = obs.Table
-	Figure     = obs.Figure
-	RunExport  = obs.Run
-)
-
-// RunVersionsProfiled is RunVersions with per-function attribution
-// enabled; each result's samples carry a Profile. Profiling is
-// observation-only: every other measured number is byte-identical to an
-// unprofiled run (a tested invariant).
-func RunVersionsProfiled(kind StackKind, q Quality) (map[Version]*Result, error) {
-	return core.RunVersionsProfiled(kind, q)
-}
-
-// ProfileReport renders the per-function mCPI attribution for every
-// version of a stack: top-N contributors plus the i-cache set-conflict
-// heatmap naming the functions whose placements collide (the quantitative
-// companion of Figure 2). The returned results feed structured export.
-func ProfileReport(kind StackKind, q Quality, topN int) (string, map[Version]*Result, error) {
-	return core.ProfileReport(kind, q, topN)
-}
-
-// NewManifest builds a document manifest. command should carry only
-// semantic flags (not -parallel or -json, which cannot change output).
-func NewManifest(command string, seed uint64, q Quality) Manifest {
-	return core.NewManifest(command, seed, q)
-}
-
-// Structured-export builders mirroring the text renderers value for value:
-// the *Full table generators run the measurement once and return both
-// renderings; the *Data builders are pure over already-computed results.
+// The text-only modes of the CLI: the §4.1 throughput check, the §3.2
+// connection-cloning table and the cache-geometry sensitivity sweeps.
 var (
-	Table1Full        = core.Table1Full
-	Table2Full        = core.Table2Full
-	Table3Full        = core.Table3Full
-	Table45Data       = core.Table45Data
-	Table6Data        = core.Table6Data
-	Table7Data        = core.Table7Data
-	Table8Data        = core.Table8Data
-	Table9Data        = core.Table9Data
-	RunDoc            = core.RunDoc
-	RunsDoc           = core.RunsDoc
-	FaultStudyDocOf   = core.FaultStudyDocOf
-	MachineStudyDocOf = core.MachineStudyDocOf
-	SampleDoc         = core.SampleDoc
+	ThroughputTable      = core.ThroughputTable
+	MultiConnectionTable = core.MultiConnectionTable
+	Sensitivity          = core.Sensitivity
+	SensitivityVersions  = core.SensitivityVersions
+	CacheSweep           = core.CacheSweep
+	MachineSweep         = core.MachineSweep
+	AssocSweep           = core.AssocSweep
 )
 
-// RecoveryKind selects the transport retransmission-timer policy: "fixed"
-// (the historical 200 ms doubling RTO / 100 ms CHAN timer) or "adaptive"
-// (Jacobson/Karn RTT estimation with backoff and clamps, plus TCP dup-ACK
-// fast retransmit). Set Config.Recovery to run any experiment under it; on
-// fault-free runs every policy is cycle-identical.
-type RecoveryKind = recovery.Kind
+// MachineMatrix returns the curated machine-model matrix (see
+// docs/MACHINES.md) in canonical report order.
+func MachineMatrix() []machines.Model { return machines.Matrix() }
 
-// The available recovery policies.
-const (
-	RecoveryFixed    = recovery.Fixed
-	RecoveryAdaptive = recovery.Adaptive
-)
-
-// ParseRecovery parses a -policy flag value ("" selects fixed).
-func ParseRecovery(s string) (RecoveryKind, error) { return recovery.ParseKind(s) }
-
-// RecoveryCell is one (policy, rate) point of the recovery comparison:
-// clean and degraded tail latencies under pure Bernoulli loss.
-type RecoveryCell = core.RecoveryCell
-
-// RecoveryComparison measures fixed vs adaptive recovery on the ALL layout
-// under Bernoulli loss, sharing per-rate plan seeds across policies so the
-// comparison isolates the timer. Deterministic at any parallelism.
-func RecoveryComparison(kind StackKind, seed uint64, q Quality) ([]RecoveryCell, error) {
-	return core.RecoveryComparison(kind, seed, q)
-}
-
-// RenderRecoveryTable and RecoveryDocOf render comparison cells as text and
-// JSON; RunRoundtrips is the per-roundtrip measurement primitive beneath
-// the comparison and the soak harness.
-var (
-	RenderRecoveryTable = core.RenderRecoveryTable
-	RecoveryDocOf       = core.RecoveryDocOf
-	RunRoundtrips       = core.RunRoundtrips
-)
-
-// Soak harness (see internal/soak): long-running roundtrip batches across
-// fault regimes × recovery policies × layout versions, with streaming tail
-// digests, continuous invariant checks, and journal-based resumability.
-type (
-	SoakConfig       = soak.Config
-	SoakRegime       = soak.Regime
-	SoakResult       = soak.Result
-	SoakCell         = soak.Cell
-	SoakChecks       = soak.Checks
-	SoakJournalError = soak.JournalError
-)
-
-// DefaultSoak returns the standard soak shape: the clean/loss/burst/storm
-// regime schedule over STD and ALL layouts with both recovery policies.
-func DefaultSoak(kind StackKind, seed uint64) SoakConfig {
-	return soak.DefaultConfig(kind, seed)
-}
-
-// Soak runs a fresh soak; ResumeSoak continues one from the journal at
-// cfg.CheckpointPath (every journal failure is a typed *SoakJournalError).
-// A resumed soak's document is byte-identical to an uninterrupted run's, at
-// any parallelism.
-func Soak(cfg SoakConfig) (*SoakResult, error) { return soak.Run(cfg) }
-
-// ResumeSoak continues a checkpointed soak to completion.
-func ResumeSoak(cfg SoakConfig) (*SoakResult, error) { return soak.Resume(cfg) }
-
-// SoakCtx and ResumeSoakCtx are the cancellable forms: ctx is consulted at
-// chunk boundaries, so a cancelled soak keeps its journal at the last
-// completed chunk and resumes to a byte-identical result.
-func SoakCtx(ctx context.Context, cfg SoakConfig) (*SoakResult, error) {
-	return soak.RunCtx(ctx, cfg)
-}
-
-// ResumeSoakCtx continues a checkpointed soak under cooperative
-// cancellation.
-func ResumeSoakCtx(ctx context.Context, cfg SoakConfig) (*SoakResult, error) {
-	return soak.ResumeCtx(ctx, cfg)
-}
-
-// SoakReport renders a soak result as text; SoakDocOf as the JSON form.
-var (
-	SoakReport = soak.Report
-	SoakDocOf  = soak.Doc
-)
-
-// VerifyUnitStats re-checks the frame-conservation and injector
-// reconciliation invariants from one soak unit's recorded stats.
-var VerifyUnitStats = soak.VerifyUnitStats
-
-// LintCell is one version's static layout-lint verdict (see internal/verify):
-// the predicted i-cache footprint, replacement misses, and bipartite-partition
-// violations of the version's linked image, computed from placed addresses
-// alone.
-type LintCell = core.LintCell
-
-// LintStudy lints every version's linked image for a stack — a purely static
-// sweep, no simulation. RenderLintStudy formats the cells as the text report
-// `protolat -lint` prints; LintStudyDocOf as the document's verify section.
-func LintStudy(kind StackKind, strat CloneStrategy) ([]LintCell, error) {
-	return core.LintStudy(kind, strat)
-}
-
-// Lint-study renderers (text and JSON).
-var (
-	RenderLintStudy = core.RenderLintStudy
-	LintStudyDocOf  = core.LintStudyDocOf
-)
-
-// Layout search (see internal/optimize): the static layout cost engine
-// (verify.Cost) drives a deterministic search — greedy chain stitching
-// plus simulated annealing — over function order and padding of the ALL
-// image. Every candidate must pass well-formedness and a strict move-only
-// equivalence proof before it is scored, and the winners are confirmed by
-// full simulation against the hand bipartite baseline.
-type (
-	// OptimizeConfig parameterizes one layout search (stack, machines,
-	// seed, annealing budget, confirmation quality).
-	OptimizeConfig = optimize.Config
-	// OptimizeMachineResult is the search outcome for one machine model:
-	// hand baseline, proof-gate counters, and confirmed candidates.
-	OptimizeMachineResult = optimize.MachineResult
-	// OptimizeCandidate is one searched placement that passed both proofs
-	// and was confirmed by full simulation.
-	OptimizeCandidate = optimize.Candidate
-)
-
-// DefaultOptimize returns the standard search configuration for a stack:
-// the full machine matrix, the default budget, and the machine study's
-// confirmation quality.
-func DefaultOptimize(kind StackKind, seed uint64) OptimizeConfig {
-	return optimize.Default(kind, seed)
-}
-
-// Optimize runs the layout search over every configured machine;
-// RenderOptimize formats the results as the text report `protolat
-// -optimize` prints, OptimizeDocOf as the document's optimize section.
-func Optimize(cfg OptimizeConfig) ([]OptimizeMachineResult, error) { return optimize.Run(cfg) }
-
-// OptimizeCtx is Optimize with cooperative cancellation, consulted between
-// machines and confirmation runs.
-func OptimizeCtx(ctx context.Context, cfg OptimizeConfig) ([]OptimizeMachineResult, error) {
-	return optimize.RunCtx(ctx, cfg)
-}
-
-// Optimize renderers (text and JSON).
-var (
-	RenderOptimize = optimize.Render
-	OptimizeDocOf  = optimize.DocOf
-)
-
-// OptimizeWeightsFromProfile derives the search objective's per-function
-// frequency weights from a dynamic profile document (each function weighs
-// its measured call count), replacing the static usage hints.
-var OptimizeWeightsFromProfile = optimize.WeightsFromProfile
-
-// Experiment daemon (see internal/serve): `protolat -serve` exposes the
-// whole apparatus as a persistent HTTP/JSON service with a bounded
-// journaled job queue, fingerprint-keyed result memoization and request
-// coalescing, per-job watchdogs, graceful drain on SIGTERM, and crash
-// recovery that replays admitted jobs and resumes interrupted soaks from
-// their chunk checkpoints.
+// Experiment daemon (see internal/serve): `protolat -serve` runs the
+// registry behind a persistent HTTP/JSON service with a bounded journaled
+// job queue, fingerprint-keyed result memoization, request coalescing,
+// per-job watchdogs, graceful drain, and crash recovery.
 type (
 	// ServeConfig shapes a daemon (address, store directory, queue bound,
 	// drain timeout).
 	ServeConfig = serve.Config
-	// ServeServer is a running daemon; drive it with ListenAndServe or
-	// embed its Handler.
-	ServeServer = serve.Server
-	// ServeSpec is one experiment request (the POST /v1/experiments body).
-	ServeSpec = serve.Spec
-	// ServeStats is the daemon-health section of a stats document.
-	ServeStats = obs.ServeStatsDoc
+	// SubmitOptions shapes a client-side submission (`protolat -submit`).
+	SubmitOptions = serve.SubmitOptions
 )
 
 // NewServer opens the daemon's store, replays the journaled job queue
 // (crash recovery), and starts its workers.
-func NewServer(cfg ServeConfig) (*ServeServer, error) { return serve.New(cfg) }
-
-// SubmitOptions and SubmitResult shape a client-side submission to a
-// running daemon (`protolat -submit`): how many 429/503 rejections to
-// retry with the server's Retry-After hint, and the returned document plus
-// its cache/fingerprint identity headers.
-type (
-	SubmitOptions = serve.SubmitOptions
-	SubmitResult  = serve.SubmitResult
-)
+func NewServer(cfg ServeConfig) (*serve.Server, error) { return serve.New(cfg) }
 
 // SubmitSpec posts a spec to a daemon's /v1/experiments endpoint,
 // retrying 429/503 rejections per opts with capped deterministic
 // exponential backoff.
-func SubmitSpec(addr string, spec []byte, opts SubmitOptions) (*SubmitResult, error) {
+func SubmitSpec(addr string, spec []byte, opts SubmitOptions) (*serve.SubmitResult, error) {
 	return serve.Submit(addr, spec, opts)
 }
 
-// StorageFS is the injectable filesystem beneath every durable write
-// (journals, the daemon store); StorageFromEnv parses a PROTOLAT_FSFAULT
-// fault spec ("enospc=<glob>,crash-at=<n>,seed=<n>,...") into one, for
-// black-box storage-fault testing of the real binary. An empty spec
-// returns the real disk.
-type StorageFS = storage.FS
+// StorageFromEnv builds the filesystem a PROTOLAT_FSFAULT fault spec
+// ("enospc=<glob>,crash-at=<n>,seed=<n>,...") describes, for black-box
+// storage-fault testing of the real binary; an empty spec returns the
+// real disk.
+func StorageFromEnv(spec string) (storage.FS, error) { return storage.FromEnv(spec) }
 
-// StorageFromEnv builds the fault-injecting FS a PROTOLAT_FSFAULT spec
-// describes (nil error and real disk for an empty spec).
-func StorageFromEnv(spec string) (StorageFS, error) { return storage.FromEnv(spec) }
-
-// StorageDisk is the real-disk StorageFS. All durable writes outside
-// internal/storage must go through a StorageFS (the fsseam protovet
-// analyzer enforces it), so command-line code writes artifacts through
-// this instance rather than calling the os package directly.
+// StorageDisk is the real-disk filesystem. Durable writes outside
+// internal/storage go through a storage.FS (the fsseam protovet analyzer
+// enforces it), so command-line code writes artifacts through it.
 var StorageDisk = storage.Disk

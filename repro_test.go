@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -27,59 +28,49 @@ func TestVersionsOrder(t *testing.T) {
 	}
 }
 
+// runText computes one registry kind at quick quality and returns its
+// text report, failing the test on error or a missing document.
+func runText(t *testing.T, spec Spec) string {
+	t.Helper()
+	out, err := RunSpec(context.Background(), spec, Env{})
+	if err != nil {
+		t.Fatalf("%+v: %v", spec, err)
+	}
+	if out.Doc == nil {
+		t.Fatalf("%+v: no document", spec)
+	}
+	text, err := out.Text()
+	if err != nil {
+		t.Fatalf("%+v: text: %v", spec, err)
+	}
+	return text
+}
+
 func TestTableRenderersProduceOutput(t *testing.T) {
-	q := Quality{Warmup: 3, Measured: 4, Samples: 1}
-	for name, f := range map[string]func(Quality) (string, error){
-		"Table1": Table1, "Table2": Table2, "Table3": Table3,
-	} {
-		s, err := f(q)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !strings.Contains(s, "Table") {
-			t.Fatalf("%s output malformed:\n%s", name, s)
+	for n := 1; n <= 3; n++ {
+		if s := runText(t, Spec{Kind: "table", Table: n}); !strings.Contains(s, "Table") {
+			t.Fatalf("Table %d output malformed:\n%s", n, s)
 		}
 	}
 }
 
 func TestFigures(t *testing.T) {
-	f1, err := Figure1()
-	if err != nil {
-		t.Fatal(err)
-	}
+	f1 := runText(t, Spec{Kind: "figure", Table: 1})
 	for _, proto := range []string{"TCPTEST", "XRPCTEST", "BLAST", "LANCE"} {
 		if !strings.Contains(f1, proto) {
 			t.Fatalf("Figure 1 missing %s", proto)
 		}
 	}
-	f2, err := Figure2()
-	if err != nil {
-		t.Fatal(err)
-	}
+	f2 := runText(t, Spec{Kind: "figure", Table: 2})
 	if !strings.Contains(f2, "#") || !strings.Contains(f2, "Outlined") {
 		t.Fatal("Figure 2 footprint malformed")
 	}
 }
 
 func TestVersionTables(t *testing.T) {
-	q := Quality{Warmup: 3, Measured: 4, Samples: 1}
-	tcpip, err := RunVersions(StackTCPIP, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rpc, err := RunVersions(StackRPC, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, s := range map[string]string{
-		"Table45": Table45(tcpip, rpc),
-		"Table6":  Table6(tcpip, rpc),
-		"Table7":  Table7(tcpip, rpc),
-		"Table8":  Table8(tcpip, rpc),
-		"Table9":  Table9(tcpip, rpc),
-	} {
-		if !strings.Contains(s, "Table") || len(s) < 100 {
-			t.Fatalf("%s malformed:\n%s", name, s)
+	for _, n := range []int{4, 6, 7, 8, 9} {
+		if s := runText(t, Spec{Kind: "table", Table: n}); !strings.Contains(s, "Table") || len(s) < 100 {
+			t.Fatalf("Table %d malformed:\n%s", n, s)
 		}
 	}
 }

@@ -7,11 +7,11 @@
 # (clean and fault-regime) with their golden-output diffs, the
 # experiment-daemon smoke tests (memoization, graceful drain, kill -9
 # recovery, injected-ENOSPC degradation), and the CLI documentation drift
-# gate. Perf records
-# are separate: `make bench` refreshes BENCH_*.json and `make profile`
-# captures pprof artifacts; neither is part of the tier-1 gate because
-# wall-clock numbers are machine-dependent (the allocation-regression
-# tests run here guard the hot path instead).
+# gate. Performance is
+# separate: perfbench/ measures it and `make profile` captures pprof
+# artifacts; neither is part of the tier-1 gate because wall-clock numbers
+# are machine-dependent (the allocation-regression tests run here guard
+# the hot path instead).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
