@@ -1,7 +1,7 @@
 # Tier-1 verification targets. Performance is measured by the benchmark in
 # perfbench/ (bash perfbench/run.sh; see perfbench/README.md).
 
-.PHONY: check vet profile test build
+.PHONY: check vet profile test build fuzz
 
 check: ## vet + build + race-enabled tests, one command
 	./scripts/check.sh
@@ -12,6 +12,9 @@ vet: ## toolchain vet plus the repo's determinism analyzers (cmd/protovet)
 
 profile: ## capture CPU+alloc pprof profiles of the hot workloads into profiles/
 	./scripts/profile.sh
+
+fuzz: ## 30 s of coverage-guided fuzzing of the layout search's move-only proof (not part of check)
+	go test -run '^$$' -fuzz '^FuzzMoveOnlyMutation$$' -fuzztime 30s ./internal/optimize
 
 build:
 	go build ./...

@@ -162,28 +162,26 @@ func protolat(args []string, stdout, stderr io.Writer) int {
 		case *machsel != "":
 			spec.Kind, spec.Models = "machines", *machsel
 
-		// The text-only modes write no document.
-		case *tput:
-			return emit(repro.ThroughputTable(40, 1400))
-		case *mconn:
-			return emit(repro.MultiConnectionTable(32))
-		case *sens != "":
-			q := repro.Quick
-			if *quality == "paper" {
-				q = repro.PaperQuality
+		// The text-only modes write no document, but take the stack and
+		// quality every kind takes, validated the same way.
+		case *tput, *mconn, *sens != "":
+			kind, q, err := repro.SharedParams(*stack, *quality)
+			if err != nil {
+				return err
 			}
-			kind := repro.StackTCPIP
-			if strings.EqualFold(*stack, "rpc") {
-				kind = repro.StackRPC
-			}
-			switch *sens {
-			case "machine":
-				return emit(repro.Sensitivity(kind, repro.MachineSweep(), q))
-			case "assoc":
-				return emit(repro.SensitivityVersions(kind, repro.BAD, repro.ALL, repro.AssocSweep(), q))
-			default:
+			switch {
+			case *tput:
+				return emit(repro.ThroughputTable(40, 1400))
+			case *mconn:
+				return emit(repro.MultiConnectionTable(32))
+			case *sens == "cache":
 				return emit(repro.Sensitivity(kind, repro.CacheSweep(), q))
+			case *sens == "machine":
+				return emit(repro.Sensitivity(kind, repro.MachineSweep(), q))
+			case *sens == "assoc":
+				return emit(repro.SensitivityVersions(kind, repro.BAD, repro.ALL, repro.AssocSweep(), q))
 			}
+			return &repro.SpecError{Field: "sensitivity", Msg: fmt.Sprintf("unknown sensitivity %q (want cache or machine or assoc)", *sens)}
 
 		case *stack != "":
 			spec.Kind = "run"

@@ -121,6 +121,12 @@ func TestBadInputBothShells(t *testing.T) {
 		{"figure", []string{"-figure", "3"}, `{"kind":"figure","table":3}`},
 		{"rates", []string{"-faults", "-rates", "0.5,2"}, `{"kind":"faults","rates":"0.5,2"}`},
 		{"models", []string{"-machines", "pdp11"}, `{"kind":"machines","models":"pdp11"}`},
+		// The text-only modes have no kind, but their stack and quality
+		// are the registry's parameters, rejected in the same words.
+		{"sensitivity stack", []string{"-sensitivity", "cache", "-stack", "tcp"}, `{"kind":"run","stack":"tcp"}`},
+		{"sensitivity quality", []string{"-sensitivity", "machine", "-quality", "fast"}, `{"kind":"all","quality":"fast"}`},
+		{"throughput stack", []string{"-throughput", "-stack", "osi"}, `{"kind":"faults","stack":"osi"}`},
+		{"multiconn quality", []string{"-multiconn", "-quality", "fast"}, `{"kind":"table","table":4,"quality":"fast"}`},
 	}
 	for _, tc := range cases {
 		var stdout, stderr bytes.Buffer
@@ -139,5 +145,16 @@ func TestBadInputBothShells(t *testing.T) {
 		if stdout.Len() != 0 {
 			t.Fatalf("%s: CLI printed a report for an invalid spec", tc.name)
 		}
+	}
+}
+
+// TestUnknownSensitivity: an unknown -sensitivity sweep is a *SpecError
+// (exit 2, nothing printed), not a silent cache sweep.
+func TestUnknownSensitivity(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := protolat([]string{"-sensitivity", "bogus"}, &stdout, &stderr)
+	want := "protolat: spec field \"sensitivity\": unknown sensitivity \"bogus\" (want cache or machine or assoc)\n"
+	if code != 2 || stderr.String() != want || stdout.Len() != 0 {
+		t.Fatalf("exit %d, stderr %q, %d bytes printed; want 2, %q, none", code, stderr.String(), stdout.Len(), want)
 	}
 }

@@ -295,8 +295,21 @@ func (p *Program) Link() error {
 }
 
 // FinishLayout is called after custom Place calls to verify coverage and
-// overlap, compute the text end, and assign data addresses.
+// overlap, compute the text end, and assign data addresses: FinishText
+// followed by LinkData.
 func (p *Program) FinishLayout() error {
+	if err := p.FinishText(); err != nil {
+		return err
+	}
+	return p.LinkData()
+}
+
+// FinishText is the placement half of FinishLayout: it verifies that every
+// function is placed and no two placed blocks overlap, and computes the
+// text end. It leaves the data layout alone, which depends only on the
+// instructions, never on where they sit; a caller that re-places an
+// already-linked program without changing any instruction needs only this.
+func (p *Program) FinishText() error {
 	type span struct {
 		lo, hi uint64
 		name   string
@@ -306,7 +319,7 @@ func (p *Program) FinishLayout() error {
 	for _, n := range p.order {
 		pl := p.placements[n]
 		if pl == nil {
-			return fmt.Errorf("code: FinishLayout: function %q not placed", n)
+			return fmt.Errorf("code: FinishText: function %q not placed", n)
 		}
 		for _, pb := range pl.blocks {
 			if pb.size == 0 {
@@ -321,12 +334,12 @@ func (p *Program) FinishLayout() error {
 	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
 	for i := 1; i < len(spans); i++ {
 		if spans[i].lo < spans[i-1].hi {
-			return fmt.Errorf("code: FinishLayout: %s at %#x overlaps %s ending at %#x",
+			return fmt.Errorf("code: FinishText: %s at %#x overlaps %s ending at %#x",
 				spans[i].name, spans[i].lo, spans[i-1].name, spans[i-1].hi)
 		}
 	}
 	p.textEnd = end
-	return p.LinkData()
+	return nil
 }
 
 // TextBase returns the base address of program text.

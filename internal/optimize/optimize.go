@@ -6,17 +6,22 @@
 // inter-procedural chain stitching for a seed order, then simulated
 // annealing over function order and inter-function pad blocks.
 //
-// Safety is structural, not statistical: every candidate placement is a
-// fresh clone of one specialized reference image, so before a candidate is
-// ever scored it must pass the full static well-formedness pass
-// (verify.Program) and the strict move-only equivalence proof
-// (verify.CheckClone with no specialization licence — per-block
-// instruction identity). A candidate that fails either gate is counted and
-// discarded, never scored; one deliberately tampered probe per machine
-// asserts the gate actually rejects (a search whose equivalence counter
-// stays zero is a search whose proof was never exercised). Winners are
-// confirmed by full simulation, reporting predicted versus measured
-// replacement misses side by side.
+// Safety is structural, not statistical. Each machine's search deep-clones
+// the specialized reference image once into a working image, links its
+// static data once (the data layout depends only on instructions, which a
+// placement cannot change), and re-places that image for every candidate —
+// every function, every time, so a rejected candidate leaves nothing stale
+// behind. The working image shares no function or block with the
+// reference, so before a candidate is ever scored it must pass the full
+// static well-formedness pass (verify.Program) and the strict move-only
+// equivalence proof (verify.CheckClone with no specialization licence —
+// per-block instruction identity) against it. A candidate that fails either
+// gate is counted and discarded, never scored; one deliberately tampered
+// probe per machine, on a clone of its own, asserts the gate actually
+// rejects (a search whose equivalence counter stays zero is a search whose
+// proof was never exercised). Winners are rebuilt from fresh clones,
+// proved again and confirmed by full simulation, reporting predicted
+// versus measured replacement misses side by side.
 //
 // The search is deterministic: a hand-rolled splitmix64 stream seeded from
 // (Config.Seed, machine index) drives every random choice, so a given
@@ -28,6 +33,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -166,20 +172,9 @@ func RunCtx(ctx context.Context, cfg Config) ([]MachineResult, error) {
 		cfg.Quality = core.Quality{Warmup: 4, Measured: 12, Samples: 1}
 	}
 	feat := features.Improved()
-	material, spec, usage, err := core.OptimizeMaterial(cfg.Stack, feat)
+	ref, spec, weights, err := reference(cfg, feat)
 	if err != nil {
-		return nil, fmt.Errorf("optimize: material: %w", err)
-	}
-	// One specialization up front: the reference image every candidate is
-	// cloned from and proved move-only equivalent to.
-	ref := material.Clone()
-	layout.Specialize(ref, spec)
-	weights := cfg.Weights
-	if weights == nil {
-		weights = make(map[string]float64, len(usage))
-		for n, c := range usage {
-			weights[n] = float64(c)
-		}
+		return nil, err
 	}
 	results := make([]MachineResult, 0, len(cfg.Models))
 	for i, model := range cfg.Models {
@@ -195,15 +190,40 @@ func RunCtx(ctx context.Context, cfg Config) ([]MachineResult, error) {
 	return results, nil
 }
 
+// reference builds the specialized reference image of cfg.Stack's ALL
+// material, its layout spec, and the cost weights: cfg.Weights, or the
+// micro-positioning usage hints when that is nil.
+func reference(cfg Config, feat features.Set) (*code.Program, layout.Spec, map[string]float64, error) {
+	material, spec, usage, err := core.OptimizeMaterial(cfg.Stack, feat)
+	if err != nil {
+		return nil, layout.Spec{}, nil, fmt.Errorf("optimize: material: %w", err)
+	}
+	// One specialization up front, in place (the material is freshly built
+	// and nothing else holds it): the reference image every working image
+	// is cloned from and every candidate is proved move-only equivalent to.
+	layout.Specialize(material, spec)
+	weights := cfg.Weights
+	if weights == nil {
+		weights = make(map[string]float64, len(usage))
+		for n, c := range usage {
+			weights[n] = float64(c)
+		}
+	}
+	return material, spec, weights, nil
+}
+
 // searcher bundles the per-machine search state.
 type searcher struct {
-	cfg      Config
-	model    machines.Model
-	ref      *code.Program
+	cfg   Config
+	model machines.Model
+	ref   *code.Program
+	// work is the machine's working image: a linked deep clone of ref that
+	// eval re-places for every candidate. It is nil once the annealing
+	// loop ends, so the confirmation runs do not keep it alive.
+	work     *code.Program
 	spec     layout.Spec
 	costSpec verify.CostSpec
 	feat     features.Set
-	names    []string
 
 	examined, rejWF, rejEq int
 }
@@ -220,52 +240,13 @@ type scored struct {
 
 func searchMachine(ctx context.Context, cfg Config, machineIdx int, model machines.Model,
 	ref *code.Program, spec layout.Spec, weights map[string]float64, feat features.Set) (*MachineResult, error) {
-	s := &searcher{
-		cfg:   cfg,
-		model: model,
-		ref:   ref,
-		spec:  spec,
-		feat:  feat,
-		costSpec: verify.CostSpec{
-			PathSpec:    verify.PathSpec{Path: spec.Path, Library: spec.Library},
-			FuncWeights: weights,
-		},
-		names: append(append([]string(nil), spec.Path...), spec.Library...),
-	}
-
-	order0 := greedyOrder(ref, spec, weights)
-	pads0 := make([]int, len(order0))
-	cur, ok := s.eval(order0, pads0)
-	if !ok {
-		return nil, fmt.Errorf("greedy seed order rejected")
-	}
-
-	// Tamper probe: one candidate with an extra instruction smuggled into
-	// the reference clone. The placement and well-formedness passes cannot
-	// see it — only the equivalence proof can — so the gate must reject
-	// it, and the RejectedEquivalence counter is provably exercised on
-	// every machine.
-	if err := s.tamperProbe(order0, pads0); err != nil {
+	s, err := newSearcher(cfg, model, ref, spec, weights, feat)
+	if err != nil {
 		return nil, err
 	}
-
-	best := []*scored{cur}
-	r := &rng{state: cfg.Seed ^ (0x9e3779b97f4a7c15 * uint64(machineIdx+1))}
-	temp := cur.scalar/2 + 1
-	for i := 0; i < cfg.Budget; i++ {
-		order, pads := mutate(r, cur.order, cur.pads)
-		cand, ok := s.eval(order, pads)
-		if !ok {
-			continue
-		}
-		if cand.scalar <= cur.scalar || r.float64() < math.Exp((cur.scalar-cand.scalar)/temp) {
-			cur = cand
-		}
-		best = addBest(best, cand, cfg.TopK)
-		temp *= 0.97
-		if temp < 1e-3 {
-			temp = 1e-3
-		}
+	best, err := s.anneal(machineIdx)
+	if err != nil {
+		return nil, err
 	}
 
 	res := &MachineResult{
@@ -304,11 +285,86 @@ func searchMachine(ctx context.Context, cfg Config, machineIdx int, model machin
 	return res, nil
 }
 
-// eval places one candidate, runs both proofs, and scores survivors with
-// the cost engine. Rejections are counted and return ok=false.
+// newSearcher sets up one machine's search around a fresh working image.
+func newSearcher(cfg Config, model machines.Model, ref *code.Program, spec layout.Spec,
+	weights map[string]float64, feat features.Set) (*searcher, error) {
+	s := &searcher{
+		cfg:   cfg,
+		model: model,
+		ref:   ref,
+		spec:  spec,
+		feat:  feat,
+		costSpec: verify.CostSpec{
+			PathSpec:    verify.PathSpec{Path: spec.Path, Library: spec.Library},
+			FuncWeights: weights,
+		},
+	}
+	work, err := linkedClone(ref)
+	if err != nil {
+		return nil, err
+	}
+	s.work = work
+	return s, nil
+}
+
+// anneal runs the machine's search proper — the greedy seed, the tamper
+// probe and cfg.Budget annealing steps — and returns the top-K placements,
+// best first. It releases the working image when done.
+func (s *searcher) anneal(machineIdx int) ([]*scored, error) {
+	order0 := greedyOrder(s.ref, s.spec, s.costSpec.FuncWeights)
+	pads0 := make([]int, len(order0))
+	cur, ok := s.eval(order0, pads0)
+	if !ok {
+		return nil, fmt.Errorf("greedy seed order rejected")
+	}
+
+	// Tamper probe: one candidate with an extra instruction smuggled into
+	// the reference clone. The placement and well-formedness passes cannot
+	// see it — only the equivalence proof can — so the gate must reject
+	// it, and the RejectedEquivalence counter is provably exercised on
+	// every machine.
+	if err := s.tamperProbe(order0, pads0); err != nil {
+		return nil, err
+	}
+
+	best := []*scored{cur}
+	r := &rng{state: s.cfg.Seed ^ (0x9e3779b97f4a7c15 * uint64(machineIdx+1))}
+	temp := cur.scalar/2 + 1
+	for i := 0; i < s.cfg.Budget; i++ {
+		order, pads := mutate(r, cur.order, cur.pads)
+		cand, ok := s.eval(order, pads)
+		if !ok {
+			continue
+		}
+		if cand.scalar <= cur.scalar || r.float64() < math.Exp((cur.scalar-cand.scalar)/temp) {
+			cur = cand
+		}
+		best = addBest(best, cand, s.cfg.TopK)
+		temp *= 0.97
+		if temp < 1e-3 {
+			temp = 1e-3
+		}
+	}
+	s.work = nil
+	return best, nil
+}
+
+// linkedClone deep-copies ref and links its static data, ready for
+// placeOrder.
+func linkedClone(ref *code.Program) (*code.Program, error) {
+	p := ref.Clone()
+	if err := p.LinkData(); err != nil {
+		return nil, fmt.Errorf("link data: %w", err)
+	}
+	return p, nil
+}
+
+// eval re-places the working image as one candidate, runs both proofs, and
+// scores survivors with the cost engine. Rejections are counted and return
+// ok=false.
 func (s *searcher) eval(order []string, pads []int) (*scored, bool) {
 	s.examined++
-	p := s.ref.Clone()
+	p := s.work
 	hotBytes, err := placeOrder(p, s.spec, order, pads, s.model.Machine)
 	if err != nil {
 		s.rejWF++
@@ -343,7 +399,10 @@ func (s *searcher) eval(order []string, pads []int) (*scored, bool) {
 // and fails the whole search if the equivalence proof lets it through.
 func (s *searcher) tamperProbe(order []string, pads []int) error {
 	s.examined++
-	probe := s.ref.Clone()
+	probe, err := linkedClone(s.ref)
+	if err != nil {
+		return err
+	}
 	blk := probe.Func(order[0]).Blocks[0]
 	blk.Instrs = append(blk.Instrs, code.Instr{Op: arch.OpNop})
 	if _, err := placeOrder(probe, s.spec, order, pads, s.model.Machine); err != nil {
@@ -402,7 +461,10 @@ func (s *searcher) handBaseline(ctx context.Context, res *MachineResult) error {
 // (a reported candidate never rides on a stale check), and measures it by
 // full simulation.
 func (s *searcher) confirm(ctx context.Context, sc *scored, rank int) (Candidate, error) {
-	p := s.ref.Clone()
+	p, err := linkedClone(s.ref)
+	if err != nil {
+		return Candidate{}, fmt.Errorf("confirm #%d: %w", rank, err)
+	}
 	if _, err := placeOrder(p, s.spec, sc.order, sc.pads, s.model.Machine); err != nil {
 		return Candidate{}, fmt.Errorf("confirm #%d place: %w", rank, err)
 	}
@@ -433,7 +495,9 @@ func (s *searcher) confirm(ctx context.Context, sc *scored, rank int) (Candidate
 // the clone base, their cold blocks in one shared region after the hot
 // run, and every other function sequentially after that — the same
 // hot/cold shape the hand layouts use, parameterized by order and padding.
-// Returns the hot run's size in bytes, padding included.
+// It re-places every function of p and finishes the text only: p's data
+// must already be linked (linkedClone). Returns the hot run's size in
+// bytes, padding included.
 func placeOrder(p *code.Program, spec layout.Spec, order []string, pads []int, m arch.Machine) (uint64, error) {
 	inSpec := make(map[string]bool, len(order))
 	for _, n := range append(append([]string(nil), spec.Path...), spec.Library...) {
@@ -442,13 +506,22 @@ func placeOrder(p *code.Program, spec layout.Spec, order []string, pads []int, m
 	if len(order) != len(inSpec) {
 		return 0, fmt.Errorf("order names %d functions, spec has %d", len(order), len(inSpec))
 	}
-	block := uint64(m.BlockBytes)
-	cur := uint64(layout.DefaultCloneBase)
-	hotSegs := make(map[string]code.Segment, len(order))
+	// Refuse anything but a permutation of the spec before placing a
+	// single function: an order that named one function twice and dropped
+	// another would leave the dropped one where the previous candidate put
+	// it.
 	for i, n := range order {
 		if !inSpec[n] {
 			return 0, fmt.Errorf("order names %q outside the spec", n)
 		}
+		if slices.Contains(order[:i], n) {
+			return 0, fmt.Errorf("order names %q twice", n)
+		}
+	}
+	block := uint64(m.BlockBytes)
+	cur := uint64(layout.DefaultCloneBase)
+	hotSegs := make(map[string]code.Segment, len(order))
+	for i, n := range order {
 		f := p.Func(n)
 		if f == nil {
 			return 0, fmt.Errorf("unknown function %q", n)
@@ -488,7 +561,7 @@ func placeOrder(p *code.Program, spec layout.Spec, order []string, pads []int, m
 		}
 		cursor = end
 	}
-	return hotBytes, p.FinishLayout()
+	return hotBytes, p.FinishText()
 }
 
 // greedyOrder seeds the search with inter-procedural chain stitching: call

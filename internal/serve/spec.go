@@ -254,6 +254,22 @@ func (s Spec) Normalized() Spec {
 	return c
 }
 
+// SharedParams canonicalizes and validates the two parameters every kind
+// declares, stack then quality, as Normalized and Validate do, and
+// resolves them. The CLI's text-only modes write no document and so have
+// no kind; taking their stack and quality through here gives a bad value
+// the same *SpecError a registry kind reports.
+func SharedParams(stack, quality string) (core.StackKind, core.Quality, error) {
+	src, c := Spec{Stack: stack, Quality: quality}, Spec{}
+	for _, name := range []string{"stack", "quality"} {
+		params[name].keep(&c, src)
+		if err := params[name].check(c); err != nil {
+			return 0, core.Quality{}, err
+		}
+	}
+	return c.stackKind(), c.quality(), nil
+}
+
 // Validate checks a normalized spec, returning a *SpecError naming the
 // first offending field.
 func (s Spec) Validate() error {

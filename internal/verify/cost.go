@@ -80,12 +80,26 @@ type CostReport struct {
 	Pairs []PairCost
 }
 
-// costRef is one static i-cache block reference with its estimated fetch
-// frequency.
-type costRef struct {
-	blk uint64
-	fn  string
-	w   float64
+// costBlock is the replay state of one distinct i-cache block on the path.
+type costBlock struct {
+	// set is the block's cache set.
+	set int32
+	// fetched marks a block the replay has already missed on once, so a
+	// later miss on it is a replacement miss, not its cold fetch.
+	fetched bool
+	// evictor is the function whose fetch last evicted the block, or -1.
+	evictor int32
+}
+
+// costFunc is one function the path expansion reached, resolved once.
+type costFunc struct {
+	f      *code.Function
+	pl     *code.Placement
+	depths []int
+	// ids holds, per block, the ids of the cache blocks it touches, filled
+	// on the block's first emission so that re-expanding a library helper
+	// costs no map lookups.
+	ids [][]int32
 }
 
 // maxLoopDepth caps the estimated loop-nesting depth: the frequency model
@@ -178,47 +192,189 @@ func Cost(p *code.Program, spec CostSpec, m arch.Machine) (*CostReport, error) {
 		inLibrary[n] = true
 	}
 
-	// Expand the static reference sequence. Hot blocks only: the engine
-	// models the fast path, and outlined error blocks are exactly the code
-	// the path does not fetch. Calls from one path function to the next are
-	// not expanded — the path list already orders them — but calls into
-	// library helpers are, at the call site, because that is where their
-	// blocks are fetched; after each expanded call the caller's block is
-	// fetched again, because execution returns into its middle. That
-	// return-site refetch is the reference an aliasing layout turns into a
-	// replacement miss.
-	var refs []costRef
+	rep := &CostReport{}
+
+	// Functions and cache blocks get dense indices in order of first
+	// reference; blockID is consulted once per placed block, not once per
+	// reference. All per-set state is a slice indexed by set.
+	var fns []costFunc
+	fnID := map[string]int32{}
+	var funcAgg []FuncCost
+	var blocks []costBlock
+	blockID := map[uint64]int32{}
+	setBlocks := make([]int, g.Sets)
+	setFuncs := make([][]int32, g.Sets)
+	replBySet := make([]int, g.Sets)
+	// Set s's ways are ways[s*Assoc : s*Assoc+wayLen[s]], MRU first.
+	ways := make([]int32, g.Sets*g.Assoc)
+	wayLen := make([]int, g.Sets)
+	// pairAt maps a (victim, evictor) function pair to 1 + its index in
+	// rep.Pairs.
+	pairAt := map[[2]int32]int{}
+
+	resolve := func(name string) (int32, error) {
+		if id, ok := fnID[name]; ok {
+			return id, nil
+		}
+		f := p.Func(name)
+		if f == nil {
+			return 0, errf(ReasonUnresolvedCall, name, "", "path spec names unknown function")
+		}
+		pl := p.Placement(name)
+		if pl == nil {
+			return 0, errf(ReasonUnplacedFunc, name, "", "path function has no placement")
+		}
+		id := int32(len(fns))
+		fns = append(fns, costFunc{f: f, pl: pl, depths: loopDepths(f), ids: make([][]int32, len(f.Blocks))})
+		funcAgg = append(funcAgg, FuncCost{Func: name})
+		fnID[name] = id
+		return id, nil
+	}
+	// spanIDs returns the ids of the cache blocks [lo, hi) touches,
+	// allocating ids (and counting set occupancy) on first reference.
+	var idPool []int32
+	spanIDs := func(lo, hi uint64) []int32 {
+		start := len(idPool)
+		if hi > lo {
+			for bn := g.BlockNumber(lo); bn <= g.BlockNumber(hi-1); bn++ {
+				id, ok := blockID[bn]
+				if !ok {
+					id = int32(len(blocks))
+					set := int32(bn & g.setMask)
+					blocks = append(blocks, costBlock{set: set, evictor: -1})
+					blockID[bn] = id
+					setBlocks[set]++
+				}
+				idPool = append(idPool, id)
+			}
+		}
+		return idPool[start:len(idPool):len(idPool)]
+	}
+
+	// The victim buffer absorbs part of a replacement miss's latency: a
+	// refetch that hits the buffer costs VictimHitCycles instead of the
+	// board-cache fill. It still counts in PredictedRepl — the simulator
+	// counts it as a miss too — but its weight in Total is discounted by
+	// the latency ratio.
+	victimDiscount := 1.0
+	if m.VictimEntries > 0 && m.BCacheHitCycles > 0 {
+		victimDiscount = float64(m.VictimHitCycles) / float64(m.BCacheHitCycles)
+	}
+	var victimFIFO []int32
+	victimPush := func(blk int32) {
+		if m.VictimEntries <= 0 {
+			return
+		}
+		victimFIFO = append(victimFIFO, blk)
+		if len(victimFIFO) > m.VictimEntries {
+			victimFIFO = victimFIFO[1:]
+		}
+	}
+
+	// fetch replays one reference of block id by function fi, weighing w,
+	// through the per-set LRU model, with the simulator's replacement
+	// policy (MRU at index 0) and its miss taxonomy: the first miss on a
+	// block is its cold fetch, a later miss on the same block is a
+	// replacement miss — the block was evicted by a conflicting one and
+	// had to be fetched again. Eviction records the evictor's function so
+	// a later refetch can name the conflict pair it pays for.
+	fetch := func(id, fi int32, w float64) {
+		blk := &blocks[id]
+		s := int(blk.set)
+		if !containsID(setFuncs[s], fi) {
+			setFuncs[s] = append(setFuncs[s], fi)
+		}
+		way := ways[s*g.Assoc : s*g.Assoc+wayLen[s]]
+		hit := -1
+		for i, x := range way {
+			if x == id {
+				hit = i
+				break
+			}
+		}
+		if hit >= 0 {
+			copy(way[1:hit+1], way[:hit])
+			way[0] = id
+			return
+		}
+		if blk.fetched {
+			rep.PredictedRepl++
+			replBySet[s]++
+			cost := w
+			if containsID(victimFIFO, id) {
+				rep.VictimRescued++
+				cost *= victimDiscount
+			}
+			rep.Total += cost
+			fc := &funcAgg[fi]
+			fc.ReplMisses++
+			fc.Cost += cost
+			if ev := blk.evictor; ev >= 0 {
+				key := [2]int32{fi, ev}
+				at := pairAt[key]
+				if at == 0 {
+					rep.Pairs = append(rep.Pairs, PairCost{Victim: fns[fi].f.Name, Evictor: fns[ev].f.Name})
+					at = len(rep.Pairs)
+					pairAt[key] = at
+				}
+				pc := &rep.Pairs[at-1]
+				pc.ReplMisses++
+				pc.Cost += cost
+			}
+		}
+		blk.fetched = true
+		if len(way) < g.Assoc {
+			wayLen[s]++
+			way = way[:len(way)+1]
+		} else {
+			victim := way[len(way)-1]
+			blocks[victim].evictor = fi
+			victimPush(victim)
+		}
+		copy(way[1:], way)
+		way[0] = id
+	}
+
+	// Expand the static reference sequence and replay it as it unfolds.
+	// Hot blocks only: the engine models the fast path, and outlined error
+	// blocks are exactly the code the path does not fetch. Calls from one
+	// path function to the next are not expanded — the path list already
+	// orders them — but calls into library helpers are, at the call site,
+	// because that is where their blocks are fetched; after each expanded
+	// call the caller's block is fetched again, because execution returns
+	// into its middle. That return-site refetch is the reference an
+	// aliasing layout turns into a replacement miss.
 	var expand func(name string, depth int, callerW float64) error
 	expand = func(name string, depth int, callerW float64) error {
 		if depth > maxLintDepth {
 			return errf(ReasonRecursion, name, "", "library expansion exceeds depth %d", maxLintDepth)
 		}
-		f := p.Func(name)
-		if f == nil {
-			return errf(ReasonUnresolvedCall, name, "", "path spec names unknown function")
+		fi, err := resolve(name)
+		if err != nil {
+			return err
 		}
-		pl := p.Placement(name)
-		if pl == nil {
-			return errf(ReasonUnplacedFunc, name, "", "path function has no placement")
-		}
-		depths := loopDepths(f)
+		fn := fns[fi]
 		base := callerW * fnWeight(name)
-		for i, b := range f.Blocks {
+		for i, b := range fn.f.Blocks {
 			if b.Kind.Outlinable() {
 				continue
 			}
 			w := base
-			for d := 0; d < depths[i]; d++ {
+			for d := 0; d < fn.depths[i]; d++ {
 				w *= loopW
 			}
-			addr, size, err := pl.BlockSpan(b.Label)
-			if err != nil {
-				return err
+			ids := fn.ids[i]
+			if ids == nil {
+				addr, size, err := fn.pl.BlockSpan(b.Label)
+				if err != nil {
+					return err
+				}
+				ids = spanIDs(addr, addr+uint64(size)*ib)
+				fn.ids[i] = ids
 			}
-			span := g.SpanBlocks(addr, addr+uint64(size)*ib)
 			emit := func() {
-				for _, bn := range span {
-					refs = append(refs, costRef{blk: bn, fn: name, w: w})
+				for _, id := range ids {
+					fetch(id, fi, w)
 				}
 			}
 			emit()
@@ -239,125 +395,13 @@ func Cost(p *code.Program, spec CostSpec, m arch.Machine) (*CostReport, error) {
 			return nil, err
 		}
 	}
-
-	rep := &CostReport{}
-
-	// Distinct footprint and per-set occupancy.
-	distinct := map[uint64]bool{}
-	setBlocks := map[int]map[uint64]bool{}
-	setFuncs := map[int]map[string]bool{}
-	for _, r := range refs {
-		distinct[r.blk] = true
-		s := int(r.blk & g.setMask)
-		if setBlocks[s] == nil {
-			setBlocks[s] = map[uint64]bool{}
-			setFuncs[s] = map[string]bool{}
-		}
-		setBlocks[s][r.blk] = true
-		setFuncs[s][r.fn] = true
-	}
-	rep.PathBlocks = len(distinct)
-
-	// The victim buffer absorbs part of a replacement miss's latency: a
-	// refetch that hits the buffer costs VictimHitCycles instead of the
-	// board-cache fill. It still counts in PredictedRepl — the simulator
-	// counts it as a miss too — but its weight in Total is discounted by
-	// the latency ratio.
-	victimDiscount := 1.0
-	if m.VictimEntries > 0 && m.BCacheHitCycles > 0 {
-		victimDiscount = float64(m.VictimHitCycles) / float64(m.BCacheHitCycles)
-	}
-	var victimFIFO []uint64
-	victimHolds := func(blk uint64) bool {
-		for _, v := range victimFIFO {
-			if v == blk {
-				return true
-			}
-		}
-		return false
-	}
-	victimPush := func(blk uint64) {
-		if m.VictimEntries <= 0 {
-			return
-		}
-		victimFIFO = append(victimFIFO, blk)
-		if len(victimFIFO) > m.VictimEntries {
-			victimFIFO = victimFIFO[1:]
-		}
-	}
-
-	// One traversal through the per-set LRU model, with the simulator's
-	// replacement policy (MRU at index 0) and its miss taxonomy: the first
-	// miss on a block is its cold fetch, a later miss on the same block is
-	// a replacement miss — the block was evicted by a conflicting one and
-	// had to be fetched again. Eviction records the evictor's function so a
-	// later refetch can name the conflict pair it pays for.
-	ways := make(map[int][]uint64, len(setBlocks))
-	seen := map[uint64]bool{}
-	replBySet := map[int]int{}
-	evictedBy := map[uint64]string{}
-	funcAgg := map[string]*FuncCost{}
-	pairAgg := map[[2]string]*PairCost{}
-	for _, r := range refs {
-		s := int(r.blk & g.setMask)
-		w := ways[s]
-		hit := -1
-		for i, bn := range w {
-			if bn == r.blk {
-				hit = i
-				break
-			}
-		}
-		if hit >= 0 {
-			copy(w[1:hit+1], w[:hit])
-			w[0] = r.blk
-			continue
-		}
-		if seen[r.blk] {
-			rep.PredictedRepl++
-			replBySet[s]++
-			cost := r.w
-			if victimHolds(r.blk) {
-				rep.VictimRescued++
-				cost *= victimDiscount
-			}
-			rep.Total += cost
-			fc := funcAgg[r.fn]
-			if fc == nil {
-				fc = &FuncCost{Func: r.fn}
-				funcAgg[r.fn] = fc
-			}
-			fc.ReplMisses++
-			fc.Cost += cost
-			if ev, ok := evictedBy[r.blk]; ok {
-				key := [2]string{r.fn, ev}
-				pc := pairAgg[key]
-				if pc == nil {
-					pc = &PairCost{Victim: r.fn, Evictor: ev}
-					pairAgg[key] = pc
-				}
-				pc.ReplMisses++
-				pc.Cost += cost
-			}
-		}
-		seen[r.blk] = true
-		if len(w) < g.Assoc {
-			w = append(w, 0)
-		} else {
-			victim := w[len(w)-1]
-			evictedBy[victim] = r.fn
-			victimPush(victim)
-		}
-		copy(w[1:], w)
-		w[0] = r.blk
-		ways[s] = w
-	}
+	rep.PathBlocks = len(blocks)
 
 	// Partition violations: a set holding hot code of both classes.
-	for _, fns := range setFuncs {
+	for _, ids := range setFuncs {
 		var hasPath, hasLib bool
-		for fn := range fns {
-			if p.Func(fn).Class == code.ClassLibrary {
+		for _, id := range ids {
+			if fns[id].f.Class == code.ClassLibrary {
 				hasLib = true
 			} else {
 				hasPath = true
@@ -409,16 +453,19 @@ func Cost(p *code.Program, spec CostSpec, m arch.Machine) (*CostReport, error) {
 
 	// Conflict list, worst set first.
 	for s, n := range replBySet {
-		var fns []string
-		for fn := range setFuncs[s] {
-			fns = append(fns, fn)
+		if n == 0 {
+			continue
 		}
-		sort.Strings(fns)
+		names := make([]string, len(setFuncs[s]))
+		for i, id := range setFuncs[s] {
+			names[i] = fns[id].f.Name
+		}
+		sort.Strings(names)
 		rep.Conflicts = append(rep.Conflicts, SetConflict{
 			Set:        s,
-			Blocks:     len(setBlocks[s]),
+			Blocks:     setBlocks[s],
 			ReplMisses: n,
-			Funcs:      fns,
+			Funcs:      names,
 		})
 	}
 	sort.Slice(rep.Conflicts, func(i, j int) bool {
@@ -432,7 +479,9 @@ func Cost(p *code.Program, spec CostSpec, m arch.Machine) (*CostReport, error) {
 	// Attribution lists, worst first; name-ordered on ties so the report is
 	// deterministic.
 	for _, fc := range funcAgg {
-		rep.ByFunc = append(rep.ByFunc, *fc)
+		if fc.ReplMisses > 0 {
+			rep.ByFunc = append(rep.ByFunc, fc)
+		}
 	}
 	sort.Slice(rep.ByFunc, func(i, j int) bool {
 		a, b := rep.ByFunc[i], rep.ByFunc[j]
@@ -441,9 +490,6 @@ func Cost(p *code.Program, spec CostSpec, m arch.Machine) (*CostReport, error) {
 		}
 		return a.Func < b.Func
 	})
-	for _, pc := range pairAgg {
-		rep.Pairs = append(rep.Pairs, *pc)
-	}
 	sort.Slice(rep.Pairs, func(i, j int) bool {
 		a, b := rep.Pairs[i], rep.Pairs[j]
 		if a.Cost != b.Cost {
@@ -455,4 +501,14 @@ func Cost(p *code.Program, spec CostSpec, m arch.Machine) (*CostReport, error) {
 		return a.Evictor < b.Evictor
 	})
 	return rep, nil
+}
+
+// containsID reports whether ids holds id.
+func containsID(ids []int32, id int32) bool {
+	for _, x := range ids {
+		if x == id {
+			return true
+		}
+	}
+	return false
 }

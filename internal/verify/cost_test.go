@@ -1,12 +1,18 @@
 package verify_test
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/code"
+	"repro/internal/core"
+	"repro/internal/machines"
+	"repro/internal/protocols/features"
 	"repro/internal/verify"
+	"repro/internal/verify/costref"
 )
 
 // costTotalsAgree allows for float summation order between Total and the
@@ -209,5 +215,89 @@ func TestCostPairAttributionNamesTheConflict(t *testing.T) {
 	}
 	if len(clean.Pairs) != 0 || clean.Total != 0 {
 		t.Fatalf("disjoint layout attributed pairs %v, total %g", clean.Pairs, clean.Total)
+	}
+}
+
+// costSpecsFor is the frequency models the differential tests replay each
+// layout under: the lint's zero model, and the layout search's
+// usage-weighted model with a non-default loop weight.
+func costSpecsFor(spec verify.PathSpec, weights map[string]float64) []verify.CostSpec {
+	return []verify.CostSpec{
+		{PathSpec: spec},
+		{PathSpec: spec, FuncWeights: weights, LoopWeight: 5},
+	}
+}
+
+// TestCostMatchesReferenceOnHandLayouts holds the dense cost engine to the
+// map-based reference replay (internal/verify/costref) field for field —
+// counts, float totals, and the order of every list — on every
+// version's hand layout of both stacks on every geometry of the machine
+// matrix, with all three clone strategies on ALL.
+// Searched placements get the same check in internal/optimize.
+func TestCostMatchesReferenceOnHandLayouts(t *testing.T) {
+	feat := features.Improved()
+	_, _, usage, err := core.OptimizeMaterial(core.StackTCPIP, feat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	weights := make(map[string]float64, len(usage))
+	for n, c := range usage {
+		weights[n] = float64(c)
+	}
+	compared := 0
+	for _, model := range machines.Matrix() {
+		m := model.Machine
+		for _, kind := range []core.StackKind{core.StackTCPIP, core.StackRPC} {
+			for _, v := range core.Versions() {
+				strats := []core.CloneStrategy{core.Bipartite}
+				if v == core.ALL {
+					strats = append(strats, core.MicroPosition, core.LinearLayout)
+				}
+				for _, strat := range strats {
+					p, err := core.BuildProgram(kind, v, feat, strat, m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, cs := range costSpecsFor(core.LintSpec(kind, v), weights) {
+						where := fmt.Sprintf("%s %v %v %v weights=%t", model.Name, kind, v, strat, cs.FuncWeights != nil)
+						assertCostMatchesReference(t, where, p, cs, m)
+						compared++
+					}
+				}
+			}
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no layouts compared")
+	}
+}
+
+// TestCostMatchesReferenceOnFixtures covers the hand-built thrashing,
+// loop and victim-buffer fixtures of the tests above, whose conflict pairs
+// and victim rescues the protocol images may not reach.
+func TestCostMatchesReferenceOnFixtures(t *testing.T) {
+	m := arch.DEC3000_600()
+	vm := m
+	vm.VictimEntries, vm.VictimHitCycles = 8, 2
+	spec := verify.PathSpec{Path: []string{"path"}, Library: []string{"lib"}}
+	for _, off := range []uint64{uint64(m.ICacheBytes), uint64(m.ICacheBytes / 2), uint64(m.ICacheBytes) + 0x20} {
+		p := lintFixture(t, off)
+		for _, mm := range []arch.Machine{m, vm} {
+			for _, cs := range costSpecsFor(spec, map[string]float64{"path": 3}) {
+				assertCostMatchesReference(t, fmt.Sprintf("fixture +%#x victim=%d", off, mm.VictimEntries), p, cs, mm)
+			}
+		}
+	}
+}
+
+func assertCostMatchesReference(t *testing.T, where string, p *code.Program, cs verify.CostSpec, m arch.Machine) {
+	t.Helper()
+	got, err := verify.Cost(p, cs, m)
+	want, refErr := costref.Cost(p, cs, m)
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("%s: Cost error %v, reference error %v", where, err, refErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: Cost disagrees with the reference\n got  %+v\n want %+v", where, got, want)
 	}
 }
