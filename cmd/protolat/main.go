@@ -77,6 +77,8 @@ func protolat(args []string, stdout, stderr io.Writer) int {
 		chkpoint = fs.String("checkpoint", "", "journal path for -soak; written after every chunk so a killed soak can -resume")
 		resume   = fs.Bool("resume", false, "continue a -soak run from its -checkpoint journal instead of starting fresh")
 		soakstop = fs.Int("soakstop", 0, "stop the soak at the first chunk boundary at or after this many units (0 = run to completion)")
+		soakbat  = fs.Int("soakbatches", 0, "batches per soak cell for -soak (0 = the quality default)")
+		soakrt   = fs.Int("soakroundtrips", 0, "roundtrips per soak batch for -soak (0 = the quality default)")
 		seed     = fs.Uint64("seed", 1, "deterministic seed for -faults, -soak, -machines and -optimize; same seed = byte-identical report at any -parallel")
 		rates    = fs.String("rates", "", "comma-separated fault rates for -faults (default 0,0.02,0.05,0.10) and -machines (default 0)")
 		machsel  = fs.String("machines", "", "run the machine-matrix study on these models: \"all\", a comma-separated list of names, or \"list\" to print the matrix")
@@ -109,6 +111,7 @@ func protolat(args []string, stdout, stderr io.Writer) int {
 		Stack: *stack, Version: *version, Quality: *quality, Samples: *samples,
 		Policy: *policy, Classifier: *classify, Table: *table, Seed: *seed,
 		Rates: *rates, Top: *top, Budget: *budget, Candidates: *cands,
+		SoakBatches: *soakbat, SoakRoundtrips: *soakrt,
 	}
 	// emit prints a rendered report.
 	emit := func(text string, err error) error {

@@ -49,12 +49,16 @@ func submit(t *testing.T, url string, spec any) (int, []byte) {
 	return resp.StatusCode, body
 }
 
-// kindCases holds, for every registry kind, a small quick-quality CLI
-// invocation and the spec a daemon client would send for it.
-var kindCases = map[string]struct {
+// kindCase is a CLI invocation and the spec a daemon client would send
+// for the same document.
+type kindCase struct {
 	args []string
 	spec repro.Spec
-}{
+}
+
+// kindCases holds, for every registry kind, a small quick-quality CLI
+// invocation and the spec a daemon client would send for it.
+var kindCases = map[string]kindCase{
 	"run": {[]string{"-stack", "rpc", "-version", "pin", "-samples", "1", "-classifier", "-policy", "adaptive"},
 		repro.Spec{Kind: "run", Stack: "rpc", Version: "PIN", Samples: 1, Classifier: true, Policy: "adaptive"}},
 	"table":  {[]string{"-table", "7"}, repro.Spec{Kind: "table", Table: 7}},
@@ -71,35 +75,46 @@ var kindCases = map[string]struct {
 		repro.Spec{Kind: "optimize", Models: "dec3000", Budget: 20, Candidates: 1}},
 }
 
+// shapeCases are further CLI/daemon pairs for parameters the kind cases
+// leave at their defaults, named by the subtest they run as.
+var shapeCases = map[string]kindCase{
+	"soak-batch-shape": {[]string{"-soak", "-seed", "5", "-soakbatches", "1", "-soakroundtrips", "4"},
+		repro.Spec{Kind: "soak", Seed: 5, SoakBatches: 1, SoakRoundtrips: 4}},
+}
+
 // TestCLIMatchesDaemon: for every registered kind, the CLI's -json bytes
 // equal the daemon's document for the same spec. It walks the registry,
 // so a kind without a case here fails instead of going unchecked.
 func TestCLIMatchesDaemon(t *testing.T) {
 	url := daemon(t)
+	check := func(t *testing.T, c kindCase) {
+		path := filepath.Join(t.TempDir(), "doc.json")
+		var stdout, stderr bytes.Buffer
+		if code := protolat(append(c.args, "-json", path), &stdout, &stderr); code != 0 {
+			t.Fatalf("protolat %v: exit %d: %s", c.args, code, stderr.String())
+		}
+		cli, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		status, body := submit(t, url, c.spec)
+		if status != http.StatusOK {
+			t.Fatalf("daemon: %d: %s", status, body)
+		}
+		if !bytes.Equal(cli, body) {
+			t.Fatalf("CLI -json and daemon documents differ\ncli:    %.300s\ndaemon: %.300s", cli, body)
+		}
+	}
 	for _, kind := range repro.Kinds() {
 		c, ok := kindCases[kind]
 		if !ok {
 			t.Errorf("kind %q has no CLI case", kind)
 			continue
 		}
-		t.Run(kind, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "doc.json")
-			var stdout, stderr bytes.Buffer
-			if code := protolat(append(c.args, "-json", path), &stdout, &stderr); code != 0 {
-				t.Fatalf("protolat %v: exit %d: %s", c.args, code, stderr.String())
-			}
-			cli, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			status, body := submit(t, url, c.spec)
-			if status != http.StatusOK {
-				t.Fatalf("daemon: %d: %s", status, body)
-			}
-			if !bytes.Equal(cli, body) {
-				t.Fatalf("CLI -json and daemon documents differ\ncli:    %.300s\ndaemon: %.300s", cli, body)
-			}
-		})
+		t.Run(kind, func(t *testing.T) { check(t, c) })
+	}
+	for name, c := range shapeCases {
+		t.Run(name, func(t *testing.T) { check(t, c) })
 	}
 }
 

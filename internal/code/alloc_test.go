@@ -13,11 +13,15 @@ import (
 // (entry construction, Env condition and address lookups, cache simulation)
 // is the hot path of every experiment sample; an allocation introduced there
 // multiplies by the dynamic instruction count and reintroduces the GC
-// pressure that used to serialize the parallel runner.
+// pressure that used to serialize the parallel runner. The loop also
+// rebuilds the binding the way every simulated event does — Reset, then
+// the stack, the address bindings (one overwritten) and the conditions —
+// so a steady-state event allocates nothing either.
 func TestEngineStepLoopAllocFree(t *testing.T) {
 	f := NewBuilder("hot", ClassPath).
 		Frame(2).
-		Block("entry").ALU(3).Load("state", 2).Store("state", 1).Cond("more", "entry", "done").
+		Block("entry").ALU(3).Load("state", 2).Load("ring", 1).Store("state", 1).Store("unbound", 0).
+		Cond("more", "entry", "done").
 		Block("done").ALU(1).Ret().
 		MustBuild()
 	p := NewProgram()
@@ -27,16 +31,21 @@ func TestEngineStepLoopAllocFree(t *testing.T) {
 	}
 	e := NewEngine(cpu.New(mem.New(arch.DEC3000_600())), p)
 	env := NewBinding(nil)
-	env.Bind("state", 0x1000)
-	env.Bind("$stack", 0x2000)
-	env.SetFunc("more", Counter(func() int { return 8 }))
-
-	e.MustRun("hot", env) // warm the caches and any lazy state
-	allocs := testing.AllocsPerRun(50, func() {
+	more := Counter(func() int { return 8 })
+	event := func() {
+		env.Reset()
+		env.Bind("$stack", 0x2000)
+		env.Bind("state", 0x1000)
+		env.Bind("ring", 0x3000)
+		env.Bind("state", 0x1100)
+		env.SetFunc("more", more)
 		e.MustRun("hot", env)
-	})
+	}
+
+	event() // warm the caches, the binding's storage and any lazy state
+	allocs := testing.AllocsPerRun(50, event)
 	if allocs != 0 {
-		t.Fatalf("engine step loop allocates %.1f objects per run, want 0", allocs)
+		t.Fatalf("engine event allocates %.1f objects per run, want 0", allocs)
 	}
 }
 

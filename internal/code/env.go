@@ -16,7 +16,7 @@ type Env interface {
 
 // stackName is the distinguished operand naming the current thread stack;
 // it is bound and queried on the hottest engine path (every unnamed memory
-// operand), so Binding keeps it in a field rather than the address map.
+// operand), so Binding keeps it in a field rather than the address list.
 const stackName = "$stack"
 
 // condEntry is one condition binding. Exactly one representation is live:
@@ -33,10 +33,14 @@ type condEntry struct {
 // is empty but usable after the first Set call; NewBinding is clearer.
 //
 // All three condition forms share one map so that Cond — which the engine
-// consults for every conditional branch — costs a single probe.
+// consults for every conditional branch — costs a single probe. Address
+// bindings are few (a driver ring and buffer, a protocol state block), and
+// Addr runs for every named memory operand, most of which miss and fall
+// back to static storage, so they live in a short slice scanned linearly
+// rather than a map that hashes the name on every probe.
 type Binding struct {
 	conds  map[string]condEntry
-	addrs  map[string]uint64
+	addrs  []addrEntry
 	parent Env
 
 	stack    uint64
@@ -49,18 +53,23 @@ type Binding struct {
 func NewBinding(parent Env) *Binding {
 	return &Binding{
 		conds:  map[string]condEntry{},
-		addrs:  map[string]uint64{},
 		parent: parent,
 	}
 }
 
-// Reset empties the binding in place, keeping the allocated maps for
-// reuse — the per-event environment rebuild runs once per simulated event,
-// so recycling one Binding per host avoids re-allocating its maps each
-// time. The parent link is cleared too.
+// addrEntry is one address binding.
+type addrEntry struct {
+	name string
+	addr uint64
+}
+
+// Reset empties the binding in place, keeping the allocated map and
+// address slice for reuse — the per-event environment rebuild runs once
+// per simulated event, so recycling one Binding per host avoids
+// re-allocating them each time. The parent link is cleared too.
 func (b *Binding) Reset() {
 	clear(b.conds)
-	clear(b.addrs)
+	b.addrs = b.addrs[:0]
 	b.parent = nil
 	b.stack = 0
 	b.hasStack = false
@@ -85,14 +94,21 @@ func (b *Binding) SetFunc(name string, f func() bool) *Binding {
 	return b
 }
 
-// Bind fixes the base address of the named data object.
+// Bind fixes the base address of the named data object, replacing any
+// earlier binding of the name.
 func (b *Binding) Bind(name string, addr uint64) *Binding {
 	if name == stackName {
 		b.stack = addr
 		b.hasStack = true
 		return b
 	}
-	b.addrs[name] = addr
+	for i := range b.addrs {
+		if b.addrs[i].name == name {
+			b.addrs[i].addr = addr
+			return b
+		}
+	}
+	b.addrs = append(b.addrs, addrEntry{name, addr})
 	return b
 }
 
@@ -182,8 +198,12 @@ func (b *Binding) Addr(name string) (uint64, bool) {
 		if b.hasStack {
 			return b.stack, true
 		}
-	} else if a, ok := b.addrs[name]; ok {
-		return a, true
+	} else {
+		for i := range b.addrs {
+			if b.addrs[i].name == name {
+				return b.addrs[i].addr, true
+			}
+		}
 	}
 	if b.parent != nil {
 		return b.parent.Addr(name)

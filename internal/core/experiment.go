@@ -321,7 +321,7 @@ func staticPathInstrs(cfg Config) int {
 		}
 		prog = built
 	}
-	_, spec := stackModels(cfg.Stack, cfg.Feat)
+	spec := stackSpec(cfg.Stack)
 	names := append(append([]string(nil), spec.Path...), spec.Library...)
 	if cfg.Version == PIN || cfg.Version == ALL {
 		names = append([]string{"lance_rx", "lance_post"}, spec.Library...)

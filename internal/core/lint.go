@@ -18,23 +18,17 @@ type LintCell struct {
 	Report *verify.Report
 }
 
-// lintSpec returns the latency path the lint walks for one version — the
+// LintSpec returns the latency path the lint walks for one version — the
 // same notion of "the path" staticPathInstrs measures: the stack's path and
 // library functions, except under PIN/ALL where the inlined driver pair
-// carries the whole path.
-func lintSpec(kind StackKind, feat features.Set, v Version) verify.PathSpec {
-	_, spec := stackModels(kind, feat)
+// carries the whole path. The path names do not depend on the feature set,
+// so tests and tools can lint any built image with it.
+func LintSpec(kind StackKind, v Version) verify.PathSpec {
+	spec := stackSpec(kind)
 	if v == PIN || v == ALL {
 		return verify.PathSpec{Path: []string{"lance_rx", "lance_post"}, Library: spec.Library}
 	}
 	return verify.PathSpec{Path: spec.Path, Library: spec.Library}
-}
-
-// LintSpec returns the latency-path spec the lint walks for one version
-// under the standard feature set — exported so tests and tools can lint a
-// single built image on a chosen machine geometry.
-func LintSpec(kind StackKind, v Version) verify.PathSpec {
-	return lintSpec(kind, features.Improved(), v)
 }
 
 // LintStudy lints every version's linked image: a purely static sweep that
@@ -49,7 +43,7 @@ func LintStudy(kind StackKind, strat CloneStrategy) ([]LintCell, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := verify.Lint(prog, lintSpec(kind, feat, v), m)
+		rep, err := verify.Lint(prog, LintSpec(kind, v), m)
 		if err != nil {
 			return nil, fmt.Errorf("core: lint %v/%v: %w", kind, v, err)
 		}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/machines"
 	"repro/internal/obs"
-	"repro/internal/protocols/features"
 	"repro/internal/verify"
 )
 
@@ -161,7 +160,7 @@ func runMachineCell(ctx context.Context, cfg MachineStudyConfig, model machines.
 	if err != nil {
 		return MachineCell{}, err
 	}
-	rep, err := lintReport(prog, cfg.Stack, rcfg.Feat, v, model)
+	rep, err := lintReport(prog, cfg.Stack, v, model)
 	if err != nil {
 		return MachineCell{}, err
 	}
@@ -170,8 +169,8 @@ func runMachineCell(ctx context.Context, cfg MachineStudyConfig, model machines.
 }
 
 // lintReport lints one linked image against one model's geometry.
-func lintReport(prog *code.Program, kind StackKind, feat features.Set, v Version, model machines.Model) (*verify.Report, error) {
-	rep, err := verify.Lint(prog, lintSpec(kind, feat, v), model.Machine)
+func lintReport(prog *code.Program, kind StackKind, v Version, model machines.Model) (*verify.Report, error) {
+	rep, err := verify.Lint(prog, LintSpec(kind, v), model.Machine)
 	if err != nil {
 		return nil, fmt.Errorf("lint on %s: %w", model.Name, err)
 	}

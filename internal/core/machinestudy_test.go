@@ -136,7 +136,7 @@ func runMachineLintOnly(cfg MachineStudyConfig, model machines.Model, v Version)
 	if err != nil {
 		return -1, err
 	}
-	rep, err := lintReport(prog, cfg.Stack, rcfg.Feat, v, model)
+	rep, err := lintReport(prog, cfg.Stack, v, model)
 	if err != nil {
 		return -1, err
 	}

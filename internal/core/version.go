@@ -93,21 +93,29 @@ func (c CloneStrategy) String() string {
 }
 
 // stackModels returns the program functions and layout spec for a stack.
+// Building the functions is the expensive half; a caller that needs only
+// the names takes stackSpec.
 func stackModels(kind StackKind, feat features.Set) ([]*code.Function, layout.Spec) {
 	var fns []*code.Function
 	fns = append(fns, models.Library(feat.RefreshShortCircuit)...)
 	fns = append(fns, lance.Models("eth_demux", feat.UseUSC)...)
-	var spec layout.Spec
-	switch kind {
-	case StackRPC:
+	if kind == StackRPC {
 		fns = append(fns, rpc.Models(feat)...)
-		spec.Path = rpc.PathFuncs()
-	default:
+	} else {
 		fns = append(fns, tcpip.Models(feat)...)
-		spec.Path = tcpip.PathFuncs()
 	}
-	spec.Library = models.LibraryNames()
-	return fns, spec
+	return fns, stackSpec(kind)
+}
+
+// stackSpec returns a stack's layout spec: its path and library function
+// names. The names do not depend on the feature set, and no function is
+// built.
+func stackSpec(kind StackKind) layout.Spec {
+	spec := layout.Spec{Path: tcpip.PathFuncs(), Library: models.LibraryNames()}
+	if kind == StackRPC {
+		spec.Path = rpc.PathFuncs()
+	}
+	return spec
 }
 
 // inlineSpec returns the path-inlining root and inlinable set per stack.

@@ -49,8 +49,9 @@ type entry struct {
 	kind string
 	// params lists, in the manifest command's order, the parameters the
 	// kind reads and the literal flag that selects it ("-faults"). Every
-	// kind also carries stack and quality. A trailing "?" keeps a
-	// parameter off the command while it holds its default.
+	// kind also carries stack and quality; a kind that does not list
+	// stack canonicalizes a valid one to the default. A trailing "?"
+	// keeps a parameter off the command while it holds its default.
 	params []string
 	// static marks a study that measures nothing, so quality is
 	// canonicalized to quick.
@@ -80,7 +81,7 @@ var registry = []*entry{
 	{kind: "figure", params: []string{"figure"}, static: true, run: runFigure},
 	{kind: "all", params: []string{"quality"}, run: runAll},
 	{kind: "faults", params: []string{"-faults", "stack", "seed", "rates", "quality"}, run: runFaults},
-	{kind: "soak", params: []string{"-soak", "stack", "seed", "quality", "soak_batches", "soak_roundtrips"}, run: runSoak},
+	{kind: "soak", params: []string{"-soak", "stack", "seed", "quality", "soak_batches?", "soak_roundtrips?"}, run: runSoak},
 	{kind: "lint", params: []string{"-lint", "stack"}, static: true, run: runLint},
 	{kind: "profile", params: []string{"-profile", "stack", "top", "quality"}, run: runProfile},
 	{kind: "machines", params: []string{"models", "stack", "seed", "rates", "quality"}, run: runMachines},

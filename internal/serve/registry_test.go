@@ -49,7 +49,9 @@ func TestManifestCommand(t *testing.T) {
 		{Spec{Kind: "all"}, "protolat -quality quick"},
 		{Spec{Kind: "faults", Seed: 11}, "protolat -faults -stack tcpip -seed 11 -rates  -quality quick"},
 		{Spec{Kind: "faults", Seed: 7, Rates: "0, 0.05"}, "protolat -faults -stack tcpip -seed 7 -rates 0,0.05 -quality quick"},
-		{Spec{Kind: "soak", Seed: 7, SoakBatches: 2}, "protolat -soak -stack tcpip -seed 7 -quality quick"},
+		{Spec{Kind: "soak", Seed: 7}, "protolat -soak -stack tcpip -seed 7 -quality quick"},
+		{Spec{Kind: "soak", Seed: 7, SoakBatches: 2}, "protolat -soak -stack tcpip -seed 7 -quality quick -soakbatches 2"},
+		{Spec{Kind: "soak", Seed: 5, SoakBatches: 1, SoakRoundtrips: 4}, "protolat -soak -stack tcpip -seed 5 -quality quick -soakbatches 1 -soakroundtrips 4"},
 		{Spec{Kind: "lint", Quality: "paper"}, "protolat -lint -stack tcpip"},
 		{Spec{Kind: "profile"}, "protolat -profile -stack tcpip -top 10 -quality quick"},
 		{Spec{Kind: "machines", Models: "DEC3000, modern"}, "protolat -machines dec3000,modern -stack tcpip -seed 1 -rates  -quality quick"},

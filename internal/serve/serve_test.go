@@ -640,6 +640,22 @@ func TestFingerprintCanonicalization(t *testing.T) {
 	if (Spec{Kind: "run", Budget: 40}).Fingerprint("v1") != (Spec{Kind: "run"}).Fingerprint("v1") {
 		t.Fatal("budget is irrelevant to run but changed its fingerprint")
 	}
+	// Tables, figures and the full report cover both stacks or neither:
+	// a valid stack shares the default's fingerprint, an invalid one is
+	// still a *SpecError.
+	for _, kind := range []string{"table", "figure", "all"} {
+		def := Spec{Kind: kind, Table: 1}
+		if (Spec{Kind: kind, Table: 1, Stack: "RPC"}).Fingerprint("v1") != def.Fingerprint("v1") {
+			t.Errorf("%s: stack rpc fingerprints apart from the default", kind)
+		}
+		var se *SpecError
+		if err := (Spec{Kind: kind, Table: 1, Stack: "tcp"}).Normalized().Validate(); !errors.As(err, &se) || se.Field != "stack" {
+			t.Errorf("%s: invalid stack: got %v, want a *SpecError on stack", kind, err)
+		}
+	}
+	if (Spec{Kind: "run", Stack: "rpc"}).Fingerprint("v1") == (Spec{Kind: "run"}).Fingerprint("v1") {
+		t.Fatal("stack is semantic for run but did not change its fingerprint")
+	}
 }
 
 // TestStatsDocument: GET /v1/stats returns a schema-conformant document

@@ -45,6 +45,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -64,6 +65,8 @@ type Spec struct {
 	// "faults", "soak", "lint", "profile", "machines", or "optimize".
 	Kind string `json:"kind"`
 	// Stack selects the protocol stack: "tcpip" (default) or "rpc".
+	// "table", "figure" and "all" cover both stacks or neither, so a
+	// valid stack canonicalizes to the default there.
 	Stack string `json:"stack,omitempty"`
 	// Version is the layout configuration for "run" (default "ALL").
 	Version string `json:"version,omitempty"`
@@ -199,8 +202,16 @@ var params = map[string]param{
 		keep: func(d *Spec, s Spec) { d.Top = positiveOr(s.Top, 10) },
 		flag: func(s Spec) string { return "-top " + strconv.Itoa(s.Top) },
 	},
-	"soak_batches":    {keep: func(d *Spec, s Spec) { d.SoakBatches = s.SoakBatches }},
-	"soak_roundtrips": {keep: func(d *Spec, s Spec) { d.SoakRoundtrips = s.SoakRoundtrips }},
+	// A batch-shape override of 0 or less keeps the quality default, so
+	// it canonicalizes to 0.
+	"soak_batches": {
+		keep: func(d *Spec, s Spec) { d.SoakBatches = max(s.SoakBatches, 0) },
+		flag: func(s Spec) string { return "-soakbatches " + strconv.Itoa(s.SoakBatches) },
+	},
+	"soak_roundtrips": {
+		keep: func(d *Spec, s Spec) { d.SoakRoundtrips = max(s.SoakRoundtrips, 0) },
+		flag: func(s Spec) string { return "-soakroundtrips " + strconv.Itoa(s.SoakRoundtrips) },
+	},
 	// models is set on the command line by the flag that selects the
 	// kind: -machines or -optimize.
 	"models": {
@@ -246,6 +257,12 @@ func (s Spec) Normalized() Spec {
 	}
 	for _, name := range e.declared() {
 		params[name].keep(&c, s)
+	}
+	if !slices.Contains(e.params, "stack") && params["stack"].check(c) == nil {
+		// A kind that does not read the stack computes the same
+		// document for either: a valid one canonicalizes to the
+		// default, an invalid one stays for Validate to reject.
+		params["stack"].keep(&c, Spec{})
 	}
 	if e.static {
 		// A static study measures nothing: quality cannot change it.

@@ -105,35 +105,43 @@ func New(m arch.Machine) *Hierarchy {
 	return h
 }
 
-// hierPool recycles hierarchies between simulation samples. The cache
-// backing arrays dominate a sample's allocations (the b-cache alone has
-// tens of thousands of sets), and resetting a recycled hierarchy is a
-// generation bump rather than a rebuild, so reuse removes both the
-// allocator and the garbage collector from the per-sample critical path.
-var hierPool sync.Pool
+// hierPools recycles hierarchies between simulation samples, one
+// *sync.Pool per arch.Machine. The cache backing arrays dominate a
+// sample's allocations (the b-cache alone has tens of thousands of sets),
+// and resetting a recycled hierarchy is a generation bump rather than a
+// rebuild, so reuse removes both the allocator and the garbage collector
+// from the per-sample critical path. Keeping a pool per machine lets a
+// machine sweep that interleaves geometries recycle every one of them.
+var hierPools sync.Map // arch.Machine -> *sync.Pool
 
-// NewPooled returns a cold hierarchy for machine m, reusing a previously
-// Released one when its machine matches. A recycled hierarchy is
+// poolFor returns the pool of hierarchies built for machine m.
+func poolFor(m arch.Machine) *sync.Pool {
+	if p, ok := hierPools.Load(m); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := hierPools.LoadOrStore(m, new(sync.Pool))
+	return p.(*sync.Pool)
+}
+
+// NewPooled returns a cold hierarchy for machine m, reusing one Released
+// for the same machine when there is one. A recycled hierarchy is
 // indistinguishable from a fresh one: Reset restores cold caches, an empty
 // write buffer, zeroed statistics, and a nil OnIMiss hook, so results are
 // byte-identical whether or not reuse happened (a tested invariant).
 func NewPooled(m arch.Machine) *Hierarchy {
-	if v := hierPool.Get(); v != nil {
+	if v := poolFor(m).Get(); v != nil {
 		h := v.(*Hierarchy)
-		if h.m == m {
-			h.OnIMiss = nil
-			h.Reset()
-			return h
-		}
-		// Geometry mismatch (a machine-sweep interleaving): drop it and
-		// build fresh rather than keep probing the pool.
+		h.OnIMiss = nil
+		h.Reset()
+		return h
 	}
 	return New(m)
 }
 
-// Release returns h to the reuse pool. The caller must not touch h
-// afterwards; the next NewPooled with the same machine may hand it out.
-func (h *Hierarchy) Release() { hierPool.Put(h) }
+// Release returns h to its machine's reuse pool. The caller must not
+// touch h afterwards; the next NewPooled with the same machine may hand
+// it out.
+func (h *Hierarchy) Release() { poolFor(h.m).Put(h) }
 
 // Machine returns the machine description this hierarchy simulates.
 func (h *Hierarchy) Machine() arch.Machine { return h.m }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/machines"
 )
 
 // exercise drives h through a deterministic access mix covering every path:
@@ -57,6 +58,32 @@ func TestPooledHierarchyMatchesFresh(t *testing.T) {
 			t.Fatalf("pooled run %d diverged from fresh hierarchy:\ngot  %+v\nwant %+v", i, got, want)
 		}
 		h.Release()
+	}
+
+	// A machine sweep interleaves geometries: every matrix model in turn,
+	// each hierarchy dirtied and released before the next model asks.
+	// Each pool keeps to its own machine, and a recycled hierarchy of any
+	// geometry replays the stream exactly as a fresh one does.
+	models := machines.Matrix()
+	fresh := make([]fullStats, len(models))
+	for i, model := range models {
+		fresh[i] = exerciseFull(New(model.Machine))
+	}
+	for round := 0; round < 3; round++ {
+		for i, model := range models {
+			h := NewPooled(model.Machine)
+			if h.Machine() != model.Machine {
+				t.Fatalf("round %d: NewPooled(%s) returned machine %+v", round, model.Name, h.Machine())
+			}
+			if h.OnIMiss != nil {
+				t.Fatalf("round %d: recycled %s hierarchy kept its OnIMiss hook", round, model.Name)
+			}
+			if got := exerciseFull(h); got != fresh[i] {
+				t.Fatalf("round %d: pooled %s diverged from fresh:\ngot  %+v\nwant %+v", round, model.Name, got, fresh[i])
+			}
+			h.OnIMiss = func(uint64, bool) {}
+			h.Release()
+		}
 	}
 }
 
