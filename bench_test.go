@@ -348,7 +348,7 @@ func BenchmarkThroughput(b *testing.B) {
 // (the paper's closing-remark experiment).
 func BenchmarkSensitivity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Sensitivity(core.StackTCPIP, core.MachineSweep(), core.Quick); err != nil {
+		if _, _, err := core.Sensitivity(core.StackTCPIP, "machine", core.Quick); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -358,7 +358,7 @@ func BenchmarkSensitivity(b *testing.B) {
 // absorbed the pessimal layout (it does not).
 func BenchmarkAssociativityWhatIf(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.SensitivityVersions(core.StackTCPIP, core.BAD, core.ALL, core.AssocSweep(), core.Quick); err != nil {
+		if _, _, err := core.Sensitivity(core.StackTCPIP, "assoc", core.Quick); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -73,6 +75,9 @@ var kindCases = map[string]kindCase{
 		repro.Spec{Kind: "machines", Models: "DEC3000", Rates: "0.05"}},
 	"optimize": {[]string{"-optimize", "dec3000", "-budget", "20", "-candidates", "1"},
 		repro.Spec{Kind: "optimize", Models: "dec3000", Budget: 20, Candidates: 1}},
+	"throughput":  {[]string{"-throughput"}, repro.Spec{Kind: "throughput"}},
+	"multiconn":   {[]string{"-multiconn", "-quality", "paper"}, repro.Spec{Kind: "multiconn"}},
+	"sensitivity": {[]string{"-sensitivity", "assoc", "-stack", "rpc"}, repro.Spec{Kind: "sensitivity", Sweep: "assoc", Stack: "rpc"}},
 }
 
 // shapeCases are further CLI/daemon pairs for parameters the kind cases
@@ -136,12 +141,14 @@ func TestBadInputBothShells(t *testing.T) {
 		{"figure", []string{"-figure", "3"}, `{"kind":"figure","table":3}`},
 		{"rates", []string{"-faults", "-rates", "0.5,2"}, `{"kind":"faults","rates":"0.5,2"}`},
 		{"models", []string{"-machines", "pdp11"}, `{"kind":"machines","models":"pdp11"}`},
-		// The text-only modes have no kind, but their stack and quality
-		// are the registry's parameters, rejected in the same words.
-		{"sensitivity stack", []string{"-sensitivity", "cache", "-stack", "tcp"}, `{"kind":"run","stack":"tcp"}`},
-		{"sensitivity quality", []string{"-sensitivity", "machine", "-quality", "fast"}, `{"kind":"all","quality":"fast"}`},
-		{"throughput stack", []string{"-throughput", "-stack", "osi"}, `{"kind":"faults","stack":"osi"}`},
-		{"multiconn quality", []string{"-multiconn", "-quality", "fast"}, `{"kind":"table","table":4,"quality":"fast"}`},
+		{"sensitivity stack", []string{"-sensitivity", "cache", "-stack", "tcp"}, `{"kind":"sensitivity","sweep":"cache","stack":"tcp"}`},
+		{"sensitivity quality", []string{"-sensitivity", "machine", "-quality", "fast"}, `{"kind":"sensitivity","quality":"fast"}`},
+		{"sensitivity sweep", []string{"-sensitivity", "bogus"}, `{"kind":"sensitivity","sweep":"bogus"}`},
+		// A kind that does not read stack or quality still rejects an
+		// invalid one.
+		{"throughput stack", []string{"-throughput", "-stack", "osi"}, `{"kind":"throughput","stack":"osi"}`},
+		{"multiconn quality", []string{"-multiconn", "-quality", "fast"}, `{"kind":"multiconn","quality":"fast"}`},
+		{"figure quality", []string{"-figure", "1", "-quality", "fast"}, `{"kind":"figure","quality":"fast"}`},
 	}
 	for _, tc := range cases {
 		var stdout, stderr bytes.Buffer
@@ -163,13 +170,40 @@ func TestBadInputBothShells(t *testing.T) {
 	}
 }
 
-// TestUnknownSensitivity: an unknown -sensitivity sweep is a *SpecError
-// (exit 2, nothing printed), not a silent cache sweep.
-func TestUnknownSensitivity(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := protolat([]string{"-sensitivity", "bogus"}, &stdout, &stderr)
-	want := "protolat: spec field \"sensitivity\": unknown sensitivity \"bogus\" (want cache or machine or assoc)\n"
-	if code != 2 || stderr.String() != want || stdout.Len() != 0 {
-		t.Fatalf("exit %d, stderr %q, %d bytes printed; want 2, %q, none", code, stderr.String(), stdout.Len(), want)
+// docSkips are the quoted commands that run no study: the daemon, its
+// client and the machine list.
+var docSkips = []string{"-serve", "-submit", "-machines list"}
+
+// TestDocCommandsAreSpecs: every protolat command quoted in README.md and
+// EXPERIMENTS.md parses with the CLI's own flags into a spec that
+// normalizes and validates, so a documented command cannot drift from
+// the registry.
+func TestDocCommandsAreSpecs(t *testing.T) {
+	// An inline quote may wrap across lines; a go run line ends at its
+	// comment.
+	quoted := regexp.MustCompile("`protolat([^`]*)`|go run \\./cmd/protolat([^`#\\n]*)")
+	n := 0
+	for _, doc := range []string{"../../README.md", "../../EXPERIMENTS.md"} {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range quoted.FindAllStringSubmatch(string(b), -1) {
+			cmd := strings.Join(strings.Fields(m[1]+" "+m[2]), " ")
+			if slices.ContainsFunc(docSkips, func(s string) bool { return strings.Contains(cmd+" ", s+" ") }) {
+				continue
+			}
+			n++
+			o, err := parseFlags(strings.Fields(cmd), io.Discard)
+			if err == nil {
+				err = o.studySpec().Normalized().Validate()
+			}
+			if err != nil {
+				t.Errorf("%s: protolat %s: %v", doc, cmd, err)
+			}
+		}
+	}
+	if n < 20 {
+		t.Fatalf("found only %d protolat commands in the docs; the pattern no longer matches them", n)
 	}
 }

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/protocols/features"
+	"repro/internal/sim/cpu"
 	"repro/internal/trace"
 )
 
@@ -205,7 +207,7 @@ func TestUnusedICacheFractionDropsWithOutlining(t *testing.T) {
 
 func TestSensitivityMachineSweep(t *testing.T) {
 	q := Quality{Warmup: 3, Measured: 4, Samples: 1}
-	s, err := Sensitivity(StackTCPIP, MachineSweep(), q)
+	s, _, err := Sensitivity(StackTCPIP, "machine", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +247,7 @@ func TestRecordTraceShapes(t *testing.T) {
 	if tr.Len() < 2000 || tr.Len() > 10000 {
 		t.Fatalf("trace length %d implausible for one roundtrip", tr.Len())
 	}
-	if tr.TakenBranches() == 0 {
+	if !slices.ContainsFunc(tr.Entries, func(e cpu.Entry) bool { return e.Taken }) {
 		t.Fatal("no taken branches recorded")
 	}
 }

@@ -3,12 +3,14 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/arch"
 	"repro/internal/code"
 	"repro/internal/layout"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/protocols/tcpip"
 	"repro/internal/protocols/wire"
 	"repro/internal/sim/cpu"
@@ -178,8 +180,9 @@ func MultiConnection(nConns, roundtrips int, perConnClones bool) (MultiConnResul
 // MultiConnectionTable sweeps connection counts with and without
 // per-connection clones — the §3.2 locality-vs-specialization trade-off.
 // Each (connections, clone-mode) cell is an independent simulation; the
-// cells run concurrently and render in sweep order.
-func MultiConnectionTable(roundtrips int) (string, error) {
+// cells run concurrently and render in sweep order. It returns the text
+// report and the same cells as a table.
+func MultiConnectionTable(roundtrips int) (string, obs.Table, error) {
 	type cell struct {
 		n   int
 		per bool
@@ -197,24 +200,28 @@ func MultiConnectionTable(roundtrips int) (string, error) {
 		return err
 	})
 	if err != nil {
-		return "", err
+		return "", obs.Table{}, err
 	}
 
+	t := obs.Table{Name: "multiconn", Title: "Connection-time cloning: locality vs. specialization (TCP/IP round-robin ping-pong)",
+		Columns: []string{"conns", "clones", "te_us", "demux_hit_pct", "instrs_per_rt"}}
 	var sb strings.Builder
-	sb.WriteString("Connection-time cloning: locality vs. specialization (TCP/IP round-robin ping-pong)\n")
-	sb.WriteString(fmt.Sprintf("%-6s %-18s %10s %12s %12s\n", "conns", "clones", "Te [us]", "cache hits", "instrs/RT"))
+	sb.WriteString(t.Title + "\n")
+	fmt.Fprintf(&sb, "%-6s %-18s %10s %12s %12s\n", "conns", "clones", "Te [us]", "cache hits", "instrs/RT")
 	for i, c := range cells {
 		r := results[i]
 		label := "shared (stack-time)"
 		if c.per {
 			label = "per-connection"
 		}
-		sb.WriteString(fmt.Sprintf("%-6d %-18s %10.1f %11.0f%% %12.0f\n",
-			c.n, label, r.TeUS, r.CacheHitRate*100, r.InstrPerRT))
+		row := []string{strconv.Itoa(c.n), label, fmt.Sprintf("%.1f", r.TeUS),
+			fmt.Sprintf("%.0f", r.CacheHitRate*100), fmt.Sprintf("%.0f", r.InstrPerRT)}
+		t.Rows = append(t.Rows, row)
+		fmt.Fprintf(&sb, "%-6s %-18s %10s %11s%% %12s\n", row[0], row[1], row[2], row[3], row[4])
 	}
 	sb.WriteString("\nPer-connection clones execute fewer instructions (connection state is\n" +
 		"partially evaluated into the code) but alternate between code copies,\n" +
 		"so locality of reference suffers as connections multiply — the paper's\n" +
 		"stated trade-off for delaying cloning until connection setup.\n")
-	return sb.String(), nil
+	return sb.String(), t, nil
 }

@@ -145,7 +145,7 @@ func TestParallelTablesMatchSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sens, err := Sensitivity(StackTCPIP, MachineSweep(), q)
+		sens, _, err := Sensitivity(StackTCPIP, "machine", q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/arch"
 	"repro/internal/machines"
+	"repro/internal/obs"
 	"repro/internal/sim/cpu"
 	"repro/internal/trace"
 )
@@ -46,35 +48,83 @@ func RecordTrace(cfg Config) (*trace.Trace, error) {
 	return t, nil
 }
 
-// SweepPoint names one machine geometry of a sensitivity sweep.
-type SweepPoint struct {
-	Label   string
-	Machine arch.Machine
+// A sweepPoint names one machine geometry of a sensitivity sweep.
+type sweepPoint struct {
+	label   string
+	machine arch.Machine
 }
 
-// CacheSweep varies the i-cache size around the DEC 3000/600's 8 KB: the
+// A sweep is one sensitivity study: the geometries it replays and the
+// pair of versions it compares on them.
+type sweep struct {
+	name string
+	// title is the report's heading, formatted with the stack.
+	title  string
+	a, b   Version
+	points func() []sweepPoint
+}
+
+// sweeps are the sensitivity studies Sensitivity runs, by name. The spec
+// check and its error message both list them from here.
+var sweeps = []sweep{
+	{"cache", geometryTitle, STD, ALL, cacheSweep},
+	{"machine", geometryTitle, STD, ALL, machineSweep},
+	{"assoc", "Replay of %v BAD vs ALL traces across geometries", BAD, ALL, assocSweep},
+}
+
+const geometryTitle = "Sensitivity of the %v techniques to machine geometry (trace replay)"
+
+// SweepNames lists the sweeps Sensitivity accepts, in order.
+func SweepNames() []string {
+	names := make([]string, len(sweeps))
+	for i, s := range sweeps {
+		names[i] = s.name
+	}
+	return names
+}
+
+// cacheSweep varies the i-cache size around the DEC 3000/600's 8 KB: the
 // techniques matter most when the path does not fit.
-func CacheSweep() []SweepPoint {
-	var pts []SweepPoint
+func cacheSweep() []sweepPoint {
+	var pts []sweepPoint
 	for _, kb := range []int{4, 8, 16, 32, 64} {
 		m := arch.DEC3000_600()
 		m.ICacheBytes = kb * 1024
-		pts = append(pts, SweepPoint{Label: fmt.Sprintf("%dKB i-cache", kb), Machine: m})
+		pts = append(pts, sweepPoint{fmt.Sprintf("%dKB i-cache", kb), m})
 	}
 	return pts
 }
 
-// AssocSweep varies first-level cache associativity: the paper observes
+// machineSweep contrasts the paper's testbed with its concluding remark's
+// "low-cost 266 MHz processor with a 66 MB/s memory system". Both points
+// come from the curated matrix (internal/machines), the single source of
+// truth for machine variants.
+func machineSweep() []sweepPoint {
+	var pts []sweepPoint
+	for _, p := range []struct{ name, label string }{
+		{"dec3000", "dec3000 (175 MHz, 100 MB/s)"},
+		{"future266", "future266 (266 MHz, 66 MB/s)"},
+	} {
+		m, err := machines.ByName(p.name)
+		if err != nil {
+			panic(err) // matrix names are compile-time constants; see machines tests
+		}
+		pts = append(pts, sweepPoint{p.label, m.Machine})
+	}
+	return pts
+}
+
+// assocSweep varies first-level cache associativity: the paper observes
 // that inlining is "frequently misused to avoid replacement misses in the
 // small associativity caches commonly found in high-performance RISC
 // architectures" — this sweep asks how much of the layout problem LRU
 // associativity would have absorbed in hardware.
-func AssocSweep() []SweepPoint {
-	var pts []SweepPoint
+func assocSweep() []sweepPoint {
+	var pts []sweepPoint
 	for _, a := range []int{1, 2, 4} {
 		m := arch.DEC3000_600()
 		m.Assoc = a
-		pts = append(pts, SweepPoint{Label: fmt.Sprintf("%d-way L1 caches", a), Machine: m})
+		pts = append(pts, sweepPoint{fmt.Sprintf("%d-way L1 caches", a), m})
 	}
 	return pts
 }
@@ -96,94 +146,53 @@ func recordPair(kind StackKind, versions []Version, q Quality) ([]*trace.Trace, 
 	return traces, err
 }
 
-// SensitivityVersions is Sensitivity generalized to an arbitrary pair of
-// versions (e.g. BAD vs ALL for the associativity question). Replays are
-// pure functions of (trace, machine), so all sweep points run concurrently
-// and render in sweep order.
-func SensitivityVersions(kind StackKind, a, b Version, points []SweepPoint, q Quality) (string, error) {
-	traces, err := recordPair(kind, []Version{a, b}, q)
+// Sensitivity runs the named sweep: it records one trace of each of the
+// sweep's two versions once and replays both across its geometries,
+// reporting each point's mCPI and the relative processing-time advantage
+// of the second version — for STD vs ALL, the paper's argument that the
+// techniques grow more important as the processor/memory gap widens.
+// Replays are pure functions of (trace, machine), so all points run
+// concurrently and render in sweep order. It returns the text report and
+// the same cells as a table.
+func Sensitivity(kind StackKind, name string, q Quality) (string, obs.Table, error) {
+	i := slices.IndexFunc(sweeps, func(s sweep) bool { return s.name == name })
+	if i < 0 {
+		return "", obs.Table{}, fmt.Errorf("core: unknown sweep %q (want %s)", name, strings.Join(SweepNames(), " or "))
+	}
+	sw := sweeps[i]
+	traces, err := recordPair(kind, []Version{sw.a, sw.b}, q)
 	if err != nil {
-		return "", err
+		return "", obs.Table{}, err
 	}
-	type row struct{ ma, mb cpu.Metrics }
-	rows := make([]row, len(points))
-	err = forEachIndexed(len(points), Parallelism(), func(i int) error {
-		ma, _, err := trace.Replay(traces[0], points[i].Machine)
-		if err != nil {
-			return err
-		}
-		mb, _, err := trace.Replay(traces[1], points[i].Machine)
-		if err != nil {
-			return err
-		}
-		rows[i] = row{ma, mb}
-		return nil
-	})
-	if err != nil {
-		return "", err
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Replay of %v %v vs %v traces across geometries\n", kind, a, b)
-	fmt.Fprintf(&sb, "%-34s %12s %12s\n", "machine", a.String()+" mCPI", b.String()+" mCPI")
-	for i, pt := range points {
-		fmt.Fprintf(&sb, "%-34s %12.2f %12.2f\n", pt.Label, rows[i].ma.MCPI(), rows[i].mb.MCPI())
-	}
-	return sb.String(), nil
-}
-
-// MachineSweep contrasts the paper's testbed with its concluding remark's
-// "low-cost 266 MHz processor with a 66 MB/s memory system". Both points
-// come from the curated matrix (internal/machines), the single source of
-// truth for machine variants.
-func MachineSweep() []SweepPoint {
-	var pts []SweepPoint
-	for _, p := range []struct{ name, label string }{
-		{"dec3000", "dec3000 (175 MHz, 100 MB/s)"},
-		{"future266", "future266 (266 MHz, 66 MB/s)"},
-	} {
-		m, err := machines.ByName(p.name)
-		if err != nil {
-			panic(err) // matrix names are compile-time constants; see machines tests
-		}
-		pts = append(pts, SweepPoint{Label: p.label, Machine: m.Machine})
-	}
-	return pts
-}
-
-// Sensitivity records STD and ALL traces for a stack once and replays them
-// across the sweep points, reporting each point's mCPI and the relative
-// processing-time advantage of the fully optimized layout — the paper's
-// argument that the techniques grow more important as the processor/memory
-// gap widens.
-func Sensitivity(kind StackKind, points []SweepPoint, q Quality) (string, error) {
-	traces, err := recordPair(kind, []Version{STD, ALL}, q)
-	if err != nil {
-		return "", err
-	}
-
+	points := sw.points()
 	rows := make([][2]cpu.Metrics, len(points))
 	err = forEachIndexed(len(points), Parallelism(), func(i int) error {
 		for j := range traces {
-			m, _, err := trace.Replay(traces[j], points[i].Machine)
+			m, _, err := trace.Replay(traces[j], points[i].machine)
 			if err != nil {
-				return fmt.Errorf("replay %s: %w", points[i].Label, err)
+				return fmt.Errorf("replay %s: %w", points[i].label, err)
 			}
 			rows[i][j] = m
 		}
 		return nil
 	})
 	if err != nil {
-		return "", err
+		return "", obs.Table{}, err
 	}
 
+	a, b := sw.a.String(), sw.b.String()
+	t := obs.Table{Name: "sensitivity", Title: fmt.Sprintf(sw.title, kind),
+		Columns: []string{"machine", strings.ToLower(a) + "_mcpi", strings.ToLower(b) + "_mcpi", "speedup_pct", "saved_us"}}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "Sensitivity of the %v techniques to machine geometry (trace replay)\n", kind)
-	fmt.Fprintf(&sb, "%-34s %10s %10s %12s %12s\n", "machine", "STD mCPI", "ALL mCPI", "ALL speedup", "saved [us]")
+	sb.WriteString(t.Title + "\n")
+	fmt.Fprintf(&sb, "%-34s %10s %10s %12s %12s\n", "machine", a+" mCPI", b+" mCPI", b+" speedup", "saved [us]")
 	for i, pt := range points {
-		std, all := rows[i][0], rows[i][1]
-		speedup := 100 * (float64(std.Cycles) - float64(all.Cycles)) / float64(std.Cycles)
-		savedUS := (float64(std.Cycles) - float64(all.Cycles)) / pt.Machine.CyclesPerMicrosecond()
-		fmt.Fprintf(&sb, "%-34s %10.2f %10.2f %11.1f%% %12.1f\n", pt.Label, std.MCPI(), all.MCPI(), speedup, savedUS)
+		ma, mb := rows[i][0], rows[i][1]
+		saved := float64(ma.Cycles) - float64(mb.Cycles)
+		row := []string{pt.label, fmt.Sprintf("%.2f", ma.MCPI()), fmt.Sprintf("%.2f", mb.MCPI()),
+			fmt.Sprintf("%.1f", 100*saved/float64(ma.Cycles)), fmt.Sprintf("%.1f", saved/pt.machine.CyclesPerMicrosecond())}
+		t.Rows = append(t.Rows, row)
+		fmt.Fprintf(&sb, "%-34s %10s %10s %11s%% %12s\n", row[0], row[1], row[2], row[3], row[4])
 	}
-	return sb.String(), nil
+	return sb.String(), t, nil
 }

@@ -49,13 +49,10 @@ type entry struct {
 	kind string
 	// params lists, in the manifest command's order, the parameters the
 	// kind reads and the literal flag that selects it ("-faults"). Every
-	// kind also carries stack and quality; a kind that does not list
-	// stack canonicalizes a valid one to the default. A trailing "?"
+	// kind also carries stack and quality; a kind that does not list one
+	// of them canonicalizes a valid value to the default. A trailing "?"
 	// keeps a parameter off the command while it holds its default.
 	params []string
-	// static marks a study that measures nothing, so quality is
-	// canonicalized to quick.
-	static bool
 	// run computes the study into out, whose Doc already holds the
 	// manifest.
 	run func(ctx context.Context, s Spec, env Env, out *Output) error
@@ -78,14 +75,17 @@ func (e *entry) declared() []string {
 var registry = []*entry{
 	{kind: "run", params: []string{"stack", "version", "samples", "policy?", "classifier?", "quality?"}, run: runOne},
 	{kind: "table", params: []string{"table", "quality"}, run: runTable},
-	{kind: "figure", params: []string{"figure"}, static: true, run: runFigure},
+	{kind: "figure", params: []string{"figure"}, run: runFigure},
 	{kind: "all", params: []string{"quality"}, run: runAll},
 	{kind: "faults", params: []string{"-faults", "stack", "seed", "rates", "quality"}, run: runFaults},
 	{kind: "soak", params: []string{"-soak", "stack", "seed", "quality", "soak_batches?", "soak_roundtrips?"}, run: runSoak},
-	{kind: "lint", params: []string{"-lint", "stack"}, static: true, run: runLint},
+	{kind: "lint", params: []string{"-lint", "stack"}, run: runLint},
 	{kind: "profile", params: []string{"-profile", "stack", "top", "quality"}, run: runProfile},
 	{kind: "machines", params: []string{"models", "stack", "seed", "rates", "quality"}, run: runMachines},
 	{kind: "optimize", params: []string{"models", "stack", "seed", "budget", "candidates", "quality"}, run: runOptimize},
+	{kind: "throughput", params: []string{"-throughput"}, run: runThroughput},
+	{kind: "multiconn", params: []string{"-multiconn"}, run: runMultiConn},
+	{kind: "sensitivity", params: []string{"sweep", "stack", "quality"}, run: runSensitivity},
 }
 
 // Kinds lists the registered kinds.
@@ -131,6 +131,15 @@ var (
 )
 
 func text(s string) func() (string, error) { return func() (string, error) { return s, nil } }
+
+// setTable stores the result of a study that yields one table.
+func (out *Output) setTable(t string, data obs.Table, err error) error {
+	if err != nil {
+		return err
+	}
+	out.Doc.Tables, out.Text = []obs.Table{data}, text(t)
+	return nil
+}
 
 // The entries' run functions receive specs Run has validated, so
 // re-parsing a validated field cannot fail.
@@ -199,12 +208,7 @@ func runTable(ctx context.Context, s Spec, env Env, out *Output) error {
 	q := s.quality()
 	if s.Table <= 3 {
 		full := []func(core.Quality) (string, obs.Table, error){core.Table1Full, core.Table2Full, core.Table3Full}
-		t, data, err := full[s.Table-1](q)
-		if err != nil {
-			return err
-		}
-		out.Doc.Tables, out.Text = []obs.Table{data}, text(t)
-		return nil
+		return out.setTable(full[s.Table-1](q))
 	}
 	tcpip, rpc, err := sweeps(ctx, q, out.Doc)
 	if err != nil {
@@ -389,4 +393,22 @@ func runOptimize(ctx context.Context, s Spec, env Env, out *Output) error {
 	out.Doc.Optimize = optimize.DocOf(cfg, results)
 	out.Text = func() (string, error) { return optimize.Render(cfg, results), nil }
 	return nil
+}
+
+// The throughput and connection-cloning studies have fixed shapes.
+const (
+	throughputSegments, throughputPayload = 40, 1400
+	multiconnRoundtrips                   = 32
+)
+
+func runThroughput(ctx context.Context, s Spec, env Env, out *Output) error {
+	return out.setTable(core.ThroughputTable(throughputSegments, throughputPayload))
+}
+
+func runMultiConn(ctx context.Context, s Spec, env Env, out *Output) error {
+	return out.setTable(core.MultiConnectionTable(multiconnRoundtrips))
+}
+
+func runSensitivity(ctx context.Context, s Spec, env Env, out *Output) error {
+	return out.setTable(core.Sensitivity(s.stackKind(), s.Sweep, s.quality()))
 }

@@ -27,6 +27,10 @@ func TestPinnedFingerprints(t *testing.T) {
 		{Spec{Kind: "optimize", Models: "dec3000", Budget: 60}, "dcf31295797a11dd"},
 		// The search's default confirmation count canonicalizes away.
 		{Spec{Kind: "optimize", Models: "dec3000", Budget: 60, Candidates: 3}, "dcf31295797a11dd"},
+		{Spec{Kind: "throughput"}, "4e069e55ed1789b6"},
+		// Neither stack nor quality changes the connection-cloning table.
+		{Spec{Kind: "multiconn", Quality: "paper", Stack: "rpc"}, "f16d8f8f3f3b836a"},
+		{Spec{Kind: "sensitivity", Sweep: "Cache", Stack: "rpc"}, "0cc72f35e97bdfa0"},
 	} {
 		if got := tc.spec.Fingerprint("v1"); got != tc.fp {
 			t.Errorf("%+v: fingerprint %s, want %s", tc.spec, got, tc.fp)
@@ -57,6 +61,10 @@ func TestManifestCommand(t *testing.T) {
 		{Spec{Kind: "machines", Models: "DEC3000, modern"}, "protolat -machines dec3000,modern -stack tcpip -seed 1 -rates  -quality quick"},
 		{Spec{Kind: "optimize", Models: "dec3000", Budget: 60}, "protolat -optimize dec3000 -stack tcpip -seed 1 -budget 60 -candidates 3 -quality quick"},
 		{Spec{Kind: "optimize", Candidates: 1}, "protolat -optimize all -stack tcpip -seed 1 -budget 300 -candidates 1 -quality quick"},
+		{Spec{Kind: "throughput", Stack: "rpc"}, "protolat -throughput"},
+		{Spec{Kind: "multiconn", Quality: "paper"}, "protolat -multiconn"},
+		{Spec{Kind: "sensitivity"}, "protolat -sensitivity machine -stack tcpip -quality quick"},
+		{Spec{Kind: "sensitivity", Sweep: "ASSOC", Stack: "rpc", Quality: "paper"}, "protolat -sensitivity assoc -stack rpc -quality paper"},
 	} {
 		if got := tc.spec.Normalized().command(); got != tc.want {
 			t.Errorf("%+v:\n got %q\nwant %q", tc.spec, got, tc.want)

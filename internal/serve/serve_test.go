@@ -640,17 +640,29 @@ func TestFingerprintCanonicalization(t *testing.T) {
 	if (Spec{Kind: "run", Budget: 40}).Fingerprint("v1") != (Spec{Kind: "run"}).Fingerprint("v1") {
 		t.Fatal("budget is irrelevant to run but changed its fingerprint")
 	}
-	// Tables, figures and the full report cover both stacks or neither:
-	// a valid stack shares the default's fingerprint, an invalid one is
-	// still a *SpecError.
-	for _, kind := range []string{"table", "figure", "all"} {
-		def := Spec{Kind: kind, Table: 1}
-		if (Spec{Kind: kind, Table: 1, Stack: "RPC"}).Fingerprint("v1") != def.Fingerprint("v1") {
-			t.Errorf("%s: stack rpc fingerprints apart from the default", kind)
-		}
-		var se *SpecError
-		if err := (Spec{Kind: kind, Table: 1, Stack: "tcp"}).Normalized().Validate(); !errors.As(err, &se) || se.Field != "stack" {
-			t.Errorf("%s: invalid stack: got %v, want a *SpecError on stack", kind, err)
+	// A kind that does not read the stack or the quality gives a valid
+	// value the default's fingerprint; an invalid one is still a
+	// *SpecError.
+	for _, tc := range []struct {
+		field string
+		set   func(s *Spec, v string)
+		valid string
+		kinds []string
+	}{
+		{"stack", func(s *Spec, v string) { s.Stack = v }, "RPC", []string{"table", "figure", "all", "throughput", "multiconn"}},
+		{"quality", func(s *Spec, v string) { s.Quality = v }, "Paper", []string{"figure", "lint", "throughput", "multiconn"}},
+	} {
+		for _, kind := range tc.kinds {
+			def, valid, invalid := Spec{Kind: kind, Table: 1}, Spec{Kind: kind, Table: 1}, Spec{Kind: kind, Table: 1}
+			tc.set(&valid, tc.valid)
+			tc.set(&invalid, "bogus")
+			if valid.Fingerprint("v1") != def.Fingerprint("v1") {
+				t.Errorf("%s: %s %s fingerprints apart from the default", kind, tc.field, tc.valid)
+			}
+			var se *SpecError
+			if err := invalid.Normalized().Validate(); !errors.As(err, &se) || se.Field != tc.field {
+				t.Errorf("%s: invalid %s: got %v, want a *SpecError on %s", kind, tc.field, err, tc.field)
+			}
 		}
 	}
 	if (Spec{Kind: "run", Stack: "rpc"}).Fingerprint("v1") == (Spec{Kind: "run"}).Fingerprint("v1") {

@@ -3,7 +3,8 @@
 //
 // The registry (registry.go) maps each experiment kind — single runs,
 // tables, figures, the full report, fault studies, soaks, lints,
-// profiles, machine studies and layout searches — to one entry that
+// profiles, machine studies, layout searches, the throughput check, the
+// connection-cloning table and the sensitivity sweeps — to one entry that
 // declares its parameters, computes its document and derives the
 // manifest command. The protolat CLI and the daemon are both thin shells
 // over Run, so a document is byte-identical whichever one computed it.
@@ -62,15 +63,19 @@ import (
 // therefore memoize and coalesce — identically.
 type Spec struct {
 	// Kind is the registry entry: "run", "table", "figure", "all",
-	// "faults", "soak", "lint", "profile", "machines", or "optimize".
+	// "faults", "soak", "lint", "profile", "machines", "optimize",
+	// "throughput", "multiconn", or "sensitivity".
 	Kind string `json:"kind"`
-	// Stack selects the protocol stack: "tcpip" (default) or "rpc".
-	// "table", "figure" and "all" cover both stacks or neither, so a
-	// valid stack canonicalizes to the default there.
+	// Stack selects the protocol stack: "tcpip" (default) or "rpc". A
+	// kind that does not read it ("table", "figure", "all",
+	// "throughput", "multiconn") canonicalizes a valid stack to the
+	// default.
 	Stack string `json:"stack,omitempty"`
 	// Version is the layout configuration for "run" (default "ALL").
 	Version string `json:"version,omitempty"`
 	// Quality is the measurement effort: "quick" (default) or "paper".
+	// A kind that does not read it ("figure", "lint", "throughput",
+	// "multiconn") canonicalizes a valid quality to the default.
 	Quality string `json:"quality,omitempty"`
 	// Samples is the sample count for "run" (default 3).
 	Samples int `json:"samples,omitempty"`
@@ -107,6 +112,9 @@ type Spec struct {
 	// Candidates is the number of searched placements "optimize" confirms
 	// by full simulation per machine (0 keeps the search default).
 	Candidates int `json:"candidates,omitempty"`
+	// Sweep names the "sensitivity" sweep: "machine" (default), "cache"
+	// or "assoc".
+	Sweep string `json:"sweep,omitempty"`
 	// TimeoutMS bounds the job's execution (0 = the daemon default). A
 	// deadline is an execution detail, not a semantic input, so it is
 	// excluded from the fingerprint.
@@ -212,6 +220,13 @@ var params = map[string]param{
 		keep: func(d *Spec, s Spec) { d.SoakRoundtrips = max(s.SoakRoundtrips, 0) },
 		flag: func(s Spec) string { return "-soakroundtrips " + strconv.Itoa(s.SoakRoundtrips) },
 	},
+	// sweep is set on the command line by the flag that selects the
+	// kind, -sensitivity.
+	"sweep": {
+		keep:  func(d *Spec, s Spec) { d.Sweep = orDefault(lower(s.Sweep), "machine") },
+		check: func(s Spec) error { return oneOf("sweep", s.Sweep, core.SweepNames()...) },
+		flag:  func(s Spec) string { return "-sensitivity " + s.Sweep },
+	},
 	// models is set on the command line by the flag that selects the
 	// kind: -machines or -optimize.
 	"models": {
@@ -255,36 +270,20 @@ func (s Spec) Normalized() Spec {
 	if e == nil {
 		return c
 	}
-	for _, name := range e.declared() {
+	declared := e.declared()
+	for _, name := range declared {
 		params[name].keep(&c, s)
 	}
-	if !slices.Contains(e.params, "stack") && params["stack"].check(c) == nil {
-		// A kind that does not read the stack computes the same
-		// document for either: a valid one canonicalizes to the
-		// default, an invalid one stays for Validate to reject.
-		params["stack"].keep(&c, Spec{})
-	}
-	if e.static {
-		// A static study measures nothing: quality cannot change it.
-		c.Quality = "quick"
-	}
-	return c
-}
-
-// SharedParams canonicalizes and validates the two parameters every kind
-// declares, stack then quality, as Normalized and Validate do, and
-// resolves them. The CLI's text-only modes write no document and so have
-// no kind; taking their stack and quality through here gives a bad value
-// the same *SpecError a registry kind reports.
-func SharedParams(stack, quality string) (core.StackKind, core.Quality, error) {
-	src, c := Spec{Stack: stack, Quality: quality}, Spec{}
 	for _, name := range []string{"stack", "quality"} {
-		params[name].keep(&c, src)
-		if err := params[name].check(c); err != nil {
-			return 0, core.Quality{}, err
+		if !slices.Contains(declared, name) && params[name].check(c) == nil {
+			// A kind that does not read the parameter computes the
+			// same document for any value: a valid one canonicalizes
+			// to the default, an invalid one stays for Validate to
+			// reject.
+			params[name].keep(&c, Spec{})
 		}
 	}
-	return c.stackKind(), c.quality(), nil
+	return c
 }
 
 // Validate checks a normalized spec, returning a *SpecError naming the

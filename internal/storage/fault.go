@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -164,6 +165,7 @@ func (f *Fault) observe(op, path string) error {
 }
 
 // matches reports whether path matches the glob (base name or full path).
+// FromEnv rejects a malformed glob, so Match's error is dropped here.
 func matches(glob, path string) bool {
 	if glob == "" {
 		return false
@@ -340,6 +342,10 @@ func Enumerate(base *MemFS, seed uint64, workload func(FS) error, check func(k i
 //	crash-at=<n>       simulated kill -9 at the nth mutating op
 //	seed=<n>           seed for torn partial effects (default 1)
 //
+// Counts are positive decimal integers, seeds unsigned ones, and globs
+// non-empty filepath.Match patterns; anything else is an error, so a
+// typo cannot leave a fault that never fires.
+//
 // This is the seam the black-box fsfault smoke test uses to starve the
 // real daemon's store without mocking anything inside the binary.
 func FromEnv(spec string) (FS, error) {
@@ -355,26 +361,44 @@ func FromEnv(spec string) (FS, error) {
 		if !ok {
 			return nil, fmt.Errorf("storage: bad fault clause %q (want key=value)", clause)
 		}
+		var err error
 		switch k {
 		case "enospc":
-			plan.ENOSPCGlob = v
+			plan.ENOSPCGlob, err = envGlob(k, v)
 		case "syncfail":
-			plan.SyncFailGlob = v
+			plan.SyncFailGlob, err = envGlob(k, v)
 		case "enospc-at":
-			if _, err := fmt.Sscanf(v, "%d", &plan.ENOSPCAtOp); err != nil {
-				return nil, fmt.Errorf("storage: bad enospc-at %q", v)
-			}
+			plan.ENOSPCAtOp, err = envCount(k, v)
 		case "crash-at":
-			if _, err := fmt.Sscanf(v, "%d", &plan.CrashAtOp); err != nil {
-				return nil, fmt.Errorf("storage: bad crash-at %q", v)
-			}
+			plan.CrashAtOp, err = envCount(k, v)
 		case "seed":
-			if _, err := fmt.Sscanf(v, "%d", &plan.Seed); err != nil {
-				return nil, fmt.Errorf("storage: bad seed %q", v)
+			if plan.Seed, err = strconv.ParseUint(v, 10, 64); err != nil {
+				err = fmt.Errorf("storage: bad seed %q", v)
 			}
 		default:
 			return nil, fmt.Errorf("storage: unknown fault clause %q", k)
 		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	return NewFault(Disk, plan), nil
+}
+
+// envCount parses a FromEnv op index: a positive decimal integer.
+func envCount(k, v string) (int, error) {
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 1 {
+		return 0, fmt.Errorf("storage: bad %s %q", k, v)
+	}
+	return n, nil
+}
+
+// envGlob checks a FromEnv path glob once, so matches can ignore
+// filepath.Match's error.
+func envGlob(k, v string) (string, error) {
+	if _, err := filepath.Match(v, ""); v == "" || err != nil {
+		return "", fmt.Errorf("storage: bad %s glob %q", k, v)
+	}
+	return v, nil
 }

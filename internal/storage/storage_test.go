@@ -5,6 +5,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"syscall"
 	"testing"
 )
@@ -318,7 +320,8 @@ func TestFromEnv(t *testing.T) {
 	if !ok || f.plan.ENOSPCGlob != "*.doc.json" || f.plan.Seed != 9 {
 		t.Fatalf("parsed fault = %+v", f)
 	}
-	for _, bad := range []string{"bogus", "frob=1", "enospc-at=x", "crash-at=", "seed=zz"} {
+	for _, bad := range []string{"bogus", "frob=1", "enospc-at=x", "crash-at=", "seed=zz",
+		"crash-at=5x", "crash-at=-1", "enospc-at=0", "seed=-1", "enospc=[", "syncfail=a\\", "enospc="} {
 		if _, err := FromEnv(bad); err == nil {
 			t.Fatalf("FromEnv(%q) accepted junk", bad)
 		}
@@ -336,4 +339,66 @@ func TestFromEnv(t *testing.T) {
 	if err := fault.WriteFile("store/abcd.job.json", []byte("j"), 0o644); err != nil {
 		t.Fatalf("env-configured ENOSPC hit a non-matching path: %v", err)
 	}
+}
+
+// envSpec renders the plan fields FromEnv sets as a spec it parses.
+func envSpec(p Plan) string {
+	clauses := []string{"seed=" + strconv.FormatUint(p.Seed, 10)}
+	for _, g := range []struct{ k, v string }{{"enospc", p.ENOSPCGlob}, {"syncfail", p.SyncFailGlob}} {
+		if g.v != "" {
+			clauses = append(clauses, g.k+"="+g.v)
+		}
+	}
+	for _, c := range []struct {
+		k string
+		n int
+	}{{"enospc-at", p.ENOSPCAtOp}, {"crash-at", p.CrashAtOp}} {
+		if c.n != 0 {
+			clauses = append(clauses, c.k+"="+strconv.Itoa(c.n))
+		}
+	}
+	return strings.Join(clauses, ",")
+}
+
+// FuzzFromEnv: the PROTOLAT_FSFAULT parser never panics, fails only with
+// a storage: error, and every spec it accepts yields a plan with no
+// negative op index and no malformed glob that round-trips through its
+// spec form.
+func FuzzFromEnv(f *testing.F) {
+	for _, s := range []string{"", "enospc=*.doc.json,seed=9", "syncfail=*.journal,enospc-at=3,crash-at=7,seed=0",
+		"crash-at=5x", "crash-at=-1", "enospc=[", ",,", "seed=18446744073709551615", "enospc=a=b"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		fsys, err := FromEnv(spec)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "storage: ") {
+				t.Fatalf("FromEnv(%q): untyped error %v", spec, err)
+			}
+			return
+		}
+		fault, ok := fsys.(*Fault)
+		if !ok {
+			if spec != "" {
+				t.Fatalf("FromEnv(%q) = %T, want a *Fault", spec, fsys)
+			}
+			return
+		}
+		p := fault.plan
+		if p.CrashAtOp < 0 || p.ENOSPCAtOp < 0 {
+			t.Fatalf("FromEnv(%q): negative op index in %+v", spec, p)
+		}
+		for _, g := range []string{p.ENOSPCGlob, p.SyncFailGlob} {
+			if _, err := filepath.Match(g, ""); err != nil {
+				t.Fatalf("FromEnv(%q): accepted malformed glob %q", spec, g)
+			}
+		}
+		again, err := FromEnv(envSpec(p))
+		if err != nil {
+			t.Fatalf("FromEnv(%q): plan %+v renders as %q, which fails: %v", spec, p, envSpec(p), err)
+		}
+		if got := again.(*Fault).plan; got != p {
+			t.Fatalf("FromEnv(%q): plan %+v round-trips to %+v", spec, p, got)
+		}
+	})
 }

@@ -1,18 +1,12 @@
-// Package trace records, serializes and replays instruction traces — the
-// raw material of the paper's methodology ("we collected execution traces
-// and measured the execution time of the traced code"). A recorded trace
-// can be replayed against any machine geometry, which is how the
-// cache-sensitivity studies in this repository sweep i-cache sizes and
-// memory latencies without re-running the protocol simulation.
+// Package trace records and replays instruction traces — the raw material
+// of the paper's methodology ("we collected execution traces and measured
+// the execution time of the traced code"). A recorded trace can be
+// replayed against any machine geometry, which is how the sensitivity
+// sweeps vary i-cache size, associativity and memory latency without
+// re-running the protocol simulation.
 package trace
 
 import (
-	"bufio"
-	"fmt"
-	"io"
-	"strconv"
-	"strings"
-
 	"repro/internal/arch"
 	"repro/internal/sim/cpu"
 	"repro/internal/sim/mem"
@@ -31,38 +25,6 @@ func (t *Trace) Recorder() func(cpu.Entry) {
 // Len returns the dynamic instruction count.
 func (t *Trace) Len() int { return len(t.Entries) }
 
-// Mix summarizes the instruction classes of the trace.
-func (t *Trace) Mix() map[arch.Op]int {
-	m := map[arch.Op]int{}
-	for _, e := range t.Entries {
-		m[e.Op]++
-	}
-	return m
-}
-
-// TakenBranches counts control transfers actually taken.
-func (t *Trace) TakenBranches() int {
-	n := 0
-	for _, e := range t.Entries {
-		if e.Op.IsBranch() && (e.Taken || e.Op != arch.OpCondBr) {
-			n++
-		}
-	}
-	return n
-}
-
-// Footprint returns the number of distinct static instructions and distinct
-// cache blocks the trace touches for the given block size.
-func (t *Trace) Footprint(blockBytes int) (instrs, blocks int) {
-	seenI := map[uint64]struct{}{}
-	seenB := map[uint64]struct{}{}
-	for _, e := range t.Entries {
-		seenI[e.Addr] = struct{}{}
-		seenB[e.Addr/uint64(blockBytes)] = struct{}{}
-	}
-	return len(seenI), len(seenB)
-}
-
 // Replay executes the trace on a fresh machine of the given description,
 // with one warm-up pass so the measured pass sees steady-state caches (as
 // the paper's measurements do), and returns the measured metrics plus the
@@ -78,83 +40,4 @@ func Replay(t *Trace, m arch.Machine) (cpu.Metrics, *mem.Hierarchy, error) {
 	before := c.Metrics()
 	c.Run(t.Entries)
 	return c.Metrics().Sub(before), h, nil
-}
-
-// The text format is one record per line:
-//
-//	# comment
-//	<op> <addr-hex> [t] [d=<dataaddr-hex>]
-//
-// where op is the arch mnemonic, "t" marks a taken conditional branch, and
-// d= carries the effective address of a load or store.
-
-// Write serializes the trace.
-func (t *Trace) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# protolat trace, %d instructions\n", len(t.Entries))
-	for _, e := range t.Entries {
-		fmt.Fprintf(bw, "%s %x", e.Op, e.Addr)
-		if e.Op == arch.OpCondBr && e.Taken {
-			fmt.Fprint(bw, " t")
-		}
-		if e.Op.AccessesMemory() {
-			fmt.Fprintf(bw, " d=%x", e.DataAddr)
-		}
-		fmt.Fprintln(bw)
-	}
-	return bw.Flush()
-}
-
-// opByName maps mnemonics back to ops.
-var opByName = map[string]arch.Op{
-	"alu": arch.OpALU, "load": arch.OpLoad, "store": arch.OpStore,
-	"condbr": arch.OpCondBr, "br": arch.OpBr, "jump": arch.OpJump,
-	"mul": arch.OpMul, "nop": arch.OpNop,
-}
-
-// Read parses a serialized trace.
-func Read(r io.Reader) (*Trace, error) {
-	t := &Trace{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("trace: line %d: short record %q", lineNo, line)
-		}
-		op, ok := opByName[fields[0]]
-		if !ok {
-			return nil, fmt.Errorf("trace: line %d: unknown op %q", lineNo, fields[0])
-		}
-		addr, err := strconv.ParseUint(fields[1], 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: bad address: %v", lineNo, err)
-		}
-		e := cpu.Entry{Op: op, Addr: addr}
-		for _, f := range fields[2:] {
-			switch {
-			case f == "t":
-				e.Taken = true
-			case strings.HasPrefix(f, "d="):
-				da, err := strconv.ParseUint(f[2:], 16, 64)
-				if err != nil {
-					return nil, fmt.Errorf("trace: line %d: bad data address: %v", lineNo, err)
-				}
-				e.DataAddr = da
-			default:
-				return nil, fmt.Errorf("trace: line %d: unknown field %q", lineNo, f)
-			}
-		}
-		t.Entries = append(t.Entries, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return t, nil
 }

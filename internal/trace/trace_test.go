@@ -1,115 +1,11 @@
 package trace
 
 import (
-	"bytes"
-	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/arch"
 	"repro/internal/sim/cpu"
 )
-
-func sample() *Trace {
-	return &Trace{Entries: []cpu.Entry{
-		{Op: arch.OpALU, Addr: 0x100000},
-		{Op: arch.OpLoad, Addr: 0x100004, DataAddr: 0x800000},
-		{Op: arch.OpCondBr, Addr: 0x100008, Taken: true},
-		{Op: arch.OpStore, Addr: 0x100020, DataAddr: 0x800040},
-		{Op: arch.OpJump, Addr: 0x100024},
-		{Op: arch.OpMul, Addr: 0x100100},
-	}}
-}
-
-func TestWriteReadRoundtrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sample().Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sample()
-	if got.Len() != want.Len() {
-		t.Fatalf("length %d, want %d", got.Len(), want.Len())
-	}
-	for i := range want.Entries {
-		if got.Entries[i] != want.Entries[i] {
-			t.Fatalf("entry %d: %+v != %+v", i, got.Entries[i], want.Entries[i])
-		}
-	}
-}
-
-func TestRoundtripProperty(t *testing.T) {
-	ops := []arch.Op{arch.OpALU, arch.OpLoad, arch.OpStore, arch.OpCondBr, arch.OpBr, arch.OpJump, arch.OpMul, arch.OpNop}
-	f := func(raw []uint32) bool {
-		tr := &Trace{}
-		for i, r := range raw {
-			op := ops[int(r)%len(ops)]
-			e := cpu.Entry{Op: op, Addr: uint64(i * 4)}
-			if op == arch.OpCondBr {
-				e.Taken = r%2 == 0
-			}
-			if op.AccessesMemory() {
-				e.DataAddr = uint64(r)
-			}
-			tr.Entries = append(tr.Entries, e)
-		}
-		var buf bytes.Buffer
-		if err := tr.Write(&buf); err != nil {
-			return false
-		}
-		got, err := Read(&buf)
-		if err != nil || got.Len() != tr.Len() {
-			return false
-		}
-		for i := range tr.Entries {
-			if got.Entries[i] != tr.Entries[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	cases := []string{
-		"frob 1000",
-		"alu",
-		"alu zz",
-		"load 10 d=qq",
-		"alu 10 wat",
-	}
-	for _, c := range cases {
-		if _, err := Read(strings.NewReader(c)); err == nil {
-			t.Fatalf("accepted %q", c)
-		}
-	}
-	// Comments and blank lines are fine.
-	got, err := Read(strings.NewReader("# hi\n\nalu 10\n"))
-	if err != nil || got.Len() != 1 {
-		t.Fatalf("comment handling: %v %v", got, err)
-	}
-}
-
-func TestMixAndFootprint(t *testing.T) {
-	tr := sample()
-	mix := tr.Mix()
-	if mix[arch.OpALU] != 1 || mix[arch.OpLoad] != 1 || mix[arch.OpMul] != 1 {
-		t.Fatalf("mix: %v", mix)
-	}
-	if tr.TakenBranches() != 2 { // taken condbr + jump
-		t.Fatalf("taken = %d", tr.TakenBranches())
-	}
-	instrs, blocks := tr.Footprint(32)
-	if instrs != 6 || blocks != 3 {
-		t.Fatalf("footprint = %d instrs / %d blocks", instrs, blocks)
-	}
-}
 
 func TestReplayAcrossGeometries(t *testing.T) {
 	// A trace that cycles through more blocks than a small cache holds

@@ -117,24 +117,6 @@ func RunSpec(ctx context.Context, spec Spec, env Env) (*Output, error) {
 // Kinds lists the registered study kinds.
 func Kinds() []string { return serve.Kinds() }
 
-// SharedParams validates and resolves the stack and quality every study
-// kind takes, for the text-only modes; a bad value is a *SpecError.
-func SharedParams(stack, quality string) (StackKind, Quality, error) {
-	return serve.SharedParams(stack, quality)
-}
-
-// The text-only modes of the CLI: the §4.1 throughput check, the §3.2
-// connection-cloning table and the cache-geometry sensitivity sweeps.
-var (
-	ThroughputTable      = core.ThroughputTable
-	MultiConnectionTable = core.MultiConnectionTable
-	Sensitivity          = core.Sensitivity
-	SensitivityVersions  = core.SensitivityVersions
-	CacheSweep           = core.CacheSweep
-	MachineSweep         = core.MachineSweep
-	AssocSweep           = core.AssocSweep
-)
-
 // MachineMatrix returns the curated machine-model matrix (see
 // docs/MACHINES.md) in canonical report order.
 func MachineMatrix() []machines.Model { return machines.Matrix() }

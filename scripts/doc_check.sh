@@ -12,7 +12,7 @@ cd "$(dirname "$0")/.."
 DOC=docs/CLI.md
 fail=0
 
-for cmd in protolat tracesim layoutview protovet; do
+for cmd in protolat protovet; do
 	# Flag names from the flag package's -help output ("  -name ...").
 	real=$(go run ./cmd/"$cmd" -help 2>&1 | sed -n 's/^  -\([a-z][a-z0-9]*\).*/\1/p' | sort -u)
 
