@@ -25,7 +25,7 @@ func benchQuality() core.Quality { return core.Quality{Warmup: 4, Measured: 8, S
 // BenchmarkTable1 regenerates the §2 instruction-count reductions.
 func BenchmarkTable1_InstructionReductions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Table1(benchQuality()); err != nil {
+		if _, err := core.Table1Data(benchQuality()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -34,7 +34,7 @@ func BenchmarkTable1_InstructionReductions(b *testing.B) {
 // BenchmarkTable2 compares the original and improved stacks.
 func BenchmarkTable2_OriginalVsImproved(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Table2(benchQuality()); err != nil {
+		if _, err := core.Table2Data(benchQuality()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -43,7 +43,7 @@ func BenchmarkTable2_OriginalVsImproved(b *testing.B) {
 // BenchmarkTable3 compares the BSD and x-kernel organizations.
 func BenchmarkTable3_ImplementationComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Table3(benchQuality()); err != nil {
+		if _, err := core.Table3Data(benchQuality()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -118,7 +118,7 @@ func BenchmarkTable8_ImprovementComparison(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if core.Table8(tcpip, rpc) == "" {
+		if len(core.Table8Data(tcpip, rpc).Rows) == 0 {
 			b.Fatal("empty table")
 		}
 	}
@@ -348,7 +348,7 @@ func BenchmarkThroughput(b *testing.B) {
 // (the paper's closing-remark experiment).
 func BenchmarkSensitivity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.Sensitivity(core.StackTCPIP, "machine", core.Quick); err != nil {
+		if _, err := core.Sensitivity(core.StackTCPIP, "machine", core.Quick); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -358,7 +358,7 @@ func BenchmarkSensitivity(b *testing.B) {
 // absorbed the pessimal layout (it does not).
 func BenchmarkAssociativityWhatIf(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.Sensitivity(core.StackTCPIP, "assoc", core.Quick); err != nil {
+		if _, err := core.Sensitivity(core.StackTCPIP, "assoc", core.Quick); err != nil {
 			b.Fatal(err)
 		}
 	}

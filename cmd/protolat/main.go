@@ -211,14 +211,14 @@ func (o *options) run(stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	text, err := out.Text()
-	if err != nil {
+	if spec.Kind == "soak" && o.env.Resume {
+		// Execution history: the report and the document both omit it.
+		fmt.Fprintf(stderr, "soak resumed from journal %s\n", o.env.Checkpoint)
+	}
+	if _, err := fmt.Fprintln(stdout, repro.Text(spec.Kind, out.Doc)); err != nil || o.jsonPath == "" {
 		return err
 	}
-	if _, err := fmt.Fprintln(stdout, text); err != nil || o.jsonPath == "" {
-		return err
-	}
-	if out.Doc == nil {
+	if out.Partial {
 		// A partial soak exports nothing: the document describes a
 		// completed schedule, and the journal already holds the rest.
 		fmt.Fprintf(stderr, "soak stopped early; no JSON written (resume with -resume -checkpoint %s)\n", o.env.Checkpoint)

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/obs"
 )
 
 // daemon starts an in-process daemon on a temp store, salted with the
@@ -85,11 +86,17 @@ var kindCases = map[string]kindCase{
 var shapeCases = map[string]kindCase{
 	"soak-batch-shape": {[]string{"-soak", "-seed", "5", "-soakbatches", "1", "-soakroundtrips", "4"},
 		repro.Spec{Kind: "soak", Seed: 5, SoakBatches: 1, SoakRoundtrips: 4}},
+	"faults-default-rates":   {[]string{"-faults", "-seed", "11"}, repro.Spec{Kind: "faults", Seed: 11}},
+	"machines-default-rates": {[]string{"-machines", "dec3000"}, repro.Spec{Kind: "machines", Models: "dec3000"}},
 }
 
 // TestCLIMatchesDaemon: for every registered kind, the CLI's -json bytes
-// equal the daemon's document for the same spec. It walks the registry,
-// so a kind without a case here fails instead of going unchecked.
+// equal the daemon's document for the same spec, and the CLI's report is
+// the kind's rendering of that document after a JSON round trip — the
+// text is a function of the serialized document. The manifest's command
+// parses back, through the CLI's own flags, into a spec with the same
+// fingerprint. It walks the registry, so a kind without a case here fails
+// instead of going unchecked.
 func TestCLIMatchesDaemon(t *testing.T) {
 	url := daemon(t)
 	check := func(t *testing.T, c kindCase) {
@@ -108,6 +115,24 @@ func TestCLIMatchesDaemon(t *testing.T) {
 		}
 		if !bytes.Equal(cli, body) {
 			t.Fatalf("CLI -json and daemon documents differ\ncli:    %.300s\ndaemon: %.300s", cli, body)
+		}
+		var doc obs.Document
+		if err := json.Unmarshal(body, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if got := repro.Text(c.spec.Kind, &doc) + "\n"; stdout.String() != got {
+			t.Fatalf("CLI report is not the rendering of the daemon's document\ncli:\n%s\nrendered:\n%s", stdout.String(), got)
+		}
+		o, err := parseFlags(strings.Fields(doc.Manifest.Command)[1:], io.Discard)
+		if err != nil {
+			t.Fatalf("manifest command %q: %v", doc.Manifest.Command, err)
+		}
+		spec := o.studySpec().Normalized()
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("manifest command %q: %v", doc.Manifest.Command, err)
+		}
+		if got, want := spec.Fingerprint(""), c.spec.Fingerprint(""); got != want {
+			t.Fatalf("manifest command %q fingerprints %s, spec %s", doc.Manifest.Command, got, want)
 		}
 	}
 	for _, kind := range repro.Kinds() {

@@ -207,11 +207,11 @@ func TestUnusedICacheFractionDropsWithOutlining(t *testing.T) {
 
 func TestSensitivityMachineSweep(t *testing.T) {
 	q := Quality{Warmup: 3, Measured: 4, Samples: 1}
-	s, _, err := Sensitivity(StackTCPIP, "machine", q)
+	tab, err := Sensitivity(StackTCPIP, "machine", q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(s, "future") {
+	if s := RenderTable(tab); !strings.Contains(s, "future") {
 		t.Fatalf("sweep output malformed:\n%s", s)
 	}
 }

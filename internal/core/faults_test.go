@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/obs"
 )
 
 // quickFaultCfg is a small fault study for tests.
@@ -18,6 +20,22 @@ func quickFaultCfg(kind StackKind) FaultStudyConfig {
 		Versions: []Version{STD, PIN},
 		Quality:  Quality{Warmup: 2, Measured: 8, Samples: 1},
 	}
+}
+
+// faultReport runs a fault study and its recovery comparison and renders
+// the report from their document, as the faults registry kind does.
+func faultReport(ctx context.Context, cfg FaultStudyConfig) (string, error) {
+	cells, err := FaultStudyCtx(ctx, cfg)
+	if err != nil {
+		return "", err
+	}
+	rcells, err := RecoveryComparisonCtx(ctx, cfg.Stack, cfg.Seed, cfg.Quality)
+	if err != nil {
+		return "", err
+	}
+	doc := &obs.Document{Manifest: NewManifest("", cfg.Seed, cfg.Quality), FaultStudy: FaultStudyDocOf(cfg, cells)}
+	doc.FaultStudy.Recovery = RecoveryDocOf(rcells)
+	return RenderFaultStudy(doc), nil
 }
 
 // TestFaultStudyParallelMatchesSerial: the study must be invisible to the
@@ -32,7 +50,7 @@ func TestFaultStudyParallelMatchesSerial(t *testing.T) {
 			if serial, err = FaultStudy(cfg); err != nil {
 				t.Fatal(err)
 			}
-			if serialTxt, err = RunFaultStudy(cfg); err != nil {
+			if serialTxt, err = faultReport(context.Background(), cfg); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -41,7 +59,7 @@ func TestFaultStudyParallelMatchesSerial(t *testing.T) {
 			if parallel, err = FaultStudy(cfg); err != nil {
 				t.Fatal(err)
 			}
-			if parallelTxt, err = RunFaultStudy(cfg); err != nil {
+			if parallelTxt, err = faultReport(context.Background(), cfg); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"repro/internal/arch"
 	"repro/internal/faults"
@@ -28,13 +27,6 @@ type FaultStudyConfig struct {
 	Quality Quality
 	// EventBudget overrides the per-sample watchdog (0 = default).
 	EventBudget int
-	// Plan, when non-nil, overrides PlanForRate as the rate→plan mapping
-	// (e.g. a duplication/reordering-only plan isolates the degraded
-	// *processing* penalty from retransmission-timeout waits). PlanDesc,
-	// when set, replaces the default plan description in the report
-	// header.
-	Plan     func(seed uint64, rate float64) faults.Plan
-	PlanDesc string
 }
 
 // DefaultFaultStudy is the standard study shape: the four constructive
@@ -80,15 +72,6 @@ type FaultCell struct {
 
 	// Stats aggregates fault accounting over the cell's samples.
 	Stats FaultStats
-}
-
-// Penalty is the degraded/clean latency ratio (0 when either population is
-// empty).
-func (c FaultCell) Penalty() float64 {
-	if c.CleanRT == 0 || c.DegradedRT == 0 || c.CleanUS == 0 {
-		return 0
-	}
-	return c.DegradedUS / c.CleanUS
 }
 
 // FaultStudy runs every (version, rate) cell of the study. Cells fan out
@@ -140,11 +123,7 @@ func runFaultCell(ctx context.Context, cfg FaultStudyConfig, v Version, rate flo
 	rcfg.Samples = cfg.Quality.Samples
 	rcfg.EventBudget = cfg.EventBudget
 	if rate > 0 {
-		mk := cfg.Plan
-		if mk == nil {
-			mk = PlanForRate
-		}
-		plan := mk(faults.Mix(cfg.Seed, uint64(cellIdx)), rate)
+		plan := PlanForRate(faults.Mix(cfg.Seed, uint64(cellIdx)), rate)
 		rcfg.Faults = &plan
 	}
 
@@ -236,99 +215,4 @@ func runFaultSample(cfg Config, sampleIdx int) (fs faultSample, err error) {
 	}
 	fs.stats = hp.faultStats()
 	return fs, nil
-}
-
-// RunFaultStudy renders the degraded-path latency study as a table: per
-// strategy and fault rate, mainline vs degraded roundtrip latency, the
-// degradation penalty, and the injected-fault counters reconciled against
-// the link totals.
-func RunFaultStudy(cfg FaultStudyConfig) (string, error) {
-	return RunFaultStudyCtx(context.Background(), cfg)
-}
-
-// RunFaultStudyCtx is RunFaultStudy with cooperative cancellation (see
-// FaultStudyCtx for the boundaries at which ctx is honored).
-func RunFaultStudyCtx(ctx context.Context, cfg FaultStudyConfig) (string, error) {
-	cells, err := FaultStudyCtx(ctx, cfg)
-	if err != nil {
-		return "", err
-	}
-	if cfg.Quality.Samples < 1 {
-		cfg.Quality = DefaultFaultStudy(cfg.Stack, cfg.Seed).Quality
-	}
-	rcells, err := RecoveryComparisonCtx(ctx, cfg.Stack, cfg.Seed, cfg.Quality)
-	if err != nil {
-		return "", err
-	}
-	return RenderFaultStudy(cfg, cells, rcells), nil
-}
-
-// RenderFaultStudy renders computed fault-study cells and the recovery
-// comparison run at the same seed and quality.
-func RenderFaultStudy(cfg FaultStudyConfig, cells []FaultCell, rcells []RecoveryCell) string {
-	// Re-derive the effective shape for the header (FaultStudy fills the
-	// same defaults).
-	if len(cfg.Rates) == 0 {
-		cfg.Rates = DefaultFaultStudy(cfg.Stack, cfg.Seed).Rates
-	}
-	if cfg.Quality.Samples < 1 {
-		cfg.Quality = DefaultFaultStudy(cfg.Stack, cfg.Seed).Quality
-	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fault-injection study: mainline vs degraded-path latency (%v, seed %d)\n", cfg.Stack, cfg.Seed)
-	desc := cfg.PlanDesc
-	if desc == "" {
-		if cfg.Plan != nil {
-			desc = "custom (FaultStudyConfig.Plan)"
-		} else {
-			desc = "loss r, corruption r, duplication r/2, reordering r/2"
-		}
-	}
-	fmt.Fprintf(&b, "Per-frame plan at rate r: %s.\n", desc)
-	fmt.Fprintf(&b, "Quality: %d warmup + %d measured roundtrips, %d sample(s) per cell.\n\n",
-		cfg.Quality.Warmup, cfg.Quality.Measured, cfg.Quality.Samples)
-	b.WriteString("version  rate   clean[us]  degraded[us]  penalty  rt(c/d)   drop  corr   dup  reord  rexmit  abort  ckerr\n")
-	b.WriteString("-------  ----   ---------  ------------  -------  -------   ----  ----   ---  -----  ------  -----  -----\n")
-	var total, faulted FaultStats
-	for _, c := range cells {
-		degraded, penalty := "         -", "      -"
-		if c.DegradedRT > 0 {
-			degraded = fmt.Sprintf("%10.1f", c.DegradedUS)
-			penalty = fmt.Sprintf("%6.2fx", c.Penalty())
-		}
-		inj := c.Stats.Injected
-		fmt.Fprintf(&b, "%-7v  %.2f  %10.1f  %s  %s  %4d/%-3d  %5d %5d %5d  %5d  %6d  %5d  %5d\n",
-			c.Version, c.Rate, c.CleanUS, degraded, penalty, c.CleanRT, c.DegradedRT,
-			inj.Dropped, inj.Corrupted, inj.Duplicated, inj.Reordered,
-			c.Stats.Retransmits, c.Stats.Aborts, c.Stats.ChecksumErrs)
-		total.Add(c.Stats)
-		if c.Rate > 0 {
-			faulted.Add(c.Stats)
-		}
-	}
-	b.WriteString("\nPhase split of the mean roundtrip (§4.3), per population [us]:\n")
-	b.WriteString("version  rate  |      clean: wire   ctrl   proc  timer  |   degraded: wire   ctrl   proc  timer\n")
-	b.WriteString("-------  ----  |             ----   ----   ----  -----  |             ----   ----   ----  -----\n")
-	for _, c := range cells {
-		cp := c.CleanPhases
-		deg := "                 -      -      -      -"
-		if c.DegradedRT > 0 {
-			dp := c.DegradedPhases
-			deg = fmt.Sprintf("            %6.1f %6.1f %6.1f %6.1f", dp.WireUS, dp.ControllerUS, dp.ProcessUS, dp.TimerWaitUS)
-		}
-		fmt.Fprintf(&b, "%-7v  %.2f  |           %6.1f %6.1f %6.1f %6.1f  | %s\n",
-			c.Version, c.Rate, cp.WireUS, cp.ControllerUS, cp.ProcessUS, cp.TimerWaitUS, deg)
-	}
-
-	inj := faulted.Injected
-	fmt.Fprintf(&b, "\nreconciliation (fault cells): injector saw %d/%d link frames, dropped %d/%d, duplicated %d/%d — exact per-run equality is a checked invariant\n",
-		inj.Frames, faulted.LinkFrames, inj.Dropped, faulted.LinkDropped, inj.Duplicated, faulted.LinkDuplicated)
-	fmt.Fprintf(&b, "link totals (all cells): %d frames = %d delivered + %d dropped - %d duplicated; %d corrupted, %d reordered in transit\n",
-		total.LinkFrames, total.LinkDelivered, total.LinkDropped, total.LinkDuplicated,
-		inj.Corrupted, inj.Reordered)
-
-	b.WriteString("\n")
-	b.WriteString(RenderRecoveryTable(rcells))
-	return b.String()
 }

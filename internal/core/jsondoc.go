@@ -26,9 +26,14 @@ func NewManifest(command string, seed uint64, q Quality) obs.Manifest {
 		Command:     command,
 		Seed:        seed,
 		Parallelism: "any",
-		Quality:     obs.QualityDoc{Warmup: q.Warmup, Measured: q.Measured, Samples: q.Samples},
+		Quality:     q.Doc(),
 		Machine:     arch.DEC3000_600(),
 	}
+}
+
+// Doc is the quality's manifest form.
+func (q Quality) Doc() obs.QualityDoc {
+	return obs.QualityDoc{Warmup: q.Warmup, Measured: q.Measured, Samples: q.Samples}
 }
 
 func cacheDoc(s mem.Stats) obs.CacheDoc {
@@ -115,6 +120,12 @@ func FaultStudyDocOf(cfg FaultStudyConfig, cells []FaultCell) *obs.FaultStudyDoc
 				Reordered:  inj.Reordered,
 				Jittered:   inj.Jittered,
 			},
+			Link: obs.LinkDoc{
+				Frames:     c.Stats.LinkFrames,
+				Delivered:  c.Stats.LinkDelivered,
+				Dropped:    c.Stats.LinkDropped,
+				Duplicated: c.Stats.LinkDuplicated,
+			},
 			Recovery: obs.RecoveryDoc{
 				Retransmits:     c.Stats.Retransmits,
 				Aborts:          c.Stats.Aborts,
@@ -126,8 +137,8 @@ func FaultStudyDocOf(cfg FaultStudyConfig, cells []FaultCell) *obs.FaultStudyDoc
 	return d
 }
 
-// Table45Data returns Tables 4 and 5 as structured data, mirroring the
-// text renderer's values cell for cell.
+// Table45Data returns Tables 4 (end-to-end roundtrip latency) and 5 (the
+// same adjusted for the network controller).
 func Table45Data(tcpip, rpc map[Version]*Result) []obs.Table {
 	t4 := obs.Table{Name: "table4", Title: "End-to-end Roundtrip Latency",
 		Columns: []string{"version", "tcpip_te_us", "tcpip_std_us", "tcpip_delta_pct", "rpc_te_us", "rpc_std_us", "rpc_delta_pct"}}
@@ -151,7 +162,7 @@ func Table45Data(tcpip, rpc map[Version]*Result) []obs.Table {
 	return []obs.Table{t4, t5}
 }
 
-// versionRows iterates both stacks' results in the text renderers' order.
+// versionRows iterates both stacks' results in report order.
 func versionRows(tcpip, rpc map[Version]*Result, f func(stack string, v Version, res *Result)) {
 	for _, kr := range []struct {
 		name string
@@ -238,17 +249,12 @@ func Table9Data(tcpip, rpc map[Version]*Result) obs.Table {
 	return t
 }
 
-// ProfileReport runs a profiled version sweep and renders, per version,
-// the top-N mCPI contributors and the i-cache set-conflict heatmap — the
-// quantitative companion to the paper's Figure 2, naming the functions
-// whose placements collide. It returns the rendered report plus the
-// results for structured export.
-func ProfileReport(kind StackKind, q Quality, topN int) (string, map[Version]*Result, error) {
-	return ProfileReportCtx(context.Background(), kind, q, topN)
-}
-
-// ProfileReportCtx is ProfileReport with cooperative cancellation: ctx is
-// consulted between the sweep's samples.
+// ProfileReportCtx runs a profiled version sweep and renders, per
+// version, the top-N mCPI contributors and the i-cache set-conflict
+// heatmap — the quantitative companion to the paper's Figure 2, naming the
+// functions whose placements collide. It returns the rendered report plus
+// the results for structured export; ctx is consulted between the sweep's
+// samples.
 func ProfileReportCtx(ctx context.Context, kind StackKind, q Quality, topN int) (string, map[Version]*Result, error) {
 	results, err := RunVersionsProfiledCtx(ctx, kind, q)
 	if err != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/arch"
 	"repro/internal/obs"
@@ -50,42 +49,6 @@ func LintStudy(kind StackKind, strat CloneStrategy) ([]LintCell, error) {
 		cells = append(cells, LintCell{Version: v, Report: rep})
 	}
 	return cells, nil
-}
-
-// RenderLintStudy formats a lint study as the text report protolat -lint
-// prints.
-func RenderLintStudy(kind StackKind, strat CloneStrategy, cells []LintCell) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Layout lint: predicted steady-state i-cache conflicts on the latency path\n")
-	fmt.Fprintf(&sb, "(%v stack, %v clone layout; static analysis of placed addresses, no simulation)\n\n", kind, strat)
-	fmt.Fprintf(&sb, "%-8s %12s %15s %21s %19s\n",
-		"version", "path-blocks", "predicted-repl", "partition-violations", "hot/cold-interleave")
-	for _, c := range cells {
-		fmt.Fprintf(&sb, "%-8v %12d %15d %21d %19d\n",
-			c.Version, c.Report.PathBlocks, c.Report.PredictedRepl,
-			c.Report.PartitionViolations, c.Report.HotColdInterleave)
-	}
-	sb.WriteString("\nworst predicted conflict sets:\n")
-	for _, c := range cells {
-		if len(c.Report.Conflicts) == 0 {
-			fmt.Fprintf(&sb, "%-8v (none)\n", c.Version)
-			continue
-		}
-		fmt.Fprintf(&sb, "%-8v", c.Version)
-		for i, cf := range c.Report.Conflicts {
-			if i == 3 {
-				fmt.Fprintf(&sb, " ... (%d more)", len(c.Report.Conflicts)-i)
-				break
-			}
-			fns := cf.Funcs
-			if len(fns) > 5 {
-				fns = append(append([]string(nil), fns[:5]...), fmt.Sprintf("+%d more", len(cf.Funcs)-5))
-			}
-			fmt.Fprintf(&sb, " set %d: %d repl (%s)", cf.Set, cf.ReplMisses, strings.Join(fns, ","))
-		}
-		sb.WriteString("\n")
-	}
-	return sb.String()
 }
 
 // LintStudyDocOf converts a lint study to its JSON form.

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"repro/internal/code"
 	"repro/internal/faults"
@@ -175,94 +174,6 @@ func lintReport(prog *code.Program, kind StackKind, v Version, model machines.Mo
 		return nil, fmt.Errorf("lint on %s: %w", model.Name, err)
 	}
 	return rep, nil
-}
-
-// RenderMachineStudy formats the study as the text report protolat
-// -machines prints: one block per machine with every version's latency and
-// cache behaviour, then a per-machine summary of what each technique still
-// buys relative to STD.
-func RenderMachineStudy(cfg MachineStudyConfig, cells []MachineCell) string {
-	cfg = cfg.withDefaults()
-	var b strings.Builder
-	fmt.Fprintf(&b, "Machine-model matrix: layout versions across machine shapes (%v stack, %v clone layout)\n", cfg.Stack, cfg.Strategy)
-	fmt.Fprintf(&b, "Quality: %d warmup + %d measured roundtrips, %d sample(s) per cell.\n",
-		cfg.Quality.Warmup, cfg.Quality.Measured, cfg.Quality.Samples)
-	b.WriteString("Lint column is the static verifier's predicted steady-state i-cache replacements on the same geometry.\n\n")
-
-	showRate := len(cfg.Rates) > 1 || (len(cfg.Rates) == 1 && cfg.Rates[0] > 0)
-	for _, model := range cfg.Models {
-		fmt.Fprintf(&b, "%s — %s\n", model.Name, model.Title)
-		if showRate {
-			b.WriteString("version  rate    Te[us]    Tp[us]   mCPI  i-miss  i-repl  lint  l2-miss  victim\n")
-			b.WriteString("-------  ----    ------    ------   ----  ------  ------  ----  -------  ------\n")
-		} else {
-			b.WriteString("version    Te[us]    Tp[us]   mCPI  i-miss  i-repl  lint  l2-miss  victim\n")
-			b.WriteString("-------    ------    ------   ----  ------  ------  ----  -------  ------\n")
-		}
-		for _, c := range cells {
-			if c.Model.Name != model.Name {
-				continue
-			}
-			if showRate {
-				fmt.Fprintf(&b, "%-7v  %.2f  %8.1f  %8.1f  %5.2f  %6d  %6d  %4d  %7d  %6d\n",
-					c.Version, c.Rate, c.TeUS, c.TpUS, c.MCPI,
-					c.ICacheMisses, c.ICacheRepl, c.LintPredictedRepl, c.L2Misses, c.VictimHits)
-			} else {
-				fmt.Fprintf(&b, "%-7v  %8.1f  %8.1f  %5.2f  %6d  %6d  %4d  %7d  %6d\n",
-					c.Version, c.TeUS, c.TpUS, c.MCPI,
-					c.ICacheMisses, c.ICacheRepl, c.LintPredictedRepl, c.L2Misses, c.VictimHits)
-			}
-		}
-		b.WriteString("\n")
-	}
-
-	b.WriteString(renderMachineGains(cfg, cells))
-	return b.String()
-}
-
-// renderMachineGains summarizes, per machine, the processing-time (Tp)
-// saving each constructive technique still delivers over STD at the clean
-// rate. Tp is used rather than Te because the network wire model charges
-// fixed 175 MHz cycle counts, which skews Te's constant wire component on
-// clock-scaled models (future266); Tp is pure client CPU time and
-// comparable everywhere.
-func renderMachineGains(cfg MachineStudyConfig, cells []MachineCell) string {
-	var b strings.Builder
-	b.WriteString("Tp saving over STD at rate 0 (positive = technique still pays):\n")
-	b.WriteString("machine      OUT      CLO      PIN      ALL   bad-penalty\n")
-	b.WriteString("-------      ---      ---      ---      ---   -----------\n")
-	tp := func(model string, v Version) float64 {
-		for _, c := range cells {
-			if c.Model.Name == model && c.Version == v && c.Rate == 0 {
-				return c.TpUS
-			}
-		}
-		return 0
-	}
-	gain := func(model string, v Version, std float64) string {
-		t := tp(model, v)
-		if t == 0 || std == 0 {
-			return "      -"
-		}
-		return fmt.Sprintf("%+6.1f%%", (std-t)/std*100)
-	}
-	for _, model := range cfg.Models {
-		std := tp(model.Name, STD)
-		if std == 0 {
-			continue
-		}
-		badPen := "          -"
-		if bad := tp(model.Name, BAD); bad != 0 {
-			badPen = fmt.Sprintf("%10.2fx", bad/std)
-		}
-		fmt.Fprintf(&b, "%-9s %s  %s  %s  %s  %s\n", model.Name,
-			gain(model.Name, OUT, std), gain(model.Name, CLO, std),
-			gain(model.Name, PIN, std), gain(model.Name, ALL, std), badPen)
-	}
-	b.WriteString("\nNote: Te on clock-scaled models (future266) mixes the client's faster CPU with the\n")
-	b.WriteString("unchanged 100 Mbit wire, whose cycle constants are calibrated at 175 MHz; compare\n")
-	b.WriteString("Tp (pure CPU time) across machines and Te only within one machine.\n")
-	return b.String()
 }
 
 // MachineStudyDocOf converts a machine study to its JSON section.

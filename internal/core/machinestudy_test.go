@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/machines"
+	"repro/internal/obs"
 )
 
 // studyQuick keeps matrix tests fast: one sample, short runs.
@@ -70,7 +71,10 @@ func TestMachineStudyDeterministicAcrossParallelism(t *testing.T) {
 			t.Errorf("cell %d differs:\nserial   %+v\nparallel %+v", i, serial[i], parallel[i])
 		}
 	}
-	if got, want := RenderMachineStudy(cfg, serial), RenderMachineStudy(cfg, parallel); got != want {
+	render := func(cells []MachineCell) string {
+		return RenderMachineStudy(&obs.Document{Manifest: NewManifest("", cfg.Seed, cfg.Quality), Machines: MachineStudyDocOf(cfg, cells)})
+	}
+	if got, want := render(serial), render(parallel); got != want {
 		t.Error("rendered reports differ between parallelism 1 and 8")
 	}
 }

@@ -65,20 +65,14 @@ func CtxParallelism(ctx context.Context) int {
 	return p
 }
 
-// ForEachIndexed runs fn(0) .. fn(n-1) on a pool of at most workers
-// goroutines and returns the lowest-index error — the deterministic fan-out
-// primitive every driver in this package uses, exported for external drivers
-// (the soak harness) that need the same identical-at-any-width guarantee.
-func ForEachIndexed(n, workers int, fn func(int) error) error {
-	return forEachIndexedCtx(context.Background(), n, workers, fn)
-}
-
-// ForEachIndexedCtx is ForEachIndexed with cooperative cancellation: ctx is
-// consulted before each work item is claimed, so a cancelled or expired
-// context stops the fan-out at the next item boundary and its error is
-// reported for the items never run. Items already completed are unaffected,
-// preserving the identical-at-any-width guarantee for everything that did
-// execute.
+// ForEachIndexedCtx runs fn(0) .. fn(n-1) on a pool of at most workers
+// goroutines and returns the lowest-index error — the deterministic
+// fan-out primitive every driver in this package uses, exported for
+// external drivers (the soak harness) that need the same
+// identical-at-any-width guarantee. ctx is consulted before each work item
+// is claimed, so a cancelled or expired context stops the fan-out at the
+// next item boundary and its error is reported for the items never run.
+// Items already completed are unaffected.
 func ForEachIndexedCtx(ctx context.Context, n, workers int, fn func(int) error) error {
 	return forEachIndexedCtx(ctx, n, workers, fn)
 }

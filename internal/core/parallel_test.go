@@ -141,15 +141,15 @@ func TestParallelRunVersionsMatchesSerial(t *testing.T) {
 func TestParallelTablesMatchSerial(t *testing.T) {
 	q := Quality{Warmup: 3, Measured: 4, Samples: 1}
 	render := func() (string, string) {
-		t1, err := Table1(q)
+		t1, err := Table1Data(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sens, _, err := Sensitivity(StackTCPIP, "machine", q)
+		sens, err := Sensitivity(StackTCPIP, "machine", q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return t1, sens
+		return RenderTable(t1), RenderTable(sens)
 	}
 	var t1s, sensS, t1p, sensP string
 	withParallelism(t, 1, func() { t1s, sensS = render() })

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"repro/internal/arch"
 	"repro/internal/faults"
@@ -180,22 +179,6 @@ func RecoveryComparisonCtx(ctx context.Context, kind StackKind, seed uint64, q Q
 		return nil, err
 	}
 	return cells, nil
-}
-
-// RenderRecoveryTable formats the comparison cells as the report table
-// appended to the fault study.
-func RenderRecoveryTable(cells []RecoveryCell) string {
-	var b strings.Builder
-	b.WriteString("Recovery-policy comparison (ALL layout, pure Bernoulli loss, per-rate shared seeds):\n")
-	b.WriteString("policy    rate  rt(c/d)    clean p50/p99 [us]   degraded p50/p99 [us]   deg-mean[us]  rexmit  fastrx\n")
-	b.WriteString("------    ----  -------    ------------------   ---------------------  ------------  ------  ------\n")
-	for _, c := range cells {
-		fmt.Fprintf(&b, "%-8v  %.2f  %4d/%-3d   %8.1f /%8.1f   %9.1f /%9.1f  %12.1f  %6d  %6d\n",
-			c.Policy, c.Rate, c.CleanRT, c.DegradedRT,
-			c.CleanP50US, c.CleanP99US, c.DegradedP50US, c.DegradedP99US,
-			c.DegradedMeanUS, c.Retransmits, c.FastRetransmits)
-	}
-	return b.String()
 }
 
 // RecoveryDocOf converts comparison cells to their JSON form.

@@ -152,17 +152,16 @@ func recordPair(kind StackKind, versions []Version, q Quality) ([]*trace.Trace, 
 // of the second version — for STD vs ALL, the paper's argument that the
 // techniques grow more important as the processor/memory gap widens.
 // Replays are pure functions of (trace, machine), so all points run
-// concurrently and render in sweep order. It returns the text report and
-// the same cells as a table.
-func Sensitivity(kind StackKind, name string, q Quality) (string, obs.Table, error) {
+// concurrently and assemble in sweep order.
+func Sensitivity(kind StackKind, name string, q Quality) (obs.Table, error) {
 	i := slices.IndexFunc(sweeps, func(s sweep) bool { return s.name == name })
 	if i < 0 {
-		return "", obs.Table{}, fmt.Errorf("core: unknown sweep %q (want %s)", name, strings.Join(SweepNames(), " or "))
+		return obs.Table{}, fmt.Errorf("core: unknown sweep %q (want %s)", name, strings.Join(SweepNames(), " or "))
 	}
 	sw := sweeps[i]
 	traces, err := recordPair(kind, []Version{sw.a, sw.b}, q)
 	if err != nil {
-		return "", obs.Table{}, err
+		return obs.Table{}, err
 	}
 	points := sw.points()
 	rows := make([][2]cpu.Metrics, len(points))
@@ -177,22 +176,15 @@ func Sensitivity(kind StackKind, name string, q Quality) (string, obs.Table, err
 		return nil
 	})
 	if err != nil {
-		return "", obs.Table{}, err
+		return obs.Table{}, err
 	}
-
-	a, b := sw.a.String(), sw.b.String()
 	t := obs.Table{Name: "sensitivity", Title: fmt.Sprintf(sw.title, kind),
-		Columns: []string{"machine", strings.ToLower(a) + "_mcpi", strings.ToLower(b) + "_mcpi", "speedup_pct", "saved_us"}}
-	var sb strings.Builder
-	sb.WriteString(t.Title + "\n")
-	fmt.Fprintf(&sb, "%-34s %10s %10s %12s %12s\n", "machine", a+" mCPI", b+" mCPI", b+" speedup", "saved [us]")
+		Columns: []string{"machine", strings.ToLower(sw.a.String()) + "_mcpi", strings.ToLower(sw.b.String()) + "_mcpi", "speedup_pct", "saved_us"}}
 	for i, pt := range points {
 		ma, mb := rows[i][0], rows[i][1]
 		saved := float64(ma.Cycles) - float64(mb.Cycles)
-		row := []string{pt.label, fmt.Sprintf("%.2f", ma.MCPI()), fmt.Sprintf("%.2f", mb.MCPI()),
-			fmt.Sprintf("%.1f", 100*saved/float64(ma.Cycles)), fmt.Sprintf("%.1f", saved/pt.machine.CyclesPerMicrosecond())}
-		t.Rows = append(t.Rows, row)
-		fmt.Fprintf(&sb, "%-34s %10s %10s %11s%% %12s\n", row[0], row[1], row[2], row[3], row[4])
+		t.Rows = append(t.Rows, []string{pt.label, fmt.Sprintf("%.2f", ma.MCPI()), fmt.Sprintf("%.2f", mb.MCPI()),
+			fmt.Sprintf("%.1f", 100*saved/float64(ma.Cycles)), fmt.Sprintf("%.1f", saved/pt.machine.CyclesPerMicrosecond())})
 	}
-	return sb.String(), t, nil
+	return t, nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/arch"
 	"repro/internal/code"
@@ -126,23 +125,17 @@ func Throughput(v Version, segments, payloadBytes int) (ThroughputResult, error)
 	}, nil
 }
 
-// ThroughputTable verifies the §4.1 claim across all versions. It
-// returns the text report and the same cells as a table.
-func ThroughputTable(segments, payloadBytes int) (string, obs.Table, error) {
+// ThroughputTable verifies the §4.1 claim across all versions, one row
+// per version.
+func ThroughputTable(segments, payloadBytes int) (obs.Table, error) {
 	t := obs.Table{Name: "throughput", Title: "Throughput check: bulk TCP transfer (ack-clocked, stop-and-wait)",
 		Columns: []string{"version", "mb_per_s"}}
-	var sb strings.Builder
-	sb.WriteString(t.Title + "\n")
-	fmt.Fprintf(&sb, "%-8s %12s\n", "Version", "MB/s")
 	for _, v := range Versions() {
 		r, err := Throughput(v, segments, payloadBytes)
 		if err != nil {
-			return "", obs.Table{}, fmt.Errorf("%v: %w", v, err)
+			return obs.Table{}, fmt.Errorf("%v: %w", v, err)
 		}
-		row := []string{v.String(), fmt.Sprintf("%.3f", r.MBps)}
-		t.Rows = append(t.Rows, row)
-		fmt.Fprintf(&sb, "%-8s %12s\n", row[0], row[1])
+		t.Rows = append(t.Rows, []string{v.String(), fmt.Sprintf("%.3f", r.MBps)})
 	}
-	sb.WriteString("\nThe 10 Mb/s wire dominates bulk transfer, so the latency techniques\nleave throughput essentially unchanged — the paper's §4.1 observation.\n")
-	return sb.String(), t, nil
+	return t, nil
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 
 	"repro/internal/arch"
 )
@@ -99,6 +100,11 @@ type CacheDoc struct {
 	ReplMisses uint64 `json:"repl_misses"`
 }
 
+// String renders the statistics as the single-run report prints them.
+func (c CacheDoc) String() string {
+	return fmt.Sprintf("acc=%d miss=%d repl=%d", c.Accesses, c.Misses, c.ReplMisses)
+}
+
 // SampleDoc is one measured sample of one run.
 type SampleDoc struct {
 	TeUS             float64    `json:"te_us"`
@@ -186,6 +192,16 @@ type InjectedDoc struct {
 	Jittered   int `json:"jittered"`
 }
 
+// LinkDoc tallies the Ethernet link's own frame accounting in a
+// fault-study cell; Delivered + Dropped == Frames + Duplicated always
+// holds.
+type LinkDoc struct {
+	Frames     int `json:"frames"`
+	Delivered  int `json:"delivered"`
+	Dropped    int `json:"dropped"`
+	Duplicated int `json:"duplicated"`
+}
+
 // RecoveryDoc tallies the protocol's recovery work in a fault-study cell.
 type RecoveryDoc struct {
 	Retransmits    int `json:"retransmits"`
@@ -226,6 +242,7 @@ type FaultCellDoc struct {
 	CleanPhases    PhaseSplit  `json:"clean_phases"`
 	DegradedPhases PhaseSplit  `json:"degraded_phases"`
 	Injected       InjectedDoc `json:"injected"`
+	Link           LinkDoc     `json:"link"`
 	Recovery       RecoveryDoc `json:"recovery"`
 }
 

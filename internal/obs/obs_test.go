@@ -175,3 +175,10 @@ func TestPhaseSplit(t *testing.T) {
 		t.Errorf("Add: got %+v", q)
 	}
 }
+
+func TestCacheDocString(t *testing.T) {
+	c := CacheDoc{Accesses: 10, Misses: 4, ReplMisses: 1}
+	if got, want := c.String(), "acc=10 miss=4 repl=1"; got != want {
+		t.Errorf("String = %q, want %q", got, want)
+	}
+}

@@ -4,22 +4,27 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/machines"
 	"repro/internal/obs"
 )
 
-// Render formats the search results as the text report protolat -optimize
-// prints: per machine, the hand bipartite baseline, the proof-gate
-// counters, every confirmed candidate with predicted-vs-measured numbers,
-// and a verdict line comparing the best candidate's measured Tp to hand.
-func Render(cfg Config, results []MachineResult) string {
+// Render renders a layout-search document as the text report protolat
+// -optimize prints: per machine, the hand bipartite baseline, the
+// proof-gate counters, every confirmed candidate with predicted-vs-measured
+// numbers, and a verdict line comparing the best candidate's measured Tp
+// to hand.
+func Render(doc *obs.Document) string {
+	d := doc.Optimize
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Layout search: static-cost-guided placement vs the hand bipartite ALL layout\n")
-	fmt.Fprintf(&sb, "(%v stack; seed %d, %d annealing steps per machine, top %d confirmed by\n",
-		cfg.Stack, cfg.Seed, cfg.Budget, cfg.TopK)
+	fmt.Fprintf(&sb, "(%s stack; seed %d, %d annealing steps per machine, top %d confirmed by\n",
+		d.Stack, d.Seed, d.Budget, d.TopK)
 	fmt.Fprintf(&sb, " full simulation; every scored candidate passed well-formedness + move-only\n")
 	fmt.Fprintf(&sb, " equivalence proofs, and one tamper probe per machine must be rejected)\n")
-	for _, r := range results {
-		fmt.Fprintf(&sb, "\n%s — %s\n", r.Model.Name, r.Model.Title)
+	for _, r := range d.Cells {
+		// A document names its machines; the title comes from the matrix.
+		m, _ := machines.ByName(r.Model)
+		fmt.Fprintf(&sb, "\n%s — %s\n", r.Model, m.Title)
 		fmt.Fprintf(&sb, "  hand ALL : Tp %8.2f us | repl measured %5d predicted %5d (cost %.1f)\n",
 			r.HandTpUS, r.HandMeasuredRepl, r.HandPredictedRepl, r.HandPredictedCost)
 		fmt.Fprintf(&sb, "  search   : examined %d | rejected well-formed %d, equivalence %d (incl. tamper probe)\n",

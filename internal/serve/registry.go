@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"strings"
 
 	"repro/internal/core"
@@ -34,17 +33,16 @@ type Env struct {
 // Output is what a study yields.
 type Output struct {
 	// Doc is the study's document, its manifest complete but for the
-	// checkout identity (git_describe), which the shell stamps. It is nil
-	// for a soak stopped early: a document describes a finished schedule.
+	// checkout identity (git_describe), which the shell stamps.
 	Doc *obs.Document
-	// Text renders the report the CLI prints. Work that only the text
-	// needs happens inside it, so a caller that wants only the document —
-	// the daemon — never pays for it.
-	Text func() (string, error)
+	// Partial marks the document of a soak stopped early. It holds the
+	// finished units, so its report prints, but no shell writes or
+	// serves it: a document describes a finished schedule.
+	Partial bool
 }
 
-// An entry is one kind of study: the parameters it reads and how it
-// computes its document and text.
+// An entry is one kind of study: the parameters it reads, how it computes
+// its document and how it renders that document as text.
 type entry struct {
 	kind string
 	// params lists, in the manifest command's order, the parameters the
@@ -53,9 +51,14 @@ type entry struct {
 	// of them canonicalizes a valid value to the default. A trailing "?"
 	// keeps a parameter off the command while it holds its default.
 	params []string
-	// run computes the study into out, whose Doc already holds the
-	// manifest.
+	// run computes the study into out.Doc, which already holds the
+	// manifest; a kind whose measurement shape is not the quality preset
+	// records the shape it ran in the manifest's quality block. run and
+	// lint still carry the preset: perfbench/reference.txt pins the bytes
+	// of both documents.
 	run func(ctx context.Context, s Spec, env Env, out *Output) error
+	// text renders the report from the document and its manifest alone.
+	text func(*obs.Document) string
 }
 
 // declared names the parameters the entry reads, without literal flags
@@ -73,19 +76,19 @@ func (e *entry) declared() []string {
 // registry holds one entry per kind, in the order errors and docs list
 // them.
 var registry = []*entry{
-	{kind: "run", params: []string{"stack", "version", "samples", "policy?", "classifier?", "quality?"}, run: runOne},
-	{kind: "table", params: []string{"table", "quality"}, run: runTable},
-	{kind: "figure", params: []string{"figure"}, run: runFigure},
-	{kind: "all", params: []string{"quality"}, run: runAll},
-	{kind: "faults", params: []string{"-faults", "stack", "seed", "rates", "quality"}, run: runFaults},
-	{kind: "soak", params: []string{"-soak", "stack", "seed", "quality", "soak_batches?", "soak_roundtrips?"}, run: runSoak},
-	{kind: "lint", params: []string{"-lint", "stack"}, run: runLint},
-	{kind: "profile", params: []string{"-profile", "stack", "top", "quality"}, run: runProfile},
-	{kind: "machines", params: []string{"models", "stack", "seed", "rates", "quality"}, run: runMachines},
-	{kind: "optimize", params: []string{"models", "stack", "seed", "budget", "candidates", "quality"}, run: runOptimize},
-	{kind: "throughput", params: []string{"-throughput"}, run: runThroughput},
-	{kind: "multiconn", params: []string{"-multiconn"}, run: runMultiConn},
-	{kind: "sensitivity", params: []string{"sweep", "stack", "quality"}, run: runSensitivity},
+	{kind: "run", params: []string{"stack", "version", "samples", "policy?", "classifier?", "quality?"}, run: runOne, text: core.RenderRun},
+	{kind: "table", params: []string{"table", "quality"}, run: runTable, text: core.RenderTables},
+	{kind: "figure", params: []string{"figure"}, run: runFigure, text: core.RenderFigure},
+	{kind: "all", params: []string{"quality"}, run: runAll, text: core.RenderReport},
+	{kind: "faults", params: []string{"-faults", "stack", "seed", "rates?", "quality"}, run: runFaults, text: core.RenderFaultStudy},
+	{kind: "soak", params: []string{"-soak", "stack", "seed", "quality", "soak_batches?", "soak_roundtrips?"}, run: runSoak, text: soak.Report},
+	{kind: "lint", params: []string{"-lint", "stack"}, run: runLint, text: core.RenderLintStudy},
+	{kind: "profile", params: []string{"-profile", "stack", "top", "quality"}, run: runProfile, text: core.RenderFigure},
+	{kind: "machines", params: []string{"models", "stack", "seed", "rates?", "quality"}, run: runMachines, text: core.RenderMachineStudy},
+	{kind: "optimize", params: []string{"models", "stack", "seed", "budget", "candidates", "quality"}, run: runOptimize, text: optimize.Render},
+	{kind: "throughput", params: []string{"-throughput"}, run: runThroughput, text: core.RenderTables},
+	{kind: "multiconn", params: []string{"-multiconn"}, run: runMultiConn, text: core.RenderTables},
+	{kind: "sensitivity", params: []string{"sweep", "stack", "quality"}, run: runSensitivity, text: core.RenderTables},
 }
 
 // Kinds lists the registered kinds.
@@ -121,6 +124,12 @@ func Run(ctx context.Context, spec Spec, env Env) (*Output, error) {
 	return out, nil
 }
 
+// Text renders the report of a registered kind from its document: the
+// text the CLI prints.
+func Text(kind string, doc *obs.Document) string {
+	return lookup(kind).text(doc)
+}
+
 // Per-cell qualities the studies use in place of the presets.
 var (
 	// studyPaperQuality is the paper quality of the machine study and the
@@ -130,15 +139,9 @@ var (
 	faultQuickQuality = core.Quality{Warmup: 3, Measured: 12, Samples: 1}
 )
 
-func text(s string) func() (string, error) { return func() (string, error) { return s, nil } }
-
-// setTable stores the result of a study that yields one table.
-func (out *Output) setTable(t string, data obs.Table, err error) error {
-	if err != nil {
-		return err
-	}
-	out.Doc.Tables, out.Text = []obs.Table{data}, text(t)
-	return nil
+// shape records in the manifest the measurement shape a study ran.
+func (out *Output) shape(q core.Quality) {
+	out.Doc.Manifest.Quality = q.Doc()
 }
 
 // The entries' run functions receive specs Run has validated, so
@@ -159,37 +162,24 @@ func runOne(ctx context.Context, s Spec, env Env, out *Output) error {
 		return err
 	}
 	out.Doc.Runs = []obs.Run{core.RunDoc(res)}
-	out.Text = func() (string, error) {
-		f := res.First()
-		return fmt.Sprintf("%v %v: Te %.1f +- %.2f us | Tp %.1f us | %0.f instrs | CPI %.2f (iCPI %.2f, mCPI %.2f)\n"+
-			"  i-cache %v | d-cache/wb %v | b-cache %v\n"+
-			"  phases: wire %.1f us | controller %.1f us | processing %.1f us | timer wait %.1f us",
-			cfg.Stack, ver, res.TeMeanUS, res.TeStdUS, f.TpUS, f.TraceLen, f.CPI, f.ICPI, f.MCPI,
-			f.ICache, f.DCache, f.BCache,
-			f.Phases.WireUS, f.Phases.ControllerUS, f.Phases.ProcessUS, f.Phases.TimerWaitUS), nil
-	}
 	return nil
 }
 
 // sweep is one stack's version sweep, the input of tables 4..9.
 type sweep = map[core.Version]*core.Result
 
-// sweepTables are tables 4/5 (one exhibit), 6, 7, 8 and 9, in report
-// order.
-var sweepTables = []struct {
-	text func(tcpip, rpc sweep) string
-	data func(tcpip, rpc sweep) []obs.Table
-}{
-	{core.Table45, core.Table45Data},
-	{core.Table6, one(core.Table6Data)},
-	{core.Table7, one(core.Table7Data)},
-	{core.Table8, one(core.Table8Data)},
-	{core.Table9, one(core.Table9Data)},
+// sweepTables computes tables 4/5 (one exhibit), 6, 7, 8 and 9 from the
+// version sweeps, in report order.
+var sweepTables = []func(tcpip, rpc sweep) []obs.Table{
+	core.Table45Data,
+	func(tcpip, rpc sweep) []obs.Table { return []obs.Table{core.Table6Data(tcpip, rpc)} },
+	func(tcpip, rpc sweep) []obs.Table { return []obs.Table{core.Table7Data(tcpip, rpc)} },
+	func(tcpip, rpc sweep) []obs.Table { return []obs.Table{core.Table8Data(tcpip, rpc)} },
+	func(tcpip, rpc sweep) []obs.Table { return []obs.Table{core.Table9Data(tcpip, rpc)} },
 }
 
-func one(f func(tcpip, rpc sweep) obs.Table) func(tcpip, rpc sweep) []obs.Table {
-	return func(tcpip, rpc sweep) []obs.Table { return []obs.Table{f(tcpip, rpc)} }
-}
+// measuredTables computes tables 1, 2 and 3, each from its own runs.
+var measuredTables = []func(core.Quality) (obs.Table, error){core.Table1Data, core.Table2Data, core.Table3Data}
 
 // sweeps runs both stacks' version sweeps, profiled so the document
 // carries the per-function attribution behind the tables' aggregates.
@@ -207,16 +197,15 @@ func sweeps(ctx context.Context, q core.Quality, doc *obs.Document) (tcpip, rpc 
 func runTable(ctx context.Context, s Spec, env Env, out *Output) error {
 	q := s.quality()
 	if s.Table <= 3 {
-		full := []func(core.Quality) (string, obs.Table, error){core.Table1Full, core.Table2Full, core.Table3Full}
-		return out.setTable(full[s.Table-1](q))
+		t, err := measuredTables[s.Table-1](q)
+		out.Doc.Tables = []obs.Table{t}
+		return err
 	}
 	tcpip, rpc, err := sweeps(ctx, q, out.Doc)
 	if err != nil {
 		return err
 	}
-	t := sweepTables[max(s.Table-5, 0)]
-	out.Doc.Tables = t.data(tcpip, rpc)
-	out.Text = func() (string, error) { return t.text(tcpip, rpc), nil }
+	out.Doc.Tables = sweepTables[max(s.Table-5, 0)](tcpip, rpc)
 	return nil
 }
 
@@ -229,50 +218,41 @@ var figures = []struct {
 	{"figure2", "Effects of Outlining and Cloning on the i-cache footprint", core.Figure2},
 }
 
-func runFigure(ctx context.Context, s Spec, env Env, out *Output) error {
-	f := figures[s.Table-1]
+// figure renders Figure n (1-based) into the document.
+func (out *Output) figure(n int) error {
+	f := figures[n-1]
 	t, err := f.render()
-	if err != nil {
-		return err
-	}
-	out.Doc.Figures, out.Text = []obs.Figure{{Name: f.name, Title: f.title, Text: t}}, text(t)
-	return nil
+	out.Doc.Figures = append(out.Doc.Figures, obs.Figure{Name: f.name, Title: f.title, Text: t})
+	return err
 }
 
-// runAll is the full evaluation report. Its document holds tables 4..9
-// and their runs; the text adds the figures and tables 1..3, measured only
-// when the text is asked for.
+func runFigure(ctx context.Context, s Spec, env Env, out *Output) error {
+	out.shape(core.Quality{})
+	return out.figure(s.Table)
+}
+
+// runAll is the full evaluation report: both figures, tables 1..3 and the
+// version sweeps behind tables 4..9.
 func runAll(ctx context.Context, s Spec, env Env, out *Output) error {
 	q := s.quality()
+	for _, t := range measuredTables {
+		data, err := t(q)
+		if err != nil {
+			return err
+		}
+		out.Doc.Tables = append(out.Doc.Tables, data)
+	}
 	tcpip, rpc, err := sweeps(ctx, q, out.Doc)
 	if err != nil {
 		return err
 	}
 	for _, t := range sweepTables {
-		out.Doc.Tables = append(out.Doc.Tables, t.data(tcpip, rpc)...)
+		out.Doc.Tables = append(out.Doc.Tables, t(tcpip, rpc)...)
 	}
-	out.Text = func() (string, error) {
-		var parts []string
-		for _, f := range []func() (string, error){
-			core.Figure1,
-			func() (string, error) { return core.Table1(q) },
-			func() (string, error) { return core.Table2(q) },
-			func() (string, error) { return core.Table3(q) },
-		} {
-			p, err := f()
-			if err != nil {
-				return "", err
-			}
-			parts = append(parts, p)
+	for n := 1; n <= len(figures); n++ {
+		if err := out.figure(n); err != nil {
+			return err
 		}
-		for _, t := range sweepTables {
-			parts = append(parts, t.text(tcpip, rpc))
-		}
-		f2, err := core.Figure2()
-		if err != nil {
-			return "", err
-		}
-		return strings.Join(append(parts, f2), "\n") + "\n", nil
 	}
 	return nil
 }
@@ -294,9 +274,9 @@ func runFaults(ctx context.Context, s Spec, env Env, out *Output) error {
 	if err != nil {
 		return err
 	}
+	out.shape(cfg.Quality)
 	out.Doc.FaultStudy = core.FaultStudyDocOf(cfg, cells)
 	out.Doc.FaultStudy.Recovery = core.RecoveryDocOf(rcells)
-	out.Text = func() (string, error) { return core.RenderFaultStudy(cfg, cells, rcells), nil }
 	return nil
 }
 
@@ -323,14 +303,11 @@ func runSoak(ctx context.Context, s Spec, env Env, out *Output) error {
 	if err != nil {
 		return err
 	}
-	out.Text = func() (string, error) { return soak.Report(res), nil }
-	if res.Stopped {
-		out.Doc = nil
-		return nil
-	}
-	// The manifest's quality block records the soak's own batch shape.
-	out.Doc.Manifest.Quality = obs.QualityDoc{Warmup: cfg.Warmup, Measured: cfg.BatchRoundtrips, Samples: cfg.BatchesPerCell}
+	// A soak cell runs BatchesPerCell batches of Warmup+BatchRoundtrips
+	// roundtrips.
+	out.shape(core.Quality{Warmup: cfg.Warmup, Measured: cfg.BatchRoundtrips, Samples: cfg.BatchesPerCell})
 	out.Doc.Soak = soak.Doc(res)
+	out.Partial = res.Stopped
 	return nil
 }
 
@@ -341,7 +318,6 @@ func runLint(ctx context.Context, s Spec, env Env, out *Output) error {
 		return err
 	}
 	out.Doc.Verify = core.LintStudyDocOf(kind, core.Bipartite, cells)
-	out.Text = func() (string, error) { return core.RenderLintStudy(kind, core.Bipartite, cells), nil }
 	return nil
 }
 
@@ -352,7 +328,6 @@ func runProfile(ctx context.Context, s Spec, env Env, out *Output) error {
 	}
 	out.Doc.Runs = core.RunsDoc(results)
 	out.Doc.Figures = []obs.Figure{{Name: "profile", Title: "Per-function mCPI attribution", Text: t}}
-	out.Text = text(t)
 	return nil
 }
 
@@ -370,8 +345,8 @@ func runMachines(ctx context.Context, s Spec, env Env, out *Output) error {
 	if err != nil {
 		return err
 	}
+	out.shape(cfg.Quality)
 	out.Doc.Machines = core.MachineStudyDocOf(cfg, cells)
-	out.Text = func() (string, error) { return core.RenderMachineStudy(cfg, cells), nil }
 	return nil
 }
 
@@ -390,8 +365,8 @@ func runOptimize(ctx context.Context, s Spec, env Env, out *Output) error {
 	if err != nil {
 		return err
 	}
+	out.shape(cfg.Quality)
 	out.Doc.Optimize = optimize.DocOf(cfg, results)
-	out.Text = func() (string, error) { return optimize.Render(cfg, results), nil }
 	return nil
 }
 
@@ -401,14 +376,27 @@ const (
 	multiconnRoundtrips                   = 32
 )
 
+// table stores the one table a study yields.
+func (out *Output) table(t obs.Table, err error) error {
+	out.Doc.Tables = []obs.Table{t}
+	return err
+}
+
 func runThroughput(ctx context.Context, s Spec, env Env, out *Output) error {
-	return out.setTable(core.ThroughputTable(throughputSegments, throughputPayload))
+	// One transfer per version, every segment timed.
+	out.shape(core.Quality{Measured: throughputSegments, Samples: 1})
+	return out.table(core.ThroughputTable(throughputSegments, throughputPayload))
 }
 
 func runMultiConn(ctx context.Context, s Spec, env Env, out *Output) error {
-	return out.setTable(core.MultiConnectionTable(multiconnRoundtrips))
+	// One run per cell; Te averages the second half of the roundtrips.
+	out.shape(core.Quality{Warmup: multiconnRoundtrips / 2, Measured: multiconnRoundtrips / 2, Samples: 1})
+	return out.table(core.MultiConnectionTable(multiconnRoundtrips))
 }
 
 func runSensitivity(ctx context.Context, s Spec, env Env, out *Output) error {
-	return out.setTable(core.Sensitivity(s.stackKind(), s.Sweep, s.quality()))
+	// One recorded trace per version, replayed on every geometry.
+	q := s.quality()
+	out.shape(core.Quality{Warmup: q.Warmup, Measured: q.Measured, Samples: 1})
+	return out.table(core.Sensitivity(s.stackKind(), s.Sweep, q))
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"regexp"
 	"slices"
@@ -51,14 +52,14 @@ func TestManifestCommand(t *testing.T) {
 		{Spec{Kind: "table", Table: 4, Stack: "rpc"}, "protolat -table 4 -quality quick"},
 		{Spec{Kind: "figure", Table: 2, Quality: "paper"}, "protolat -figure 2"},
 		{Spec{Kind: "all"}, "protolat -quality quick"},
-		{Spec{Kind: "faults", Seed: 11}, "protolat -faults -stack tcpip -seed 11 -rates  -quality quick"},
+		{Spec{Kind: "faults", Seed: 11}, "protolat -faults -stack tcpip -seed 11 -quality quick"},
 		{Spec{Kind: "faults", Seed: 7, Rates: "0, 0.05"}, "protolat -faults -stack tcpip -seed 7 -rates 0,0.05 -quality quick"},
 		{Spec{Kind: "soak", Seed: 7}, "protolat -soak -stack tcpip -seed 7 -quality quick"},
 		{Spec{Kind: "soak", Seed: 7, SoakBatches: 2}, "protolat -soak -stack tcpip -seed 7 -quality quick -soakbatches 2"},
 		{Spec{Kind: "soak", Seed: 5, SoakBatches: 1, SoakRoundtrips: 4}, "protolat -soak -stack tcpip -seed 5 -quality quick -soakbatches 1 -soakroundtrips 4"},
 		{Spec{Kind: "lint", Quality: "paper"}, "protolat -lint -stack tcpip"},
 		{Spec{Kind: "profile"}, "protolat -profile -stack tcpip -top 10 -quality quick"},
-		{Spec{Kind: "machines", Models: "DEC3000, modern"}, "protolat -machines dec3000,modern -stack tcpip -seed 1 -rates  -quality quick"},
+		{Spec{Kind: "machines", Models: "DEC3000, modern"}, "protolat -machines dec3000,modern -stack tcpip -seed 1 -quality quick"},
 		{Spec{Kind: "optimize", Models: "dec3000", Budget: 60}, "protolat -optimize dec3000 -stack tcpip -seed 1 -budget 60 -candidates 3 -quality quick"},
 		{Spec{Kind: "optimize", Candidates: 1}, "protolat -optimize all -stack tcpip -seed 1 -budget 300 -candidates 1 -quality quick"},
 		{Spec{Kind: "throughput", Stack: "rpc"}, "protolat -throughput"},
@@ -68,6 +69,23 @@ func TestManifestCommand(t *testing.T) {
 	} {
 		if got := tc.spec.Normalized().command(); got != tc.want {
 			t.Errorf("%+v:\n got %q\nwant %q", tc.spec, got, tc.want)
+		}
+	}
+}
+
+// TestManifestRecordsShape: the manifest's quality block is the shape the
+// study ran — here, the per-cell quality the machine and fault reports
+// print.
+func TestManifestRecordsShape(t *testing.T) {
+	for _, s := range []Spec{{Kind: "machines", Models: "dec3000"}, {Kind: "faults", Rates: "0"}} {
+		out, err := Run(context.Background(), s, Env{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := out.Doc.Manifest.Quality
+		want := fmt.Sprintf("Quality: %d warmup + %d measured roundtrips, %d sample(s) per cell.", q.Warmup, q.Measured, q.Samples)
+		if !slices.Contains(strings.Split(Text(s.Kind, out.Doc), "\n"), want) {
+			t.Errorf("%s report lacks the manifest's %q", s.Kind, want)
 		}
 	}
 }

@@ -18,8 +18,6 @@
 // block), matching the methodology behind Table 6 of the paper.
 package mem
 
-import "fmt"
-
 // Stats counts the accesses observed by one level of the hierarchy during
 // the current measurement epoch.
 type Stats struct {
@@ -45,10 +43,6 @@ func (s Stats) Sub(o Stats) Stats {
 		Misses:     s.Misses - o.Misses,
 		ReplMisses: s.ReplMisses - o.ReplMisses,
 	}
-}
-
-func (s Stats) String() string {
-	return fmt.Sprintf("acc=%d miss=%d repl=%d", s.Accesses, s.Misses, s.ReplMisses)
 }
 
 // cache is one set-associative (LRU) cache level; associativity 1 gives

@@ -177,9 +177,6 @@ func TestStatsSubAndHits(t *testing.T) {
 	if a.Hits() != 6 {
 		t.Fatalf("Hits = %d", a.Hits())
 	}
-	if a.String() == "" {
-		t.Fatal("String must be non-empty")
-	}
 }
 
 // Property: for any access sequence, misses <= accesses, replacement misses

@@ -65,36 +65,36 @@ func Doc(res *Result) *obs.SoakDoc {
 	return d
 }
 
-// Report renders the result as the soak's text report: per cell, the full
-// population's tail percentiles and the degraded subset's, plus recovery
-// counters and the invariant-check audit line.
-func Report(res *Result) string {
-	var b strings.Builder
+// Report renders a soak document as the soak's text report: per cell,
+// the full population's tail percentiles and the degraded subset's, plus
+// recovery counters and the invariant-check audit line. The schedule runs
+// manifest.quality.samples batches per cell, so a document holding fewer
+// units is a soak stopped early.
+func Report(doc *obs.Document) string {
+	d := doc.Soak
+	total := len(d.Cells) * doc.Manifest.Quality.Samples
 	status := "complete"
-	if res.Stopped {
+	if d.Units < total {
 		status = "stopped (resumable)"
 	}
-	if res.Resumed {
-		status += ", resumed from journal"
-	}
-	fmt.Fprintf(&b, "Soak: %v, %d/%d units, %s\n", res.Stack, res.Units, res.Total, status)
+	var b strings.Builder
+	fmt.Fprintf(&b, "Soak: %s, %d/%d units, %s\n", d.Stack, d.Units, total, status)
 	b.WriteString("Tail latency per regime × policy × version [us]; 'deg' is the injector-touched subset.\n\n")
 	b.WriteString("regime  policy    ver  units    rt      p50      p90      p99     p999      max | deg-rt  deg-p99 | rexmit fastrx abort\n")
 	b.WriteString("------  ------    ---  -----    --      ---      ---      ---     ----      --- | ------  ------- | ------ ------ -----\n")
-	for _, c := range res.Cells {
-		all := latencyDoc(c.All)
-		deg := latencyDoc(c.Degraded)
+	for _, c := range d.Cells {
+		all, deg := c.All, c.Degraded
 		degP99 := "      -"
 		if deg.Roundtrips > 0 {
 			degP99 = fmt.Sprintf("%7.0f", deg.P99US)
 		}
-		fmt.Fprintf(&b, "%-6s  %-8v  %-3v  %5d  %4d  %7.0f  %7.0f  %7.0f  %7.0f  %7.0f | %6d  %s | %6d %6d %5d\n",
+		fmt.Fprintf(&b, "%-6s  %-8s  %-3s  %5d  %4d  %7.0f  %7.0f  %7.0f  %7.0f  %7.0f | %6d  %s | %6d %6d %5d\n",
 			c.Regime, c.Policy, c.Version, c.Units, all.Roundtrips,
 			all.P50US, all.P90US, all.P99US, all.P999US, all.MaxUS,
 			deg.Roundtrips, degP99,
-			c.Stats.Retransmits, c.Stats.FastRetransmits, c.Stats.Aborts)
+			c.Recovery.Retransmits, c.Recovery.FastRetransmits, c.Recovery.Aborts)
 	}
 	fmt.Fprintf(&b, "\ninvariant checks: %d units ran under the watchdog/drain/monotonicity set; %d frame-accounting and %d injector-reconciliation re-verifications passed\n",
-		res.Checks.Units, res.Checks.FrameAccounting, res.Checks.Reconciliation)
+		d.Checks.Units, d.Checks.FrameAccounting, d.Checks.Reconciliation)
 	return b.String()
 }

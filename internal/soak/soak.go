@@ -9,7 +9,7 @@
 //
 // Determinism is inherited from the layers below (seeded fault plans,
 // virtual time) and preserved here by construction: the schedule is a flat
-// unit list, units fan out over core.ForEachIndexed but fold into cell
+// unit list, units fan out over core.ForEachIndexedCtx but fold into cell
 // state serially in unit order, and digests merge commutatively. The unit
 // about to run is a pure function of the journal, never of wall-clock time.
 package soak

@@ -18,9 +18,11 @@
 //	fmt.Printf("roundtrip: %.1f us, mCPI %.2f\n", res.TeMeanUS, res.First().MCPI)
 //
 // Every table, figure and study of the evaluation, as the protolat CLI and
-// the experiment daemon compute it — a document plus its text report:
+// the experiment daemon compute it — a document, whose text report is a
+// function of the document alone:
 //
 //	out, err := repro.RunSpec(ctx, repro.Spec{Kind: "table", Table: 4}, repro.Env{})
+//	fmt.Println(repro.Text("table", out.Doc))
 //
 // The building blocks (machine simulator, object-code models, layout
 // engine, protocol implementations) live under internal/; this package
@@ -32,6 +34,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machines"
+	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/storage"
 )
@@ -102,7 +105,7 @@ type (
 	Spec = serve.Spec
 	// Env carries execution details that never change a document.
 	Env = serve.Env
-	// Output is a study's document plus its text report.
+	// Output is a study's document.
 	Output = serve.Output
 	// SpecError reports an invalid spec field.
 	SpecError = serve.SpecError
@@ -113,6 +116,9 @@ type (
 func RunSpec(ctx context.Context, spec Spec, env Env) (*Output, error) {
 	return serve.Run(ctx, spec, env)
 }
+
+// Text renders a registered kind's text report from its document.
+func Text(kind string, doc *obs.Document) string { return serve.Text(kind, doc) }
 
 // Kinds lists the registered study kinds.
 func Kinds() []string { return serve.Kinds() }

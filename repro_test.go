@@ -39,11 +39,7 @@ func runText(t *testing.T, spec Spec) string {
 	if out.Doc == nil {
 		t.Fatalf("%+v: no document", spec)
 	}
-	text, err := out.Text()
-	if err != nil {
-		t.Fatalf("%+v: text: %v", spec, err)
-	}
-	return text
+	return Text(spec.Kind, out.Doc)
 }
 
 func TestTableRenderersProduceOutput(t *testing.T) {
