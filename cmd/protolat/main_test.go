@@ -232,3 +232,48 @@ func TestDocCommandsAreSpecs(t *testing.T) {
 		t.Fatalf("found only %d protolat commands in the docs; the pattern no longer matches them", n)
 	}
 }
+
+// TestRPCSampleCapInManifest: RPC runs hold at most 5 samples, so a
+// paper-quality sweep document records that cap beside its 10 samples,
+// and every run holds the count its manifest states. A quick document,
+// which no cap touches, carries no rpc_samples field at all.
+func TestRPCSampleCapInManifest(t *testing.T) {
+	for _, tc := range []struct {
+		quality       string
+		samples, rpc  int
+		rpcFieldShown bool
+	}{
+		{"paper", 10, 5, true},
+		{"quick", 2, 2, false},
+	} {
+		path := filepath.Join(t.TempDir(), "doc.json")
+		var stdout, stderr bytes.Buffer
+		if code := protolat([]string{"-table", "7", "-quality", tc.quality, "-json", path}, &stdout, &stderr); code != 0 {
+			t.Fatalf("-quality %s: exit %d: %s", tc.quality, code, stderr.String())
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := bytes.Contains(raw, []byte(`"rpc_samples"`)); got != tc.rpcFieldShown {
+			t.Errorf("-quality %s: rpc_samples present = %v, want %v", tc.quality, got, tc.rpcFieldShown)
+		}
+		var doc obs.Document
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatal(err)
+		}
+		q := doc.Manifest.Quality
+		if q.Samples != tc.samples || (tc.rpcFieldShown && q.RPCSamples != tc.rpc) {
+			t.Errorf("-quality %s: manifest quality %+v, want samples %d, rpc_samples %d", tc.quality, q, tc.samples, tc.rpc)
+		}
+		for _, r := range doc.Runs {
+			want := tc.samples
+			if r.Stack == "RPC" {
+				want = tc.rpc
+			}
+			if len(r.Samples) != want {
+				t.Errorf("-quality %s: %s %s run holds %d samples, want %d", tc.quality, r.Stack, r.Version, len(r.Samples), want)
+			}
+		}
+	}
+}

@@ -40,10 +40,11 @@ const (
 	// OpNop is a scheduling or alignment filler.
 	OpNop
 
-	numOps
+	// NumOps is the number of instruction classes; valid ops are below it.
+	NumOps
 )
 
-var opNames = [numOps]string{"alu", "load", "store", "condbr", "br", "jump", "mul", "nop"}
+var opNames = [NumOps]string{"alu", "load", "store", "condbr", "br", "jump", "mul", "nop"}
 
 // String returns the lower-case mnemonic class name.
 func (o Op) String() string {

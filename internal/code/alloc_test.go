@@ -10,19 +10,23 @@ import (
 
 // TestEngineStepLoopAllocFree pins the engine's steady-state execution at
 // zero heap allocations per model invocation. The per-instruction step loop
-// (entry construction, Env condition and address lookups, cache simulation)
+// (entry construction, Binding condition and address lookups, cache simulation)
 // is the hot path of every experiment sample; an allocation introduced there
 // multiplies by the dynamic instruction count and reintroduces the GC
 // pressure that used to serialize the parallel runner. The loop also
 // rebuilds the binding the way every simulated event does — Reset, then
-// the stack, the address bindings (one overwritten) and the conditions —
-// so a steady-state event allocates nothing either.
+// the stack, the address bindings (one overwritten), the conditions and
+// two queued loop counts — so a steady-state event allocates nothing
+// either.
 func TestEngineStepLoopAllocFree(t *testing.T) {
 	f := NewBuilder("hot", ClassPath).
 		Frame(2).
 		Block("entry").ALU(3).Load("state", 2).Load("ring", 1).Store("state", 1).Store("unbound", 0).
 		Cond("more", "entry", "done").
-		Block("done").ALU(1).Ret().
+		Block("done").ALU(1).
+		Loop("copy", "copy.more", func(b *Builder) { b.Load("", 1) }).
+		Loop("again", "copy.more", func(b *Builder) { b.Store("", 1) }).
+		Ret().
 		MustBuild()
 	p := NewProgram()
 	p.MustAdd(f)
@@ -39,6 +43,7 @@ func TestEngineStepLoopAllocFree(t *testing.T) {
 		env.Bind("ring", 0x3000)
 		env.Bind("state", 0x1100)
 		env.SetFunc("more", more)
+		env.PushCount("copy.more", 3).PushCount("copy.more", 2)
 		e.MustRun("hot", env)
 	}
 

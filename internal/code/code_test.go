@@ -1,6 +1,7 @@
 package code
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/arch"
@@ -18,7 +19,7 @@ func newEngine(t *testing.T, p *Program) *Engine {
 }
 
 // record runs fn under env and returns the emitted trace.
-func record(t *testing.T, e *Engine, fn string, env Env) []cpu.Entry {
+func record(t *testing.T, e *Engine, fn string, env *Binding) []cpu.Entry {
 	t.Helper()
 	var tr []cpu.Entry
 	e.Observer = func(en cpu.Entry) { tr = append(tr, en) }
@@ -335,24 +336,121 @@ func TestCalleesAndClassString(t *testing.T) {
 	}
 }
 
-func TestUnknownFunctionErrors(t *testing.T) {
-	p := NewProgram()
-	p.MustAdd(NewBuilder("f", ClassPath).Call("ghost").Ret().MustBuild())
-	e := newEngine(t, p)
-	if err := e.Run("f", nil); err == nil {
-		t.Fatal("call to unknown function must error")
+// runErr runs fn on p without linking it again and returns the error
+// message ("" on success).
+func runErr(p *Program, fn string) string {
+	e := NewEngine(cpu.New(mem.New(arch.DEC3000_600())), p)
+	if err := e.Run(fn, nil); err != nil {
+		return err.Error()
 	}
-	if err := e.Run("missing", nil); err == nil {
-		t.Fatal("run of unknown function must error")
+	return ""
+}
+
+// TestUnknownFunctionErrors pins the errors of names that resolve to no
+// placement: a callee or Run target missing from the program, a callee
+// removed after linking (its id must not reach a stale placement), and a
+// callee added after linking that was never placed.
+func TestUnknownFunctionErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name, run, want string
+		build           func(t *testing.T) *Program
+	}{
+		{"missing callee", "f", `code: call to unknown function "ghost"`, func(t *testing.T) *Program {
+			p := NewProgram()
+			p.MustAdd(NewBuilder("f", ClassPath).Call("ghost").Ret().MustBuild())
+			return linked(t, p)
+		}},
+		{"missing run target", "missing", `code: call to unknown function "missing"`, func(t *testing.T) *Program {
+			p := NewProgram()
+			p.MustAdd(NewBuilder("f", ClassPath).ALU(1).Ret().MustBuild())
+			return linked(t, p)
+		}},
+		{"callee removed after link", "f", `code: call to unknown function "g"`, func(t *testing.T) *Program {
+			p := NewProgram()
+			p.MustAdd(NewBuilder("f", ClassPath).Call("g").Ret().MustBuild(), NewBuilder("g", ClassPath).ALU(1).Ret().MustBuild())
+			linked(t, p).Remove("g")
+			return p
+		}},
+		{"callee never placed", "f", `code: function "late" has no placement (program not linked)`, func(t *testing.T) *Program {
+			p := NewProgram()
+			p.MustAdd(NewBuilder("f", ClassPath).Call("late").Ret().MustBuild())
+			linked(t, p).MustAdd(NewBuilder("late", ClassPath).ALU(1).Ret().MustBuild())
+			return p
+		}},
+		{"run target never placed", "f", `code: function "f" has no placement (program not linked)`, func(t *testing.T) *Program {
+			p := NewProgram()
+			p.MustAdd(NewBuilder("f", ClassPath).ALU(1).Ret().MustBuild())
+			return p
+		}},
+	} {
+		if got := runErr(tc.build(t), tc.run); got != tc.want {
+			t.Errorf("%s: error %q, want %q", tc.name, got, tc.want)
+		}
 	}
 }
 
+func linked(t *testing.T, p *Program) *Program {
+	t.Helper()
+	if err := p.Link(); err != nil {
+		t.Fatalf("Link: %v", err)
+	}
+	return p
+}
+
+// TestRecursionGuard pins the call-depth error on direct and mutual
+// recursion.
 func TestRecursionGuard(t *testing.T) {
-	p := NewProgram()
-	p.MustAdd(NewBuilder("f", ClassPath).Call("f").Ret().MustBuild())
-	e := newEngine(t, p)
-	if err := e.Run("f", nil); err == nil {
-		t.Fatal("infinite model recursion must be caught")
+	self := NewProgram()
+	self.MustAdd(NewBuilder("f", ClassPath).Call("f").Ret().MustBuild())
+	mutual := NewProgram()
+	mutual.MustAdd(NewBuilder("a", ClassPath).Call("b").Ret().MustBuild(), NewBuilder("b", ClassPath).ALU(1).Call("a").Ret().MustBuild())
+	for _, tc := range []struct {
+		p       *Program
+		run, at string
+	}{{self, "f", "f"}, {mutual, "a", "b"}} {
+		want := fmt.Sprintf("code: call depth exceeded at %q (cycle in code models?)", tc.at)
+		if got := runErr(linked(t, tc.p), tc.run); got != want {
+			t.Errorf("Run(%s): error %q, want %q", tc.run, got, want)
+		}
+	}
+}
+
+// TestUnlinkedNamesStillResolve runs a program placed without LinkData:
+// no call, operand or condition carries an id, and the engine must look
+// each name up rather than treat the zero id as a symbol.
+func TestUnlinkedNamesStillResolve(t *testing.T) {
+	build := func() *Program {
+		p := NewProgram()
+		p.MustAdd(
+			NewBuilder("f", ClassPath).Frame(1).Load("obj", 1).Cond("c", "y", "n").
+				Block("y").Call("g").Ret().
+				Block("n").ALU(1).Ret().MustBuild(),
+			NewBuilder("g", ClassPath).Store("obj", 1).Ret().MustBuild())
+		return p
+	}
+	env := func() *Binding { return NewBinding(nil).Set("c", true).Bind("obj", 0x9000).Bind(stackName, 0x4000) }
+
+	want := record(t, newEngine(t, build()), "f", env())
+	p := build()
+	addr := uint64(DefaultTextBase)
+	for _, n := range p.Names() {
+		end, err := p.PlaceSequential(n, addr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr = end
+	}
+	if err := p.FinishText(); err != nil {
+		t.Fatal(err)
+	}
+	got := record(t, NewEngine(cpu.New(mem.New(arch.DEC3000_600())), p), "f", env())
+	if len(got) != len(want) {
+		t.Fatalf("unlinked trace has %d entries, linked %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("entry %d: unlinked %+v, linked %+v", i, got[i], want[i])
+		}
 	}
 }
 
@@ -371,7 +469,7 @@ func TestMainlineVsStaticInstrs(t *testing.T) {
 }
 
 func TestDeterministicExecution(t *testing.T) {
-	build := func() (*Engine, Env) {
+	build := func() (*Engine, *Binding) {
 		callee := NewBuilder("lib", ClassLibrary).Load("buf", 2).ALU(3).Ret().MustBuild()
 		f := NewBuilder("f", ClassPath).
 			Frame(2).ALU(5).Call("lib").

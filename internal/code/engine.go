@@ -58,16 +58,18 @@ func (e *Engine) Program() *Program { return e.prog }
 // different layout while keeping the simulated machine state).
 func (e *Engine) SetProgram(p *Program) { e.prog = p }
 
-// Run executes the named function's model under env.
-func (e *Engine) Run(fn string, env Env) error {
-	if env == nil {
-		env = NewBinding(nil)
+// Run executes the named function's model under env; a nil env binds
+// nothing.
+func (e *Engine) Run(fn string, env *Binding) error {
+	pl, err := e.prog.resolve(fn)
+	if err != nil {
+		return err
 	}
-	return e.call(fn, env, 0)
+	return e.call(pl, env, 0)
 }
 
 // MustRun is Run for callers that treat a model error as a bug.
-func (e *Engine) MustRun(fn string, env Env) {
+func (e *Engine) MustRun(fn string, env *Binding) {
 	if err := e.Run(fn, env); err != nil {
 		panic(fmt.Sprintf("code: MustRun(%s): %v", fn, err))
 	}
@@ -80,39 +82,65 @@ func (e *Engine) step(entry cpu.Entry) {
 	e.cpu.Step(entry)
 }
 
-// dataAddr resolves the effective address of a load/store operand. The Env
-// is consulted first (run-time state shadows static storage); named operands
-// the Env does not bind use the static address LinkData cached on the
-// instruction, and unnamed operands model a stack-frame access.
-func (e *Engine) dataAddr(env Env, in *Instr) uint64 {
-	if in.Data != "" {
-		if base, ok := env.Addr(in.Data); ok {
-			return base + uint64(in.Off)
-		}
-		if in.staticOK {
-			return in.staticBase + uint64(in.Off)
+// dataAddr resolves the effective address of a load/store operand. The
+// binding is consulted first (run-time state shadows static storage);
+// named operands it does not bind use the static address LinkData cached
+// on the instruction, and unnamed operands model a stack-frame access.
+func dataAddr(env *Binding, in *Instr) uint64 {
+	if in.Data == "" {
+		if base, ok := env.addr(stackID); ok {
+			return base + uint64(in.Off)%256
 		}
 		return DefaultDataBase + uint64(in.Off)
 	}
-	if base, ok := env.Addr("$stack"); ok {
-		return base + uint64(in.Off)%256
+	id := in.data
+	if id == 0 {
+		// Not linked since the operand was written.
+		id = valueSyms.lookup(in.Data)
+	}
+	if base, ok := env.addr(id); ok {
+		return base + uint64(in.Off)
+	}
+	if in.staticOK {
+		return in.staticBase + uint64(in.Off)
 	}
 	return DefaultDataBase + uint64(in.Off)
 }
 
+// resolve returns the placement of the named function, or the error a call
+// to it reports.
+func (p *Program) resolve(name string) (*Placement, error) {
+	f := p.funcs[name]
+	if f == nil {
+		return nil, fmt.Errorf("code: call to unknown function %q", name)
+	}
+	pl := p.placementOf(f)
+	if pl == nil {
+		return nil, fmt.Errorf("code: function %q has no placement (program not linked)", name)
+	}
+	return pl, nil
+}
+
+// callee returns the placement a call instruction transfers to: the
+// placement slice indexed by the callee id LinkData stored, or, when that
+// misses, the by-name lookup and its error.
+func (p *Program) callee(in *Instr) (*Placement, error) {
+	if id := in.callee; int(id) < len(p.placements) {
+		if pl := p.placements[id]; pl != nil {
+			return pl, nil
+		}
+	}
+	return p.resolve(in.Call)
+}
+
 // call executes one function model. The loop works entirely on the placed
-// blocks the linker resolved: successors and fall-throughs are pointers, so
-// a block transition costs a comparison rather than a label-map lookup.
-func (e *Engine) call(name string, env Env, depth int) error {
+// blocks the linker resolved: successors and fall-throughs are pointers and
+// callees are indices, so a block transition costs a comparison and a call
+// an index rather than a label- or name-map lookup.
+func (e *Engine) call(pl *Placement, env *Binding, depth int) error {
+	name := pl.fn.Name
 	if depth > maxCallDepth {
 		return fmt.Errorf("code: call depth exceeded at %q (cycle in code models?)", name)
-	}
-	pl := e.prog.placements[name]
-	if pl == nil {
-		if e.prog.funcs[name] == nil {
-			return fmt.Errorf("code: call to unknown function %q", name)
-		}
-		return fmt.Errorf("code: function %q has no placement (program not linked)", name)
 	}
 
 	if e.Attr != nil {
@@ -133,7 +161,7 @@ func (e *Engine) call(name string, env Env, depth int) error {
 			in := &instrs[i]
 			entry := cpu.Entry{Addr: addr, Op: in.Op}
 			if in.Op.AccessesMemory() {
-				entry.DataAddr = e.dataAddr(env, in)
+				entry.DataAddr = dataAddr(env, in)
 			}
 			if in.Op == arch.OpCondBr {
 				// Bare conditional branches only occur as
@@ -147,7 +175,11 @@ func (e *Engine) call(name string, env Env, depth int) error {
 			c.Step(entry)
 			addr += instrBytes
 			if in.Call != "" && in.Op == arch.OpJump {
-				if err := e.call(in.Call, env, depth+1); err != nil {
+				callee, err := e.prog.callee(in)
+				if err == nil {
+					err = e.call(callee, env, depth+1)
+				}
+				if err != nil {
 					if e.Attr != nil {
 						e.Attr.ExitFunc(name)
 					}
@@ -163,7 +195,7 @@ func (e *Engine) call(name string, env Env, depth int) error {
 				ein := &epi[i]
 				entry := cpu.Entry{Addr: addr, Op: ein.Op}
 				if ein.Op.AccessesMemory() {
-					entry.DataAddr = e.dataAddr(env, ein)
+					entry.DataAddr = dataAddr(env, ein)
 				}
 				e.step(entry)
 				addr += instrBytes
@@ -182,7 +214,12 @@ func (e *Engine) call(name string, env Env, depth int) error {
 			pb = succ
 
 		case TermCond:
-			taken := env.Cond(pb.b.Term.Cond)
+			id := pb.b.cond
+			if id == 0 {
+				// Not linked since the block was written.
+				id = valueSyms.lookup(pb.b.Term.Cond)
+			}
+			taken := env.cond(id)
 			then, els := pb.then, pb.els
 			succ := then
 			if !taken {

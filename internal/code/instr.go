@@ -9,9 +9,9 @@
 // A code model is not executed for its results — the functional protocol
 // implementations in internal/protocols do the real packet processing — but
 // for its addresses: executing a model emits the instruction-fetch and
-// data-access stream the equivalent Alpha code would generate, driven by an
-// Env that binds branch conditions and operand addresses to live protocol
-// state.
+// data-access stream the equivalent Alpha code would generate, driven by a
+// Binding that binds branch conditions and operand addresses to live
+// protocol state.
 package code
 
 import (
@@ -74,20 +74,35 @@ func (k BlockKind) String() string {
 // out of the mainline.
 func (k BlockKind) Outlinable() bool { return k != BlockMain }
 
-// Instr is one modeled machine instruction.
+// Instr is one modeled machine instruction. The fields are ordered
+// largest first so the struct packs into 56 bytes: every executed
+// instruction is read from a slice of these.
 type Instr struct {
-	// Op is the instruction class (see internal/arch).
-	Op arch.Op
-	// Data names the memory operand of a load or store; the Env resolves
-	// it to a base address at run time, and unresolved names fall back to
-	// linker-assigned static storage.
+	// Data names the memory operand of a load or store; the Binding
+	// resolves it to a base address at run time, and unresolved names fall
+	// back to linker-assigned static storage.
 	Data string
-	// Off is the byte offset of the access within the named object,
-	// assigned by the builder to spread accesses across the object.
-	Off uint32
 	// Call names the function invoked by this jump; the engine recurses
 	// into the callee's model after emitting the instruction.
 	Call string
+
+	// staticBase caches the linker-assigned address of Data, filled in by
+	// LinkData; staticOK marks it valid. The Binding may still shadow it
+	// with a run-time binding, but when it does not the engine reads the
+	// address here instead of hashing the symbol name per execution.
+	staticBase uint64
+
+	// Off is the byte offset of the access within the named object,
+	// assigned by the builder to spread accesses across the object.
+	Off uint32
+
+	// data and callee are the interned ids of Data and Call, set by
+	// LinkData; 0 means the name is empty or not yet resolved.
+	data   int32
+	callee int32
+
+	// Op is the instruction class (see internal/arch).
+	Op arch.Op
 	// CallLoad marks the address-materializing load of a call sequence
 	// (the ldq of the callee's procedure descriptor). Cloning's
 	// specialization deletes it when it converts an indirect call into a
@@ -96,13 +111,7 @@ type Instr struct {
 	// Prologue marks a function-prologue instruction that cloning's
 	// calling-convention specialization may skip.
 	Prologue bool
-
-	// staticBase caches the linker-assigned address of Data, filled in by
-	// LinkData; staticOK marks it valid. The Env may still shadow it with
-	// a run-time binding, but when it does not the engine reads the
-	// address here instead of hashing the symbol name per execution.
-	staticBase uint64
-	staticOK   bool
+	staticOK bool
 }
 
 // TermKind is the way a basic block ends.
@@ -124,7 +133,8 @@ const (
 // Term is a block terminator.
 type Term struct {
 	Kind TermKind
-	// Cond names the run-time condition for TermCond; the Env decides.
+	// Cond names the run-time condition for TermCond; the Binding
+	// decides.
 	Cond string
 	// Then is the target label when the condition holds (or the
 	// unconditional target for TermJump).
@@ -143,6 +153,9 @@ type Block struct {
 	// placement logic materializes).
 	Instrs []Instr
 	Term   Term
+	// cond is the interned id of Term.Cond, set by LinkData. It lives
+	// here rather than in Term so Term values still compare by name.
+	cond int32
 }
 
 func (b *Block) clone() *Block {
@@ -163,6 +176,9 @@ type Function struct {
 	// Epilogue is the register-restore sequence emitted before the
 	// return jump.
 	Epilogue []Instr
+	// id is the interned id of Name, set when the function is added to a
+	// program; placements are indexed by it.
+	id int32
 }
 
 // Clone returns a deep copy of the function under a new name.

@@ -54,7 +54,7 @@ func (p *Program) FuncEntry(name string) (uint64, error) {
 	if f == nil {
 		return 0, &MissingBlockError{}
 	}
-	pl := p.placements[name]
+	pl := p.placementOf(f)
 	if pl == nil {
 		return 0, &MissingBlockError{Func: name}
 	}

@@ -29,7 +29,7 @@ type Placement struct {
 	blocks   map[string]*placedBlock
 	// fn is the function this placement lays out, and entry its placed
 	// entry block — resolved once at Place time so the engine's call path
-	// does a single map lookup per invocation.
+	// starts executing without a lookup.
 	fn    *Function
 	entry *placedBlock
 	end   uint64
@@ -97,9 +97,13 @@ func termStaticSize(f *Function, b *Block, fall string) int {
 // Program is a set of functions plus their placement and static data
 // addresses: the linked image the engine executes against.
 type Program struct {
-	funcs      map[string]*Function
-	order      []string
-	placements map[string]*Placement
+	funcs map[string]*Function
+	order []string
+	// placements is indexed by function id (Function.id, the callee id
+	// LinkData stores in each call). Place updates it, so a program
+	// re-placed without re-linking still resolves every call to the
+	// current layout.
+	placements []*Placement
 	dataSyms   map[string]uint64
 	dataSizes  map[string]uint32
 	textBase   uint64
@@ -109,9 +113,8 @@ type Program struct {
 // NewProgram returns an empty program.
 func NewProgram() *Program {
 	return &Program{
-		funcs:      map[string]*Function{},
-		placements: map[string]*Placement{},
-		textBase:   DefaultTextBase,
+		funcs:    map[string]*Function{},
+		textBase: DefaultTextBase,
 	}
 }
 
@@ -125,6 +128,7 @@ func (p *Program) Add(fs ...*Function) error {
 		if err := f.Validate(); err != nil {
 			return err
 		}
+		f.id = funcSyms.intern(f.Name)
 		p.funcs[f.Name] = f
 		p.order = append(p.order, f.Name)
 	}
@@ -187,11 +191,14 @@ func (p *Program) Clone() *Program {
 // Remove deletes a function from the program (used when path-inlining
 // replaces a set of path functions with one merged function).
 func (p *Program) Remove(name string) {
-	if _, ok := p.funcs[name]; !ok {
+	f, ok := p.funcs[name]
+	if !ok {
 		return
 	}
+	if int(f.id) < len(p.placements) {
+		p.placements[f.id] = nil
+	}
 	delete(p.funcs, name)
-	delete(p.placements, name)
 	for i, n := range p.order {
 		if n == name {
 			p.order = append(p.order[:i], p.order[i+1:]...)
@@ -255,7 +262,10 @@ func (p *Program) Place(name string, segs []Segment) error {
 		}
 	}
 	pl.entry = pl.blocks[f.Blocks[0].Label]
-	p.placements[name] = pl
+	if n := int(f.id) + 1; n > len(p.placements) {
+		p.placements = append(p.placements, make([]*Placement, n-len(p.placements))...)
+	}
+	p.placements[f.id] = pl
 	return nil
 }
 
@@ -275,7 +285,7 @@ func (p *Program) PlaceSequential(name string, addr uint64, order []string) (uin
 	if err := p.Place(name, []Segment{{Addr: addr, Labels: order}}); err != nil {
 		return 0, err
 	}
-	return p.placements[name].end, nil
+	return p.placementOf(f).end, nil
 }
 
 // Link places every function sequentially in link order starting at the text
@@ -317,7 +327,7 @@ func (p *Program) FinishText() error {
 	var spans []span
 	end := p.textBase
 	for _, n := range p.order {
-		pl := p.placements[n]
+		pl := p.placementOf(p.funcs[n])
 		if pl == nil {
 			return fmt.Errorf("code: FinishText: function %q not placed", n)
 		}
@@ -352,12 +362,29 @@ func (p *Program) SetTextBase(addr uint64) { p.textBase = addr }
 func (p *Program) TextEnd() uint64 { return p.textEnd }
 
 // Placement returns the layout of the named function, or nil.
-func (p *Program) Placement(name string) *Placement { return p.placements[name] }
+func (p *Program) Placement(name string) *Placement {
+	if f := p.funcs[name]; f != nil {
+		return p.placementOf(f)
+	}
+	return nil
+}
+
+// placementOf returns the layout of f, a function of p, or nil.
+func (p *Program) placementOf(f *Function) *Placement {
+	if int(f.id) < len(p.placements) {
+		return p.placements[f.id]
+	}
+	return nil
+}
 
 // EntryAddr returns the placed address of the function's entry block.
 func (p *Program) EntryAddr(name string) (uint64, bool) {
-	f, pl := p.funcs[name], p.placements[name]
-	if f == nil || pl == nil {
+	f := p.funcs[name]
+	if f == nil {
+		return 0, false
+	}
+	pl := p.placementOf(f)
+	if pl == nil {
 		return 0, false
 	}
 	return pl.BlockAddr(f.Blocks[0].Label)
@@ -372,7 +399,7 @@ func (p *Program) LinkData() error {
 	sizes := map[string]uint32{}
 	for _, f := range p.funcs {
 		note := func(in Instr) {
-			if in.Data == "" || in.Data == "$stack" {
+			if in.Data == "" || in.Data == stackName {
 				return
 			}
 			if in.Off+8 > sizes[in.Data] {
@@ -402,17 +429,30 @@ func (p *Program) LinkData() error {
 		p.dataSizes[n] = sz
 		addr += uint64(sz)
 	}
-	// Annotate every named operand with its linker-assigned fallback
-	// address so the engine's effective-address path only consults the Env
-	// (which may shadow the static symbol) and never this map.
+	// Resolve every name the engine consults: each operand gets its
+	// interned id and linker-assigned fallback address, each call its
+	// callee id, each conditional block its condition id. Execution then
+	// indexes a Binding slot or the placement slice and never hashes a
+	// name.
 	for _, f := range p.funcs {
 		annotate := func(in *Instr) {
+			in.data, in.callee = 0, 0
+			if in.Data != "" {
+				in.data = valueSyms.intern(in.Data)
+			}
+			if in.Call != "" {
+				in.callee = funcSyms.intern(in.Call)
+			}
 			in.staticOK = false
 			if a, ok := p.dataSyms[in.Data]; ok {
 				in.staticBase, in.staticOK = a, true
 			}
 		}
 		for _, b := range f.Blocks {
+			b.cond = 0
+			if b.Term.Kind == TermCond {
+				b.cond = valueSyms.intern(b.Term.Cond)
+			}
 			for i := range b.Instrs {
 				annotate(&b.Instrs[i])
 			}
@@ -454,7 +494,7 @@ func (p *Program) LayoutFingerprint() uint64 {
 		for i := range f.Epilogue {
 			hashInstr(&f.Epilogue[i])
 		}
-		if pl := p.placements[n]; pl != nil {
+		if pl := p.placementOf(f); pl != nil {
 			fmt.Fprintf(h, "p%d:", pl.end)
 			for _, b := range f.Blocks {
 				if pb := pl.blocks[b.Label]; pb != nil {
@@ -497,7 +537,8 @@ type TextSpan struct {
 func (p *Program) TextMap() []TextSpan {
 	var spans []TextSpan
 	for _, n := range p.order {
-		f, pl := p.funcs[n], p.placements[n]
+		f := p.funcs[n]
+		pl := p.placementOf(f)
 		if pl == nil {
 			continue
 		}

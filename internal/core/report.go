@@ -27,14 +27,16 @@ var PaperQuality = Quality{Warmup: 8, Measured: 24, Samples: 10}
 
 // Apply stamps the quality's sampling shape onto a config.
 func (q Quality) Apply(cfg Config) Config {
-	cfg.Warmup, cfg.Measured = q.Warmup, q.Measured
-	if cfg.Stack == StackRPC && q.Samples > 5 {
-		cfg.Samples = 5
-	} else {
-		cfg.Samples = q.Samples
+	cfg.Warmup, cfg.Measured, cfg.Samples = q.Warmup, q.Measured, q.Samples
+	if cfg.Stack == StackRPC {
+		cfg.Samples = q.RPCSamples()
 	}
 	return cfg
 }
+
+// RPCSamples is the number of samples Apply gives an RPC run: Samples,
+// capped at 5.
+func (q Quality) RPCSamples() int { return min(q.Samples, 5) }
 
 // RunVersions runs all six configurations of a stack. The cells are
 // independent experiments, so they run concurrently on the worker pool and

@@ -45,7 +45,7 @@ func stackSpec(layers int) Spec {
 	return s
 }
 
-func stackEnv(layers int) code.Env {
+func stackEnv(layers int) *code.Binding {
 	env := code.NewBinding(nil)
 	for i := 0; i < layers; i++ {
 		env.PushCount("lib.more", 4)

@@ -57,6 +57,9 @@ type QualityDoc struct {
 	Warmup   int `json:"warmup"`
 	Measured int `json:"measured"`
 	Samples  int `json:"samples"`
+	// RPCSamples is the sample count of the document's RPC runs when a
+	// cap holds them below Samples; absent when no run is capped.
+	RPCSamples int `json:"rpc_samples,omitempty"`
 }
 
 // Manifest identifies a run well enough to reproduce it: the seed, the

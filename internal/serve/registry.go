@@ -144,6 +144,14 @@ func (out *Output) shape(q core.Quality) {
 	out.Doc.Manifest.Quality = q.Doc()
 }
 
+// rpcShape records in doc's manifest the sample count q.Apply gave the
+// document's RPC runs, when the cap made it differ from the quality's.
+func rpcShape(doc *obs.Document, q core.Quality) {
+	if n := q.RPCSamples(); n != q.Samples {
+		doc.Manifest.Quality.RPCSamples = n
+	}
+}
+
 // The entries' run functions receive specs Run has validated, so
 // re-parsing a validated field cannot fail.
 
@@ -191,6 +199,7 @@ func sweeps(ctx context.Context, q core.Quality, doc *obs.Document) (tcpip, rpc 
 		return nil, nil, err
 	}
 	doc.Runs = append(core.RunsDoc(tcpip), core.RunsDoc(rpc)...)
+	rpcShape(doc, q)
 	return tcpip, rpc, nil
 }
 
@@ -327,6 +336,9 @@ func runProfile(ctx context.Context, s Spec, env Env, out *Output) error {
 		return err
 	}
 	out.Doc.Runs = core.RunsDoc(results)
+	if s.stackKind() == core.StackRPC {
+		rpcShape(out.Doc, s.quality())
+	}
 	out.Doc.Figures = []obs.Figure{{Name: "profile", Title: "Per-function mCPI attribution", Text: t}}
 	return nil
 }

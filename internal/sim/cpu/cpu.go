@@ -82,17 +82,22 @@ type CPU struct {
 
 	metrics Metrics
 
+	// costs is the issue model as a table, one row per instruction class
+	// plus a last row for unknown classes, computed once by New.
+	costs [arch.NumOps + 1]opCost
+
 	// pairable is true when the previous instruction occupies the first
 	// slot of an issue pair and may absorb the current one for free.
 	pairable bool
 	// pairablePerfect tracks the same state for the perfect-memory model
 	// (stalls break issue pairs in the real machine).
 	pairablePerfect bool
-	// pairGate rations dual issue: the 21064's strict issue rules and
-	// real data dependences mean only a fraction of adjacent pairs
-	// actually dual-issue; every gateMod-th opportunity is taken.
-	pairGate        int
-	pairGatePerfect int
+	// gate and gatePerfect ration dual issue: the 21064's strict issue
+	// rules and real data dependences mean only a fraction of adjacent
+	// pairs actually dual-issue. Each counts pairing opportunities modulo
+	// gateMod, and the opportunity that brings it back to zero pairs.
+	gate        int
+	gatePerfect int
 
 	// gateMod is derived from Machine.IssueWidth: 3 on a dual-issue
 	// machine like the 21064 (one in three pairable opportunities
@@ -102,6 +107,17 @@ type CPU struct {
 	// co-issue. The dynamic pairing model stays two ops per cycle; width
 	// buys a higher success rate, not wider bundles.
 	gateMod int
+}
+
+// opCost is one row of the issue model.
+type opCost struct {
+	// issue is the base (perfect-memory) cost, and issueTaken the cost
+	// when the entry is a taken branch.
+	issue, issueTaken uint64
+	// startsPair reports whether the op may open an issue pair, and
+	// pairsWith whether it may occupy the second slot of a pair opened
+	// by a simple integer op.
+	startsPair, pairsWith bool
 }
 
 // New returns a CPU executing against hierarchy h.
@@ -114,7 +130,31 @@ func New(h *mem.Hierarchy) *CPU {
 	case m.IssueWidth == 3:
 		gate = 2
 	}
-	return &CPU{m: m, h: h, gateMod: gate}
+	c := &CPU{m: m, h: h, gateMod: gate}
+	taken := 1 + uint64(m.TakenBranchCycles)
+	for op := range c.costs {
+		row := opCost{issue: 1}
+		switch arch.Op(op) {
+		case arch.OpALU, arch.OpNop:
+			row.startsPair, row.pairsWith = true, true
+		case arch.OpLoad:
+			// One-cycle load-use bubble on average.
+			row.issue, row.pairsWith = 2, true
+		case arch.OpStore:
+			row.pairsWith = true
+		case arch.OpCondBr:
+			row.issueTaken = taken
+		case arch.OpBr, arch.OpJump:
+			row.issue = taken
+		case arch.OpMul:
+			row.issue = uint64(m.MulCycles)
+		}
+		if row.issueTaken == 0 {
+			row.issueTaken = row.issue
+		}
+		c.costs[op] = row
+	}
+	return c
 }
 
 // Hierarchy returns the attached memory hierarchy.
@@ -140,58 +180,34 @@ func (c *CPU) AdvanceCycles(n uint64) {
 }
 
 // Reset zeroes the metrics and issue state; the hierarchy is left untouched.
+// The pairing gates keep counting across a reset.
 func (c *CPU) Reset() {
 	c.metrics = Metrics{}
 	c.pairable, c.pairablePerfect = false, false
-}
-
-// issueCycles returns the base (perfect-memory) cost of op and whether the
-// instruction may start an issue pair.
-func (c *CPU) issueCycles(op arch.Op, taken bool) (cycles uint64, startsPair bool) {
-	switch op {
-	case arch.OpALU, arch.OpNop:
-		return 1, true
-	case arch.OpLoad:
-		// One-cycle load-use bubble on average.
-		return 2, false
-	case arch.OpStore:
-		return 1, false
-	case arch.OpCondBr:
-		if taken {
-			return 1 + uint64(c.m.TakenBranchCycles), false
-		}
-		return 1, false
-	case arch.OpBr, arch.OpJump:
-		return 1 + uint64(c.m.TakenBranchCycles), false
-	case arch.OpMul:
-		return uint64(c.m.MulCycles), false
-	default:
-		return 1, false
-	}
-}
-
-// pairsWith reports whether op can occupy the second slot of an issue pair
-// opened by a simple integer op.
-func pairsWith(op arch.Op) bool {
-	switch op {
-	case arch.OpALU, arch.OpNop, arch.OpLoad, arch.OpStore:
-		return true
-	default:
-		return false
-	}
 }
 
 // Step executes one instruction.
 func (c *CPU) Step(e Entry) {
 	c.metrics.Instructions++
 
-	issue, startsPair := c.issueCycles(e.Op, e.Taken)
+	op := e.Op
+	if op > arch.NumOps {
+		op = arch.NumOps
+	}
+	row := &c.costs[op]
+	issue := row.issue
+	if e.Taken {
+		issue = row.issueTaken
+	}
 
 	// Perfect-memory clock.
-	if c.pairablePerfect && pairsWith(e.Op) {
-		c.pairGatePerfect++
+	paired := false
+	if c.pairablePerfect && row.pairsWith {
+		if c.gatePerfect++; c.gatePerfect == c.gateMod {
+			c.gatePerfect, paired = 0, true
+		}
 	}
-	if c.pairablePerfect && pairsWith(e.Op) && c.pairGatePerfect%c.gateMod == 0 {
+	if paired {
 		// Issues in the same cycle as the previous instruction: the
 		// incremental perfect cost is issue-1 (a load's use bubble
 		// still applies).
@@ -199,29 +215,30 @@ func (c *CPU) Step(e Entry) {
 		c.pairablePerfect = false
 	} else {
 		c.metrics.PerfectCycles += issue
-		c.pairablePerfect = startsPair
+		c.pairablePerfect = row.startsPair
 	}
 
 	// Real clock: instruction fetch first.
 	stall := c.h.FetchInstr(c.metrics.Cycles, e.Addr)
-	if e.Op.AccessesMemory() {
-		if e.Op == arch.OpLoad {
-			stall += c.h.Load(c.metrics.Cycles, e.DataAddr)
-		} else {
-			stall += c.h.Store(c.metrics.Cycles, e.DataAddr)
+	switch op {
+	case arch.OpLoad:
+		stall += c.h.Load(c.metrics.Cycles, e.DataAddr)
+	case arch.OpStore:
+		stall += c.h.Store(c.metrics.Cycles, e.DataAddr)
+	}
+	paired = false
+	if c.pairable && stall == 0 && row.pairsWith {
+		if c.gate++; c.gate == c.gateMod {
+			c.gate, paired = 0, true
 		}
 	}
-	if c.pairable && stall == 0 && pairsWith(e.Op) {
-		c.pairGate++
-	}
-	if c.pairable && stall == 0 && pairsWith(e.Op) && c.pairGate%c.gateMod == 0 {
+	if paired {
 		c.metrics.Cycles += issue - 1
 		c.pairable = false
 	} else {
 		c.metrics.Cycles += issue + stall
-		c.pairable = startsPair && stall == 0
+		c.pairable = row.startsPair && stall == 0
 	}
-
 }
 
 // Run executes a recorded trace and returns the metrics accumulated by it
