@@ -13,11 +13,12 @@ vet: ## toolchain vet plus the repo's determinism analyzers (cmd/protovet)
 profile: ## capture CPU+alloc pprof profiles of the hot workloads into profiles/
 	./scripts/profile.sh
 
-fuzz: ## 30 s each of coverage-guided fuzzing: the layout search's move-only proof, the spec parser, the PROTOLAT_FSFAULT parser, the CPU issue model against its reference (not part of check)
+fuzz: ## 30 s each of coverage-guided fuzzing: the layout search's move-only proof, the spec parser, the PROTOLAT_FSFAULT parser, the CPU issue model against its reference, compiled runs against stepping (not part of check)
 	go test -run '^$$' -fuzz '^FuzzMoveOnlyMutation$$' -fuzztime 30s ./internal/optimize
 	go test -run '^$$' -fuzz '^FuzzSpec$$' -fuzztime 30s ./internal/serve
 	go test -run '^$$' -fuzz '^FuzzFromEnv$$' -fuzztime 30s ./internal/storage
 	go test -run '^$$' -fuzz '^FuzzStep$$' -fuzztime 30s ./internal/sim/cpu
+	go test -run '^$$' -fuzz '^FuzzExecRun$$' -fuzztime 30s ./internal/sim/cpu
 
 build:
 	go build ./...

@@ -9,11 +9,14 @@ import (
 )
 
 // TestEngineStepLoopAllocFree pins the engine's steady-state execution at
-// zero heap allocations per model invocation. The per-instruction step loop
-// (entry construction, Binding condition and address lookups, cache simulation)
-// is the hot path of every experiment sample; an allocation introduced there
-// multiplies by the dynamic instruction count and reintroduces the GC
-// pressure that used to serialize the parallel runner. The loop also
+// zero heap allocations per model invocation. The run loop (data-address
+// resolution into the engine's fixed buffer, Binding condition and address
+// lookups, compiled-run execution and cache simulation) is the hot path of
+// every experiment sample; an allocation introduced there multiplies by
+// the dynamic run count and reintroduces the GC pressure that used to
+// serialize the parallel runner. Block bodies compile on first execution,
+// so the warm-up event pays that once; after it nothing allocates, even
+// with more loads and stores in a block than one run holds. The loop also
 // rebuilds the binding the way every simulated event does — Reset, then
 // the stack, the address bindings (one overwritten), the conditions and
 // two queued loop counts — so a steady-state event allocates nothing
@@ -23,13 +26,14 @@ func TestEngineStepLoopAllocFree(t *testing.T) {
 		Frame(2).
 		Block("entry").ALU(3).Load("state", 2).Load("ring", 1).Store("state", 1).Store("unbound", 0).
 		Cond("more", "entry", "done").
-		Block("done").ALU(1).
+		Block("done").ALU(1).Load("ring", maxRunData+5).Call("leaf").Store("state", 3).
 		Loop("copy", "copy.more", func(b *Builder) { b.Load("", 1) }).
 		Loop("again", "copy.more", func(b *Builder) { b.Store("", 1) }).
 		Ret().
 		MustBuild()
+	leaf := NewBuilder("leaf", ClassLibrary).ALU(5).Load("", 2).Ret().MustBuild()
 	p := NewProgram()
-	p.MustAdd(f)
+	p.MustAdd(f, leaf)
 	if err := p.Link(); err != nil {
 		t.Fatalf("Link: %v", err)
 	}
@@ -55,14 +59,15 @@ func TestEngineStepLoopAllocFree(t *testing.T) {
 }
 
 // TestEngineRunWithObserverAllocFree covers the traced variant: installing an
-// Observer must not make the loop allocate either (the entry is passed by
-// value to a pre-bound closure).
+// Observer must not make the loop allocate either (each entry is rebuilt
+// from the run and passed by value to a pre-bound closure).
 func TestEngineRunWithObserverAllocFree(t *testing.T) {
 	f := NewBuilder("hot", ClassPath).
-		ALU(16).Ret().
+		ALU(16).Load("state", 3).Call("leaf").Store("", 2).ALU(4).Ret().
 		MustBuild()
+	leaf := NewBuilder("leaf", ClassLibrary).Load("", maxRunData+1).Ret().MustBuild()
 	p := NewProgram()
-	p.MustAdd(f)
+	p.MustAdd(f, leaf)
 	if err := p.Link(); err != nil {
 		t.Fatalf("Link: %v", err)
 	}

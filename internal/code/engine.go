@@ -32,14 +32,20 @@ type AttrSink interface {
 type Engine struct {
 	cpu  *cpu.CPU
 	prog *Program
-	// Observer, when non-nil, sees every emitted trace entry; the
-	// experiment harness uses it for coverage analysis (Table 9) and for
-	// the trace files that micro-positioning consumes.
+	// data holds the effective addresses of one run's loads and stores.
+	data [maxRunData]uint64
+	// Observer, when non-nil, sees every emitted trace entry, in
+	// execution order; the experiment harness uses it for coverage
+	// analysis (Table 9), the Table-3 counts and the trace files that
+	// micro-positioning consumes. A body run's entries are rebuilt from
+	// the run and delivered just before the CPU executes it, so an
+	// observer must only consume entries, never read CPU state.
 	Observer func(cpu.Entry)
 	// Attr, when non-nil, is notified of every function entry and exit so
 	// the observability layer can attribute cycles and misses to the
-	// function executing them. Nil (the default) costs nothing on the
-	// per-instruction path and one nil check per function call.
+	// function executing them. Runs end at calls, so every boundary falls
+	// between two runs. Nil (the default) costs one nil check per
+	// function call.
 	Attr AttrSink
 }
 
@@ -65,13 +71,30 @@ func (e *Engine) Run(fn string, env *Binding) error {
 	if err != nil {
 		return err
 	}
-	return e.call(pl, env, 0)
+	return execModel(e, pl, env, 0)
 }
+
+// execModel executes a function model from the top of a call tree. It is
+// Engine.call; the differential tests swap in the per-instruction
+// reference engine to hold the compiled path to it.
+var execModel = (*Engine).call
 
 // MustRun is Run for callers that treat a model error as a bug.
 func (e *Engine) MustRun(fn string, env *Binding) {
 	if err := e.Run(fn, env); err != nil {
 		panic(fmt.Sprintf("code: MustRun(%s): %v", fn, err))
+	}
+}
+
+// observeRun feeds obs the entries of one run: instrs placed from addr,
+// with the loads' and stores' effective addresses in data.
+func observeRun(obs func(cpu.Entry), instrs []Instr, addr uint64, data []uint64) {
+	for i := range instrs {
+		entry := cpu.Entry{Addr: addr + uint64(i*instrBytes), Op: instrs[i].Op}
+		if entry.Op.AccessesMemory() {
+			entry.DataAddr, data = data[0], data[1:]
+		}
+		obs(entry)
 	}
 }
 
@@ -133,10 +156,69 @@ func (p *Program) callee(in *Instr) (*Placement, error) {
 	return p.resolve(in.Call)
 }
 
+// maxRunData bounds the loads and stores of one run, so their effective
+// addresses fit the engine's fixed buffer.
+const maxRunData = 32
+
+// bodyCode is a block body compiled for one issue model: its runs in
+// order, each ending at a call or after maxRunData memory operands. The
+// bodies a block compiled for other models chain through next.
+type bodyCode struct {
+	model *cpu.Model
+	runs  []*cpu.Run
+	next  *bodyCode
+}
+
+// body returns pb's body compiled for model m, compiling it on first use.
+// Placed blocks are shared by every engine executing the program, so the
+// chain only ever grows by an atomic swap of its head.
+func (pb *placedBlock) body(m *cpu.Model) *bodyCode {
+	head := pb.code.Load()
+	for bc := head; bc != nil; bc = bc.next {
+		if bc.model == m {
+			return bc
+		}
+	}
+	instrs := pb.b.Instrs
+	bc := &bodyCode{model: m}
+	ops := make([]arch.Op, 0, len(instrs))
+	start, data := 0, 0
+	for i := range instrs {
+		in := &instrs[i]
+		ops = append(ops, in.Op)
+		if in.Op.AccessesMemory() {
+			data++
+		}
+		if isCall(in) || data == maxRunData || i == len(instrs)-1 {
+			bc.runs = append(bc.runs, m.Compile(pb.addr+uint64(start*instrBytes), ops))
+			ops, start, data = ops[:0], i+1, 0
+		}
+	}
+	for {
+		bc.next = head
+		if pb.code.CompareAndSwap(head, bc) {
+			return bc
+		}
+		head = pb.code.Load()
+		for other := head; other != nil; other = other.next {
+			if other.model == m {
+				return other
+			}
+		}
+	}
+}
+
+// isCall reports whether in is a call: a jump naming its callee.
+func isCall(in *Instr) bool { return in.Call != "" && in.Op == arch.OpJump }
+
 // call executes one function model. The loop works entirely on the placed
 // blocks the linker resolved: successors and fall-throughs are pointers and
 // callees are indices, so a block transition costs a comparison and a call
-// an index rather than a label- or name-map lookup.
+// an index rather than a label- or name-map lookup. A block body executes
+// as its compiled runs (see cpu.Run): per run, the engine resolves the
+// effective address of each load and store, feeds the observer the run's
+// entries if one is installed, and hands the run to the CPU; a run that
+// ends in a call then recurses into the callee.
 func (e *Engine) call(pl *Placement, env *Binding, depth int) error {
 	name := pl.fn.Name
 	if depth > maxCallDepth {
@@ -148,42 +230,40 @@ func (e *Engine) call(pl *Placement, env *Binding, depth int) error {
 	}
 	// The observer and CPU cannot change while a model executes (hooks are
 	// installed between Run invocations, never from model code), so hoist
-	// them out of the per-instruction loop: the common observer-less case
-	// then pays nothing per step.
+	// them out of the loop: the common observer-less case then pays
+	// nothing per run.
 	obs := e.Observer
 	c := e.cpu
+	model := c.Model()
 	pb := pl.entry
 	for {
 		addr := pb.addr
 		// Block body.
-		instrs := pb.b.Instrs
-		for i := range instrs {
-			in := &instrs[i]
-			entry := cpu.Entry{Addr: addr, Op: in.Op}
-			if in.Op.AccessesMemory() {
-				entry.DataAddr = dataAddr(env, in)
-			}
-			if in.Op == arch.OpCondBr {
-				// Bare conditional branches only occur as
-				// terminators; instruction lists never carry
-				// them, but keep the entry well-formed.
-				entry.Taken = false
-			}
-			if obs != nil {
-				obs(entry)
-			}
-			c.Step(entry)
-			addr += instrBytes
-			if in.Call != "" && in.Op == arch.OpJump {
-				callee, err := e.prog.callee(in)
-				if err == nil {
-					err = e.call(callee, env, depth+1)
+		if instrs := pb.b.Instrs; len(instrs) > 0 {
+			start := 0
+			for _, r := range pb.body(model).runs {
+				data := e.data[:0]
+				for _, k := range r.MemOps() {
+					data = append(data, dataAddr(env, &instrs[start+int(k)]))
 				}
-				if err != nil {
-					if e.Attr != nil {
-						e.Attr.ExitFunc(name)
+				end := start + r.Len()
+				if obs != nil {
+					observeRun(obs, instrs[start:end], addr, data)
+				}
+				c.Exec(r, addr, data)
+				addr += uint64(r.Len() * instrBytes)
+				start = end
+				if in := &instrs[end-1]; isCall(in) {
+					callee, err := e.prog.callee(in)
+					if err == nil {
+						err = e.call(callee, env, depth+1)
 					}
-					return err
+					if err != nil {
+						if e.Attr != nil {
+							e.Attr.ExitFunc(name)
+						}
+						return err
+					}
 				}
 			}
 		}

@@ -242,3 +242,13 @@ func TestInstrSize(t *testing.T) {
 		t.Fatalf("Instr is %d bytes, want at most 56", n)
 	}
 }
+
+// TestPlacedBlockSize pins placedBlock in the 64-byte size class: every
+// Place allocates one per block, and the layout search places thousands of
+// candidates, so a field that tips it into the next class shows up in the
+// search's allocation.
+func TestPlacedBlockSize(t *testing.T) {
+	if n := unsafe.Sizeof(placedBlock{}); n > 64 {
+		t.Fatalf("placedBlock is %d bytes, want at most 64", n)
+	}
+}

@@ -24,11 +24,19 @@ func TestPlaceResolvesSuccessors(t *testing.T) {
 	if pl.entry == nil || pl.entry.b.Label != "entry" {
 		t.Fatalf("entry not resolved: %+v", pl.entry)
 	}
+	for _, seg := range pl.Segments {
+		for i, l := range seg.Labels {
+			var want *placedBlock
+			if i+1 < len(seg.Labels) {
+				want = pl.blocks[seg.Labels[i+1]]
+			}
+			if got := pl.blocks[l].fallThrough; got != want {
+				t.Fatalf("%s: fall-through %v, want the next block of its segment %v", l, got, want)
+			}
+		}
+	}
 	for _, b := range f.Blocks {
 		pb := pl.blocks[b.Label]
-		if pb.fall != "" && (pb.fallThrough == nil || pb.fallThrough.b.Label != pb.fall) {
-			t.Fatalf("%s: fall-through %q not resolved", b.Label, pb.fall)
-		}
 		switch b.Term.Kind {
 		case TermJump:
 			if pb.then == nil || pb.then.b.Label != b.Term.Then {

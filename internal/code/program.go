@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"sync/atomic"
 )
 
 // DefaultTextBase is where program text starts unless a layout says
@@ -38,18 +39,29 @@ type Placement struct {
 type placedBlock struct {
 	b    *Block
 	addr uint64
-	// fall is the label of the physically following block within the
-	// same segment ("" at segment end).
-	fall string
 	// size is the block's static instruction count including the
 	// materialized terminator.
 	size int
 	// fallThrough, then and els are the placed successors, resolved at
 	// Place time so the engine's block-transition loop chases pointers
-	// instead of hashing labels. fallThrough is nil at segment end; then
-	// and els are nil for kinds that do not use them.
+	// instead of hashing labels. fallThrough is the physically following
+	// block within the same segment, nil at segment end; then and els
+	// are nil for kinds that do not use them.
 	fallThrough *placedBlock
 	then, els   *placedBlock
+	// code is the block body compiled into runs, one bodyCode per issue
+	// model it has executed under, filled on first execution (see
+	// placedBlock.body).
+	code atomic.Pointer[bodyCode]
+}
+
+// fall returns the label of the physically following block within the
+// same segment ("" at segment end).
+func (pb *placedBlock) fall() string {
+	if pb.fallThrough == nil {
+		return ""
+	}
+	return pb.fallThrough.b.Label
 }
 
 // End returns the first address past the placement's highest segment.
@@ -240,7 +252,11 @@ func (p *Program) Place(name string, segs []Segment) error {
 				fall = s.Labels[i+1]
 			}
 			size := len(b.Instrs) + termStaticSize(f, b, fall)
-			pl.blocks[l] = &placedBlock{b: b, addr: addr, fall: fall, size: size}
+			pb := &placedBlock{b: b, addr: addr, size: size}
+			if i > 0 {
+				pl.blocks[s.Labels[i-1]].fallThrough = pb
+			}
+			pl.blocks[l] = pb
 			addr += uint64(size * instrBytes)
 		}
 		if addr > pl.end {
@@ -250,9 +266,6 @@ func (p *Program) Place(name string, segs []Segment) error {
 	// Resolve successor labels to placed-block pointers so execution never
 	// consults the label map again.
 	for _, pb := range pl.blocks {
-		if pb.fall != "" {
-			pb.fallThrough = pl.blocks[pb.fall]
-		}
 		switch pb.b.Term.Kind {
 		case TermJump:
 			pb.then = pl.blocks[pb.b.Term.Then]
@@ -498,7 +511,7 @@ func (p *Program) LayoutFingerprint() uint64 {
 			fmt.Fprintf(h, "p%d:", pl.end)
 			for _, b := range f.Blocks {
 				if pb := pl.blocks[b.Label]; pb != nil {
-					fmt.Fprintf(h, "@%s,%d,%d,%s;", b.Label, pb.addr, pb.size, pb.fall)
+					fmt.Fprintf(h, "@%s,%d,%d,%s;", b.Label, pb.addr, pb.size, pb.fall())
 				}
 			}
 		}

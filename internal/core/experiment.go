@@ -541,30 +541,35 @@ type addrBitset struct {
 	count int
 }
 
-// bitsetPool recycles the coverage word arrays between samples; they are
-// zeroed on reuse, so a pooled bitset is indistinguishable from a fresh one.
-var bitsetPool sync.Pool
+// bitsetPools recycle coverage bitsets between samples, one pool per
+// granularity: a sample takes a fine (4-byte) and a coarse (32-byte)
+// bitset whose word arrays differ eightfold in size, so a shared pool
+// would hand the small array to the large request, which drops it. Word
+// arrays are zeroed on reuse, so a pooled bitset is indistinguishable
+// from a fresh one.
+var bitsetPools [64]sync.Pool // by shift
 
 func newAddrBitset(textBase, textEnd uint64, shift uint) *addrBitset {
 	base := textBase >> shift
 	n := (textEnd>>shift - base + 1 + 63) / 64
-	if v := bitsetPool.Get(); v != nil {
-		if words := v.([]uint64); uint64(cap(words)) >= n {
-			words = words[:n]
-			clear(words)
-			return &addrBitset{base: base, shift: shift, words: words}
-		}
-		// Too small for this image: drop it and allocate to fit.
+	s, _ := bitsetPools[shift].Get().(*addrBitset)
+	if s == nil {
+		s = new(addrBitset)
 	}
-	return &addrBitset{base: base, shift: shift, words: make([]uint64, n)}
+	if uint64(cap(s.words)) >= n {
+		s.words = s.words[:n]
+		clear(s.words)
+	} else {
+		// Too small for this image: allocate to fit.
+		s.words = make([]uint64, n)
+	}
+	s.base, s.shift, s.count = base, shift, 0
+	return s
 }
 
-// release returns the word array to the pool; the bitset must not be used
-// afterwards.
-func (s *addrBitset) release() {
-	bitsetPool.Put(s.words)
-	s.words = nil
-}
+// release returns the bitset to its granularity's pool; it must not be
+// used afterwards.
+func (s *addrBitset) release() { bitsetPools[s.shift].Put(s) }
 
 // add marks an address; out-of-range addresses (nothing the engine emits)
 // are ignored.

@@ -82,9 +82,8 @@ type CPU struct {
 
 	metrics Metrics
 
-	// costs is the issue model as a table, one row per instruction class
-	// plus a last row for unknown classes, computed once by New.
-	costs [arch.NumOps + 1]opCost
+	// model is the machine's interned issue model (see Model).
+	model *Model
 
 	// pairable is true when the previous instruction occupies the first
 	// slot of an issue pair and may absorb the current one for free.
@@ -98,6 +97,15 @@ type CPU struct {
 	// gateMod, and the opportunity that brings it back to zero pairs.
 	gate        int
 	gatePerfect int
+}
+
+// issueModel is everything about a machine that the issue model reads:
+// the cost table, the pairing gate, and the i-cache line size that decides
+// which instructions start a fetch.
+type issueModel struct {
+	// costs is the issue model as a table, one row per instruction class
+	// plus a last row for unknown classes.
+	costs [arch.NumOps + 1]opCost
 
 	// gateMod is derived from Machine.IssueWidth: 3 on a dual-issue
 	// machine like the 21064 (one in three pairable opportunities
@@ -107,6 +115,9 @@ type CPU struct {
 	// co-issue. The dynamic pairing model stays two ops per cycle; width
 	// buys a higher success rate, not wider bundles.
 	gateMod int
+
+	// lineShift is log2 of the i-cache line size in bytes.
+	lineShift uint
 }
 
 // opCost is one row of the issue model.
@@ -123,16 +134,15 @@ type opCost struct {
 // New returns a CPU executing against hierarchy h.
 func New(h *mem.Hierarchy) *CPU {
 	m := h.Machine()
-	gate := 3
+	im := issueModel{gateMod: 3, lineShift: h.ILineShift()}
 	switch {
 	case m.IssueWidth >= 4:
-		gate = 1
+		im.gateMod = 1
 	case m.IssueWidth == 3:
-		gate = 2
+		im.gateMod = 2
 	}
-	c := &CPU{m: m, h: h, gateMod: gate}
 	taken := 1 + uint64(m.TakenBranchCycles)
-	for op := range c.costs {
+	for op := range im.costs {
 		row := opCost{issue: 1}
 		switch arch.Op(op) {
 		case arch.OpALU, arch.OpNop:
@@ -152,9 +162,9 @@ func New(h *mem.Hierarchy) *CPU {
 		if row.issueTaken == 0 {
 			row.issueTaken = row.issue
 		}
-		c.costs[op] = row
+		im.costs[op] = row
 	}
-	return c
+	return &CPU{m: m, h: h, model: internModel(im)}
 }
 
 // Hierarchy returns the attached memory hierarchy.
@@ -194,7 +204,7 @@ func (c *CPU) Step(e Entry) {
 	if op > arch.NumOps {
 		op = arch.NumOps
 	}
-	row := &c.costs[op]
+	row := &c.model.costs[op]
 	issue := row.issue
 	if e.Taken {
 		issue = row.issueTaken
@@ -203,7 +213,7 @@ func (c *CPU) Step(e Entry) {
 	// Perfect-memory clock.
 	paired := false
 	if c.pairablePerfect && row.pairsWith {
-		if c.gatePerfect++; c.gatePerfect == c.gateMod {
+		if c.gatePerfect++; c.gatePerfect == c.model.gateMod {
 			c.gatePerfect, paired = 0, true
 		}
 	}
@@ -228,7 +238,7 @@ func (c *CPU) Step(e Entry) {
 	}
 	paired = false
 	if c.pairable && stall == 0 && row.pairsWith {
-		if c.gate++; c.gate == c.gateMod {
+		if c.gate++; c.gate == c.model.gateMod {
 			c.gate, paired = 0, true
 		}
 	}

@@ -146,6 +146,11 @@ func (h *Hierarchy) Release() { poolFor(h.m).Put(h) }
 // Machine returns the machine description this hierarchy simulates.
 func (h *Hierarchy) Machine() arch.Machine { return h.m }
 
+// ILineShift returns log2 of the i-cache line size in bytes: instructions
+// whose addresses agree above it share a line, so only the first of them
+// can miss.
+func (h *Hierarchy) ILineShift() uint { return h.iShift }
+
 // bAccess performs one b-cache reference and returns the CPU-visible stall.
 func (h *Hierarchy) bAccess(addr uint64, stallOnHit uint64) (stall uint64) {
 	h.BStats.Accesses++
