@@ -16,6 +16,7 @@ package code
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/arch"
 )
@@ -114,6 +115,17 @@ type Instr struct {
 	staticOK bool
 }
 
+// DataID returns the interned id LinkData gave the Data operand: 0 when
+// Data is empty or the instruction was not linked since it was written.
+// Ids are process-wide, so two linked instructions name the same object
+// exactly when their ids are equal and non-zero.
+func (in *Instr) DataID() int32 { return in.data }
+
+// CalleeID returns the interned id LinkData gave the Call target, the id
+// the engine executes the call through: 0 when Call is empty or the
+// instruction was not linked since it was written.
+func (in *Instr) CalleeID() int32 { return in.callee }
+
 // TermKind is the way a basic block ends.
 type TermKind uint8
 
@@ -179,7 +191,14 @@ type Function struct {
 	// id is the interned id of Name, set when the function is added to a
 	// program; placements are indexed by it.
 	id int32
+	// index resolves labels to positions in Blocks (see Index).
+	index atomic.Pointer[BlockIndex]
 }
+
+// ID returns the interned id of the function's name, the callee id
+// LinkData stores in each call to it; 0 until the function is added to a
+// program.
+func (f *Function) ID() int32 { return f.id }
 
 // Clone returns a deep copy of the function under a new name.
 func (f *Function) Clone(name string) *Function {
@@ -243,29 +262,26 @@ func (f *Function) Callees() []string {
 }
 
 // Validate checks structural invariants: entry exists, labels are unique,
-// terminator targets resolve.
+// terminator targets resolve. It leaves the function's block index built.
 func (f *Function) Validate() error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("code: function %s has no blocks", f.Name)
 	}
-	labels := map[string]bool{}
-	for _, b := range f.Blocks {
-		if labels[b.Label] {
-			return fmt.Errorf("code: function %s: duplicate label %q", f.Name, b.Label)
-		}
-		labels[b.Label] = true
+	x := f.Index()
+	if d := x.Duplicate(); d >= 0 {
+		return fmt.Errorf("code: function %s: duplicate label %q", f.Name, f.Blocks[d].Label)
 	}
-	for _, b := range f.Blocks {
+	for i, b := range f.Blocks {
 		switch b.Term.Kind {
 		case TermJump:
-			if !labels[b.Term.Then] {
+			if x.Then(i) < 0 {
 				return fmt.Errorf("code: function %s: block %s jumps to unknown label %q", f.Name, b.Label, b.Term.Then)
 			}
 		case TermCond:
 			if b.Term.Cond == "" {
 				return fmt.Errorf("code: function %s: block %s has empty condition", f.Name, b.Label)
 			}
-			if !labels[b.Term.Then] || !labels[b.Term.Else] {
+			if x.Then(i) < 0 || x.Else(i) < 0 {
 				return fmt.Errorf("code: function %s: block %s branches to unknown label (%q/%q)", f.Name, b.Label, b.Term.Then, b.Term.Else)
 			}
 		case TermRet:

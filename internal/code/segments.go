@@ -36,12 +36,15 @@ func AllLabels(f *Function) []string {
 // if the given blocks were packed contiguously in the given order, including
 // materialized terminators.
 func SegmentSize(f *Function, labels []string) int {
-	n := 0
+	ix := f.Index()
+	n, hint := 0, -1
 	for i, l := range labels {
-		b := f.Block(l)
-		if b == nil {
+		at := ix.Pos(l, hint)
+		if at < 0 {
 			continue
 		}
+		hint = at + 1
+		b := f.Blocks[at]
 		fall := ""
 		if i+1 < len(labels) {
 			fall = labels[i+1]

@@ -533,10 +533,15 @@ func recoverSample(cfg Config, sampleIdx int, err *error) {
 
 // addrBitset tracks distinct addresses over the program's text range at a
 // fixed granularity (1<<shift bytes) — the dense replacement for the
-// per-sample coverage maps, sized once from the linked image.
+// per-sample coverage maps, sized once from the linked image. dirty lists
+// the words add has set, so a reset clears what the sample touched rather
+// than the whole text span: version BAD's pessimal layout spreads a few
+// tens of KB of code over about 100 MB of text, whose 4-byte bitset alone
+// is 3.2 MB.
 type addrBitset struct {
 	base  uint64 // first tracked unit (address >> shift)
 	words []uint64
+	dirty []int
 	shift uint
 	count int
 }
@@ -544,27 +549,37 @@ type addrBitset struct {
 // bitsetPools recycle coverage bitsets between samples, one pool per
 // granularity: a sample takes a fine (4-byte) and a coarse (32-byte)
 // bitset whose word arrays differ eightfold in size, so a shared pool
-// would hand the small array to the large request, which drops it. Word
-// arrays are zeroed on reuse, so a pooled bitset is indistinguishable
-// from a fresh one.
+// would hand the small array to the large request, which drops it. A
+// pooled bitset is indistinguishable from a fresh one: reset clears every
+// word its previous use set.
 var bitsetPools [64]sync.Pool // by shift
 
 func newAddrBitset(textBase, textEnd uint64, shift uint) *addrBitset {
-	base := textBase >> shift
-	n := (textEnd>>shift - base + 1 + 63) / 64
 	s, _ := bitsetPools[shift].Get().(*addrBitset)
 	if s == nil {
 		s = new(addrBitset)
 	}
+	s.reset(textBase, textEnd, shift)
+	return s
+}
+
+// reset empties the bitset and sizes it for [textBase, textEnd] at the
+// given granularity. Only the words the previous use set are cleared;
+// every other word of the array is zero already.
+func (s *addrBitset) reset(textBase, textEnd uint64, shift uint) {
+	for _, w := range s.dirty {
+		s.words[:cap(s.words)][w] = 0
+	}
+	s.dirty = s.dirty[:0]
+	base := textBase >> shift
+	n := (textEnd>>shift - base + 1 + 63) / 64
 	if uint64(cap(s.words)) >= n {
 		s.words = s.words[:n]
-		clear(s.words)
 	} else {
 		// Too small for this image: allocate to fit.
 		s.words = make([]uint64, n)
 	}
 	s.base, s.shift, s.count = base, shift, 0
-	return s
 }
 
 // release returns the bitset to its granularity's pool; it must not be
@@ -579,10 +594,15 @@ func (s *addrBitset) add(addr uint64) {
 	if w >= uint64(len(s.words)) {
 		return
 	}
-	if bit := uint64(1) << (i & 63); s.words[w]&bit == 0 {
-		s.words[w] |= bit
-		s.count++
+	bit := uint64(1) << (i & 63)
+	switch old := s.words[w]; {
+	case old == 0:
+		s.dirty = append(s.dirty, int(w))
+	case old&bit != 0:
+		return
 	}
+	s.words[w] |= bit
+	s.count++
 }
 
 // phaseSnap freezes the phase-accounting counters at one roundtrip

@@ -38,8 +38,8 @@ func Footprint(p *code.Program, names []string, m arch.Machine) (string, error) 
 		if pl == nil {
 			return "", &code.MissingBlockError{Func: n}
 		}
-		for _, b := range f.Blocks {
-			addr, size, err := pl.BlockSpan(b.Label)
+		for i, b := range f.Blocks {
+			addr, size, err := pl.BlockSpanAt(i)
 			if err != nil {
 				return "", err
 			}

@@ -201,7 +201,13 @@ func reference(cfg Config, feat features.Set) (*code.Program, layout.Spec, map[s
 	// One specialization up front, in place (the material is freshly built
 	// and nothing else holds it): the reference image every working image
 	// is cloned from and every candidate is proved move-only equivalent to.
+	// Linking its data once interns every operand and callee, so the
+	// move-only proof compares ids rather than names; the clones inherit
+	// the ids.
 	layout.Specialize(material, spec)
+	if err := material.LinkData(); err != nil {
+		return nil, layout.Spec{}, nil, fmt.Errorf("optimize: link reference: %w", err)
+	}
 	weights := cfg.Weights
 	if weights == nil {
 		weights = make(map[string]float64, len(usage))
@@ -499,19 +505,27 @@ func (s *searcher) confirm(ctx context.Context, sc *scored, rank int) (Candidate
 // must already be linked (linkedClone). Returns the hot run's size in
 // bytes, padding included.
 func placeOrder(p *code.Program, spec layout.Spec, order []string, pads []int, m arch.Machine) (uint64, error) {
-	inSpec := make(map[string]bool, len(order))
-	for _, n := range append(append([]string(nil), spec.Path...), spec.Library...) {
-		inSpec[n] = true
+	inSpec := func(n string) bool { return slices.Contains(spec.Path, n) || slices.Contains(spec.Library, n) }
+	distinct := 0
+	for i, n := range spec.Path {
+		if !slices.Contains(spec.Path[:i], n) {
+			distinct++
+		}
 	}
-	if len(order) != len(inSpec) {
-		return 0, fmt.Errorf("order names %d functions, spec has %d", len(order), len(inSpec))
+	for i, n := range spec.Library {
+		if !slices.Contains(spec.Path, n) && !slices.Contains(spec.Library[:i], n) {
+			distinct++
+		}
+	}
+	if len(order) != distinct {
+		return 0, fmt.Errorf("order names %d functions, spec has %d", len(order), distinct)
 	}
 	// Refuse anything but a permutation of the spec before placing a
 	// single function: an order that named one function twice and dropped
 	// another would leave the dropped one where the previous candidate put
 	// it.
 	for i, n := range order {
-		if !inSpec[n] {
+		if !inSpec(n) {
 			return 0, fmt.Errorf("order names %q outside the spec", n)
 		}
 		if slices.Contains(order[:i], n) {
@@ -520,42 +534,44 @@ func placeOrder(p *code.Program, spec layout.Spec, order []string, pads []int, m
 	}
 	block := uint64(m.BlockBytes)
 	cur := uint64(layout.DefaultCloneBase)
-	hotSegs := make(map[string]code.Segment, len(order))
+	funcs := make([]*code.Function, len(order))
+	hot := make([]code.Segment, len(order))
 	for i, n := range order {
 		f := p.Func(n)
 		if f == nil {
 			return 0, fmt.Errorf("unknown function %q", n)
 		}
+		funcs[i] = f
 		if i < len(pads) {
 			cur += uint64(pads[i]) * block
 		}
-		if hot := code.HotLabels(f); len(hot) > 0 {
-			hotSegs[n] = code.Segment{Addr: cur, Labels: hot}
-			cur += code.SegmentBytes(f, hot)
+		if labels := code.HotLabels(f); len(labels) > 0 {
+			hot[i] = code.Segment{Addr: cur, Labels: labels}
+			cur += code.SegmentBytes(f, labels)
 		}
 	}
 	hotBytes := cur - uint64(layout.DefaultCloneBase)
 	cold := cur
-	for _, n := range order {
-		f := p.Func(n)
-		var segs []code.Segment
-		if sg, ok := hotSegs[n]; ok {
-			segs = append(segs, sg)
+	for i, f := range funcs {
+		segs := make([]code.Segment, 0, 2)
+		if hot[i].Labels != nil {
+			segs = append(segs, hot[i])
 		}
 		if cl := code.ColdLabels(f); len(cl) > 0 {
 			segs = append(segs, code.Segment{Addr: cold, Labels: cl})
 			cold += code.SegmentBytes(f, cl)
 		}
-		if err := p.Place(n, segs); err != nil {
+		if err := p.Place(f.Name, segs); err != nil {
 			return 0, err
 		}
 	}
 	cursor := cold
-	for _, n := range p.Names() {
-		if inSpec[n] {
+	for k := 0; k < p.NumFuncs(); k++ {
+		f := p.FuncAt(k)
+		if inSpec(f.Name) {
 			continue
 		}
-		end, err := p.PlaceSequential(n, cursor, nil)
+		end, err := p.PlaceSequential(f.Name, cursor, nil)
 		if err != nil {
 			return 0, err
 		}

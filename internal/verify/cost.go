@@ -1,7 +1,10 @@
 package verify
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
+	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/code"
@@ -95,10 +98,11 @@ type costBlock struct {
 type costFunc struct {
 	f      *code.Function
 	pl     *code.Placement
+	weight float64
 	depths []int
 	// ids holds, per block, the ids of the cache blocks it touches, filled
 	// on the block's first emission so that re-expanding a library helper
-	// costs no map lookups.
+	// costs no lookups.
 	ids [][]int32
 }
 
@@ -116,25 +120,19 @@ const maxLoopDepth = 3
 // outlined cold blocks re-outlining appends after the mainline jump *back*
 // into it to resume — exactly the shape that would read as a huge false
 // loop. The heuristic is exact for the builder's reducible counted loops
-// and conservative for anything wilder.
-func loopDepths(f *code.Function) []int {
-	idx := make(map[string]int, len(f.Blocks))
-	for i, b := range f.Blocks {
-		idx[b.Label] = i
-	}
+// and conservative for anything wilder. depth and latch are scratch of
+// len(f.Blocks) each; depth is returned filled.
+func loopDepths(f *code.Function, depth, latch []int) []int {
+	ix := f.Index()
 	// Widest range per head, so parallel latches of one loop do not stack.
-	latch := map[int]int{}
-	back := func(from int, label string) {
-		if label == "" {
+	for i := range latch {
+		latch[i] = -1
+	}
+	back := func(from int, label string, to int) {
+		if label == "" || to < 0 || to > from || f.Blocks[to].Kind.Outlinable() {
 			return
 		}
-		to, ok := idx[label]
-		if !ok || to > from || f.Blocks[to].Kind.Outlinable() {
-			return
-		}
-		if cur, ok := latch[to]; !ok || from > cur {
-			latch[to] = from
-		}
+		latch[to] = max(latch[to], from)
 	}
 	for i, b := range f.Blocks {
 		if b.Kind.Outlinable() {
@@ -142,13 +140,13 @@ func loopDepths(f *code.Function) []int {
 		}
 		switch b.Term.Kind {
 		case code.TermJump:
-			back(i, b.Term.Then)
+			back(i, b.Term.Then, ix.Then(i))
 		case code.TermCond:
-			back(i, b.Term.Then)
-			back(i, b.Term.Else)
+			back(i, b.Term.Then, ix.Then(i))
+			back(i, b.Term.Else, ix.Else(i))
 		}
 	}
-	depth := make([]int, len(f.Blocks))
+	clear(depth)
 	for to, from := range latch {
 		for i := to; i <= from; i++ {
 			if depth[i] < maxLoopDepth {
@@ -157,6 +155,134 @@ func loopDepths(f *code.Function) []int {
 		}
 	}
 	return depth
+}
+
+// blockTable maps cache-block numbers to dense ids: open addressing over
+// a power-of-two table whose slots are valid only under the current stamp,
+// so one Cost call's table is emptied by taking a new stamp.
+type blockTable struct {
+	keys  []uint64
+	vals  []int32
+	stamp []uint32
+	cur   uint32
+	n     int
+}
+
+func (t *blockTable) reset() {
+	if t.cur++; t.cur == 0 || len(t.keys) == 0 {
+		t.alloc(max(len(t.keys), 1024))
+	}
+	t.n = 0
+}
+
+func (t *blockTable) alloc(size int) {
+	t.keys, t.vals, t.stamp = make([]uint64, size), make([]int32, size), make([]uint32, size)
+	t.cur = 1
+}
+
+func (t *blockTable) slot(bn uint64) int {
+	mask := uint64(len(t.keys) - 1)
+	i := (bn * 0x9e3779b97f4a7c15 >> 20) & mask
+	for t.stamp[i] == t.cur && t.keys[i] != bn {
+		i = (i + 1) & mask
+	}
+	return int(i)
+}
+
+// get returns bn's id, or ok=false.
+func (t *blockTable) get(bn uint64) (int32, bool) {
+	i := t.slot(bn)
+	return t.vals[i], t.stamp[i] == t.cur
+}
+
+// put records bn's id; bn must not be present.
+func (t *blockTable) put(bn uint64, id int32) {
+	if 2*(t.n+1) > len(t.keys) {
+		keys, vals, stamp, cur := t.keys, t.vals, t.stamp, t.cur
+		t.alloc(2 * len(keys))
+		for i, s := range stamp {
+			if s == cur {
+				j := t.slot(keys[i])
+				t.keys[j], t.vals[j], t.stamp[j] = keys[i], vals[i], t.cur
+			}
+		}
+	}
+	i := t.slot(bn)
+	t.keys[i], t.vals[i], t.stamp[i] = bn, id, t.cur
+	t.n++
+}
+
+// costScratch is the reusable state of one Cost call. Nothing in it
+// survives into the report, and every field is reset before use.
+type costScratch struct {
+	fns     []costFunc
+	funcAgg []FuncCost
+	// fnAt holds 1 + the index in fns of each function id whose fnStamp
+	// is stamp; isLib marks spec'd library helpers the same way.
+	fnAt           []int32
+	fnStamp, isLib []uint32
+	stamp          uint32
+	unresolvedLib  []string
+	blocks         []costBlock
+	blockID        blockTable
+	setBlocks      []int
+	setFuncs       [][]int32
+	replBySet      []int
+	ways           []int32
+	wayLen         []int
+	pairKeys       [][2]int32
+	idPool         []int32
+	idHeads        [][]int32
+	depthPool      []int
+	latch          []int
+	victims        []int32
+	order          []placedKind
+}
+
+// placedKind is one placed block of a spec'd function in address order.
+type placedKind struct {
+	addr uint64
+	cold bool
+}
+
+var costPool = sync.Pool{New: func() any { return new(costScratch) }}
+
+// resized returns s with length n, reusing its array when large enough;
+// the contents are not cleared.
+func resized[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
+// reset prepares the scratch for one call on a g-shaped cache over
+// function ids up to maxID.
+func (cs *costScratch) reset(g Geometry, maxID int32) {
+	cs.fns, cs.funcAgg, cs.blocks = cs.fns[:0], cs.funcAgg[:0], cs.blocks[:0]
+	cs.unresolvedLib, cs.pairKeys = cs.unresolvedLib[:0], cs.pairKeys[:0]
+	cs.idPool, cs.idHeads, cs.depthPool = cs.idPool[:0], cs.idHeads[:0], cs.depthPool[:0]
+	cs.order = cs.order[:0]
+	if cs.stamp++; cs.stamp == 0 || len(cs.fnAt) <= int(maxID) {
+		n := max(int(maxID)+1, cap(cs.fnAt))
+		cs.fnAt, cs.fnStamp, cs.isLib = make([]int32, n), make([]uint32, n), make([]uint32, n)
+		cs.stamp = 1
+	}
+	cs.blockID.reset()
+	cs.setBlocks = resized(cs.setBlocks, g.Sets)
+	clear(cs.setBlocks)
+	cs.replBySet = resized(cs.replBySet, g.Sets)
+	clear(cs.replBySet)
+	cs.wayLen = resized(cs.wayLen, g.Sets)
+	clear(cs.wayLen)
+	cs.ways = resized(cs.ways, g.Sets*g.Assoc)
+	if len(cs.setFuncs) < g.Sets {
+		cs.setFuncs = append(cs.setFuncs, make([][]int32, g.Sets-len(cs.setFuncs))...)
+	}
+	cs.setFuncs = cs.setFuncs[:g.Sets]
+	for s := range cs.setFuncs {
+		cs.setFuncs[s] = cs.setFuncs[s][:0]
+	}
 }
 
 // Cost predicts the frequency-weighted i-cache replacement cost of the
@@ -187,89 +313,107 @@ func Cost(p *code.Program, spec CostSpec, m arch.Machine) (*CostReport, error) {
 		return 1
 	}
 
-	inLibrary := make(map[string]bool, len(spec.Library))
+	cs := costPool.Get().(*costScratch)
+	defer costPool.Put(cs)
+	maxID := int32(0)
+	for i := 0; i < p.NumFuncs(); i++ {
+		maxID = max(maxID, p.FuncAt(i).ID())
+	}
+	cs.reset(g, maxID)
 	for _, n := range spec.Library {
-		inLibrary[n] = true
+		if f := p.Func(n); f != nil {
+			cs.isLib[f.ID()] = cs.stamp
+		} else {
+			cs.unresolvedLib = append(cs.unresolvedLib, n)
+		}
+	}
+	// inLibrary reports whether a call instruction targets a spec'd
+	// library helper, the functions whose calls the replay expands.
+	inLibrary := func(in *code.Instr) (*code.Function, bool) {
+		if f := callee(p, in); f != nil {
+			return f, cs.isLib[f.ID()] == cs.stamp
+		}
+		return nil, slices.Contains(cs.unresolvedLib, in.Call)
 	}
 
 	rep := &CostReport{}
 
 	// Functions and cache blocks get dense indices in order of first
-	// reference; blockID is consulted once per placed block, not once per
-	// reference. All per-set state is a slice indexed by set.
-	var fns []costFunc
-	fnID := map[string]int32{}
-	var funcAgg []FuncCost
-	var blocks []costBlock
-	blockID := map[uint64]int32{}
-	setBlocks := make([]int, g.Sets)
-	setFuncs := make([][]int32, g.Sets)
-	replBySet := make([]int, g.Sets)
-	// Set s's ways are ways[s*Assoc : s*Assoc+wayLen[s]], MRU first.
-	ways := make([]int32, g.Sets*g.Assoc)
-	wayLen := make([]int, g.Sets)
-	// pairAt maps a (victim, evictor) function pair to 1 + its index in
-	// rep.Pairs.
-	pairAt := map[[2]int32]int{}
+	// reference; the block table is consulted once per placed block, not
+	// once per reference. All per-set state is a slice indexed by set:
+	// set s's ways are ways[s*Assoc : s*Assoc+wayLen[s]], MRU first.
+	ways, wayLen := cs.ways, cs.wayLen
 
-	resolve := func(name string) (int32, error) {
-		if id, ok := fnID[name]; ok {
-			return id, nil
-		}
-		f := p.Func(name)
+	resolve := func(name string, f *code.Function) (int32, error) {
 		if f == nil {
-			return 0, errf(ReasonUnresolvedCall, name, "", "path spec names unknown function")
+			if f = p.Func(name); f == nil {
+				return 0, errf(ReasonUnresolvedCall, name, "", "path spec names unknown function")
+			}
 		}
-		pl := p.Placement(name)
+		if cs.fnStamp[f.ID()] == cs.stamp {
+			return cs.fnAt[f.ID()] - 1, nil
+		}
+		pl := p.PlacementOf(f)
 		if pl == nil {
 			return 0, errf(ReasonUnplacedFunc, name, "", "path function has no placement")
 		}
-		id := int32(len(fns))
-		fns = append(fns, costFunc{f: f, pl: pl, depths: loopDepths(f), ids: make([][]int32, len(f.Blocks))})
-		funcAgg = append(funcAgg, FuncCost{Func: name})
-		fnID[name] = id
+		n := len(f.Blocks)
+		start := len(cs.depthPool)
+		cs.depthPool = append(cs.depthPool, make([]int, n)...)
+		cs.latch = resized(cs.latch, n)
+		depths := loopDepths(f, cs.depthPool[start:start+n:start+n], cs.latch)
+		start = len(cs.idHeads)
+		cs.idHeads = append(cs.idHeads, make([][]int32, n)...)
+		clear(cs.idHeads[start:])
+		id := int32(len(cs.fns))
+		cs.fns = append(cs.fns, costFunc{f: f, pl: pl, weight: fnWeight(name), depths: depths, ids: cs.idHeads[start : start+n : start+n]})
+		cs.funcAgg = append(cs.funcAgg, FuncCost{Func: name})
+		cs.fnStamp[f.ID()], cs.fnAt[f.ID()] = cs.stamp, id+1
 		return id, nil
 	}
 	// spanIDs returns the ids of the cache blocks [lo, hi) touches,
 	// allocating ids (and counting set occupancy) on first reference.
-	var idPool []int32
 	spanIDs := func(lo, hi uint64) []int32 {
-		start := len(idPool)
+		start := len(cs.idPool)
 		if hi > lo {
 			for bn := g.BlockNumber(lo); bn <= g.BlockNumber(hi-1); bn++ {
-				id, ok := blockID[bn]
+				id, ok := cs.blockID.get(bn)
 				if !ok {
-					id = int32(len(blocks))
+					id = int32(len(cs.blocks))
 					set := int32(bn & g.setMask)
-					blocks = append(blocks, costBlock{set: set, evictor: -1})
-					blockID[bn] = id
-					setBlocks[set]++
+					cs.blocks = append(cs.blocks, costBlock{set: set, evictor: -1})
+					cs.blockID.put(bn, id)
+					cs.setBlocks[set]++
 				}
-				idPool = append(idPool, id)
+				cs.idPool = append(cs.idPool, id)
 			}
 		}
-		return idPool[start:len(idPool):len(idPool)]
+		return cs.idPool[start:len(cs.idPool):len(cs.idPool)]
 	}
 
 	// The victim buffer absorbs part of a replacement miss's latency: a
 	// refetch that hits the buffer costs VictimHitCycles instead of the
 	// board-cache fill. It still counts in PredictedRepl — the simulator
 	// counts it as a miss too — but its weight in Total is discounted by
-	// the latency ratio.
+	// the latency ratio. The buffer holds the last VictimEntries evicted
+	// blocks, kept as a ring.
 	victimDiscount := 1.0
 	if m.VictimEntries > 0 && m.BCacheHitCycles > 0 {
 		victimDiscount = float64(m.VictimHitCycles) / float64(m.BCacheHitCycles)
 	}
-	var victimFIFO []int32
+	victims, victimNext := cs.victims[:0], 0
 	victimPush := func(blk int32) {
 		if m.VictimEntries <= 0 {
 			return
 		}
-		victimFIFO = append(victimFIFO, blk)
-		if len(victimFIFO) > m.VictimEntries {
-			victimFIFO = victimFIFO[1:]
+		if len(victims) < m.VictimEntries {
+			victims = append(victims, blk)
+			return
 		}
+		victims[victimNext] = blk
+		victimNext = (victimNext + 1) % m.VictimEntries
 	}
+	defer func() { cs.victims = victims[:0] }()
 
 	// fetch replays one reference of block id by function fi, weighing w,
 	// through the per-set LRU model, with the simulator's replacement
@@ -279,10 +423,10 @@ func Cost(p *code.Program, spec CostSpec, m arch.Machine) (*CostReport, error) {
 	// had to be fetched again. Eviction records the evictor's function so
 	// a later refetch can name the conflict pair it pays for.
 	fetch := func(id, fi int32, w float64) {
-		blk := &blocks[id]
+		blk := &cs.blocks[id]
 		s := int(blk.set)
-		if !containsID(setFuncs[s], fi) {
-			setFuncs[s] = append(setFuncs[s], fi)
+		if !containsID(cs.setFuncs[s], fi) {
+			cs.setFuncs[s] = append(cs.setFuncs[s], fi)
 		}
 		way := ways[s*g.Assoc : s*g.Assoc+wayLen[s]]
 		hit := -1
@@ -299,25 +443,25 @@ func Cost(p *code.Program, spec CostSpec, m arch.Machine) (*CostReport, error) {
 		}
 		if blk.fetched {
 			rep.PredictedRepl++
-			replBySet[s]++
+			cs.replBySet[s]++
 			cost := w
-			if containsID(victimFIFO, id) {
+			if containsID(victims, id) {
 				rep.VictimRescued++
 				cost *= victimDiscount
 			}
 			rep.Total += cost
-			fc := &funcAgg[fi]
+			fc := &cs.funcAgg[fi]
 			fc.ReplMisses++
 			fc.Cost += cost
 			if ev := blk.evictor; ev >= 0 {
 				key := [2]int32{fi, ev}
-				at := pairAt[key]
-				if at == 0 {
-					rep.Pairs = append(rep.Pairs, PairCost{Victim: fns[fi].f.Name, Evictor: fns[ev].f.Name})
-					at = len(rep.Pairs)
-					pairAt[key] = at
+				at := slices.Index(cs.pairKeys, key)
+				if at < 0 {
+					rep.Pairs = append(rep.Pairs, PairCost{Victim: cs.fns[fi].f.Name, Evictor: cs.fns[ev].f.Name})
+					cs.pairKeys = append(cs.pairKeys, key)
+					at = len(cs.pairKeys) - 1
 				}
-				pc := &rep.Pairs[at-1]
+				pc := &rep.Pairs[at]
 				pc.ReplMisses++
 				pc.Cost += cost
 			}
@@ -328,7 +472,7 @@ func Cost(p *code.Program, spec CostSpec, m arch.Machine) (*CostReport, error) {
 			way = way[:len(way)+1]
 		} else {
 			victim := way[len(way)-1]
-			blocks[victim].evictor = fi
+			cs.blocks[victim].evictor = fi
 			victimPush(victim)
 		}
 		copy(way[1:], way)
@@ -343,18 +487,19 @@ func Cost(p *code.Program, spec CostSpec, m arch.Machine) (*CostReport, error) {
 	// because that is where their blocks are fetched; after each expanded
 	// call the caller's block is fetched again, because execution returns
 	// into its middle. That return-site refetch is the reference an
-	// aliasing layout turns into a replacement miss.
-	var expand func(name string, depth int, callerW float64) error
-	expand = func(name string, depth int, callerW float64) error {
+	// aliasing layout turns into a replacement miss. f is name's function
+	// when the caller already resolved it, else nil.
+	var expand func(name string, f *code.Function, depth int, callerW float64) error
+	expand = func(name string, f *code.Function, depth int, callerW float64) error {
 		if depth > maxLintDepth {
 			return errf(ReasonRecursion, name, "", "library expansion exceeds depth %d", maxLintDepth)
 		}
-		fi, err := resolve(name)
+		fi, err := resolve(name, f)
 		if err != nil {
 			return err
 		}
-		fn := fns[fi]
-		base := callerW * fnWeight(name)
+		fn := cs.fns[fi]
+		base := callerW * fn.weight
 		for i, b := range fn.f.Blocks {
 			if b.Kind.Outlinable() {
 				continue
@@ -365,43 +510,47 @@ func Cost(p *code.Program, spec CostSpec, m arch.Machine) (*CostReport, error) {
 			}
 			ids := fn.ids[i]
 			if ids == nil {
-				addr, size, err := fn.pl.BlockSpan(b.Label)
+				addr, size, err := fn.pl.BlockSpanAt(i)
 				if err != nil {
 					return err
 				}
 				ids = spanIDs(addr, addr+uint64(size)*ib)
 				fn.ids[i] = ids
 			}
-			emit := func() {
+			for _, id := range ids {
+				fetch(id, fi, w)
+			}
+			for k := range b.Instrs {
+				in := &b.Instrs[k]
+				if in.Call == "" || in.CallLoad {
+					continue
+				}
+				g, lib := inLibrary(in)
+				if !lib {
+					continue
+				}
+				if err := expand(in.Call, g, depth+1, w); err != nil {
+					return err
+				}
 				for _, id := range ids {
 					fetch(id, fi, w)
 				}
-			}
-			emit()
-			for _, in := range b.Instrs {
-				if in.Call == "" || in.CallLoad || !inLibrary[in.Call] {
-					continue
-				}
-				if err := expand(in.Call, depth+1, w); err != nil {
-					return err
-				}
-				emit()
 			}
 		}
 		return nil
 	}
 	for _, name := range spec.Path {
-		if err := expand(name, 0, 1); err != nil {
+		if err := expand(name, nil, 0, 1); err != nil {
 			return nil, err
 		}
 	}
-	rep.PathBlocks = len(blocks)
+	rep.PathBlocks = len(cs.blocks)
 
 	// Partition violations: a set holding hot code of both classes.
-	for _, ids := range setFuncs {
+	for _, ids := range cs.setFuncs {
 		var hasPath, hasLib bool
 		for _, id := range ids {
-			if fns[id].f.Class == code.ClassLibrary {
+			if cs.fns[id].f.Class == code.ClassLibrary {
 				hasLib = true
 			} else {
 				hasPath = true
@@ -415,32 +564,31 @@ func Cost(p *code.Program, spec CostSpec, m arch.Machine) (*CostReport, error) {
 	// Hot/cold interleave: walk every spec'd function's blocks in placed
 	// address order and count kind transitions beyond the single hot→cold
 	// boundary a clean outlining leaves.
-	type placedKind struct {
-		addr uint64
-		cold bool
-	}
-	var order []placedKind
-	for _, name := range append(append([]string(nil), spec.Path...), spec.Library...) {
-		f := p.Func(name)
-		if f == nil {
-			continue
-		}
-		pl := p.Placement(name)
-		if pl == nil {
-			return nil, errf(ReasonUnplacedFunc, name, "", "path function has no placement")
-		}
-		for _, b := range f.Blocks {
-			addr, size, err := pl.BlockSpan(b.Label)
-			if err != nil {
-				return nil, err
-			}
-			if size == 0 {
+	order := cs.order
+	for _, names := range [2][]string{spec.Path, spec.Library} {
+		for _, name := range names {
+			f := p.Func(name)
+			if f == nil {
 				continue
 			}
-			order = append(order, placedKind{addr: addr, cold: b.Kind.Outlinable()})
+			pl := p.PlacementOf(f)
+			if pl == nil {
+				return nil, errf(ReasonUnplacedFunc, name, "", "path function has no placement")
+			}
+			for i, b := range f.Blocks {
+				addr, size, err := pl.BlockSpanAt(i)
+				if err != nil {
+					return nil, err
+				}
+				if size == 0 {
+					continue
+				}
+				order = append(order, placedKind{addr: addr, cold: b.Kind.Outlinable()})
+			}
 		}
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i].addr < order[j].addr })
+	cs.order = order
+	slices.SortFunc(order, func(a, b placedKind) int { return cmp.Compare(a.addr, b.addr) })
 	flips := 0
 	for i := 1; i < len(order); i++ {
 		if order[i].cold != order[i-1].cold {
@@ -452,53 +600,50 @@ func Cost(p *code.Program, spec CostSpec, m arch.Machine) (*CostReport, error) {
 	}
 
 	// Conflict list, worst set first.
-	for s, n := range replBySet {
+	for s, n := range cs.replBySet {
 		if n == 0 {
 			continue
 		}
-		names := make([]string, len(setFuncs[s]))
-		for i, id := range setFuncs[s] {
-			names[i] = fns[id].f.Name
+		names := make([]string, len(cs.setFuncs[s]))
+		for i, id := range cs.setFuncs[s] {
+			names[i] = cs.fns[id].f.Name
 		}
-		sort.Strings(names)
+		slices.Sort(names)
 		rep.Conflicts = append(rep.Conflicts, SetConflict{
 			Set:        s,
-			Blocks:     setBlocks[s],
+			Blocks:     cs.setBlocks[s],
 			ReplMisses: n,
 			Funcs:      names,
 		})
 	}
-	sort.Slice(rep.Conflicts, func(i, j int) bool {
-		a, b := rep.Conflicts[i], rep.Conflicts[j]
+	slices.SortFunc(rep.Conflicts, func(a, b SetConflict) int {
 		if a.ReplMisses != b.ReplMisses {
-			return a.ReplMisses > b.ReplMisses
+			return cmp.Compare(b.ReplMisses, a.ReplMisses)
 		}
-		return a.Set < b.Set
+		return cmp.Compare(a.Set, b.Set)
 	})
 
 	// Attribution lists, worst first; name-ordered on ties so the report is
 	// deterministic.
-	for _, fc := range funcAgg {
+	for _, fc := range cs.funcAgg {
 		if fc.ReplMisses > 0 {
 			rep.ByFunc = append(rep.ByFunc, fc)
 		}
 	}
-	sort.Slice(rep.ByFunc, func(i, j int) bool {
-		a, b := rep.ByFunc[i], rep.ByFunc[j]
+	slices.SortFunc(rep.ByFunc, func(a, b FuncCost) int {
 		if a.Cost != b.Cost {
-			return a.Cost > b.Cost
+			return cmp.Compare(b.Cost, a.Cost)
 		}
-		return a.Func < b.Func
+		return strings.Compare(a.Func, b.Func)
 	})
-	sort.Slice(rep.Pairs, func(i, j int) bool {
-		a, b := rep.Pairs[i], rep.Pairs[j]
+	slices.SortFunc(rep.Pairs, func(a, b PairCost) int {
 		if a.Cost != b.Cost {
-			return a.Cost > b.Cost
+			return cmp.Compare(b.Cost, a.Cost)
 		}
 		if a.Victim != b.Victim {
-			return a.Victim < b.Victim
+			return strings.Compare(a.Victim, b.Victim)
 		}
-		return a.Evictor < b.Evictor
+		return strings.Compare(a.Evictor, b.Evictor)
 	})
 	return rep, nil
 }

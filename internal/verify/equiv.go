@@ -10,10 +10,23 @@ import (
 // sameInstr compares the semantic fields of two instructions. The
 // linker-private static-address annotations are deliberately excluded:
 // they differ between an unlinked transform input and a linked output
-// without changing what the instruction does.
-func sameInstr(a, b code.Instr) bool {
-	return a.Op == b.Op && a.Data == b.Data && a.Off == b.Off &&
-		a.Call == b.Call && a.CallLoad == b.CallLoad && a.Prologue == b.Prologue
+// without changing what the instruction does. Operand and callee names
+// compare by the ids LinkData interned when both sides carry one (the ids
+// are what the engine executes through), by name otherwise.
+func sameInstr(a, b *code.Instr) bool {
+	return a.Op == b.Op && a.Off == b.Off &&
+		a.CallLoad == b.CallLoad && a.Prologue == b.Prologue &&
+		sameSym(a.Data, b.Data, a.DataID(), b.DataID()) &&
+		sameSym(a.Call, b.Call, a.CalleeID(), b.CalleeID())
+}
+
+// sameSym compares two symbol references by interned id when both have
+// one, by name otherwise.
+func sameSym(a, b string, aID, bID int32) bool {
+	if aID != 0 && bID != 0 {
+		return aID == bID
+	}
+	return len(a) == len(b) && (len(a) == 0 || a == b)
 }
 
 func sameInstrs(a, b []code.Instr) bool {
@@ -21,7 +34,7 @@ func sameInstrs(a, b []code.Instr) bool {
 		return false
 	}
 	for i := range a {
-		if !sameInstr(a[i], b[i]) {
+		if !sameInstr(&a[i], &b[i]) {
 			return false
 		}
 	}
@@ -29,22 +42,46 @@ func sameInstrs(a, b []code.Instr) bool {
 }
 
 // checkFuncSets verifies both programs define exactly the same functions.
+// It names the first function of after's link order that before lacks,
+// else the first of before's that after lacks.
 func checkFuncSets(before, after *code.Program) error {
-	bn, an := before.Names(), after.Names()
-	set := make(map[string]bool, len(bn))
-	for _, n := range bn {
-		set[n] = true
+	if sameOrder(before, after) {
+		return nil
 	}
-	for _, n := range an {
-		if !set[n] {
+	for i := 0; i < after.NumFuncs(); i++ {
+		if n := after.FuncAt(i).Name; before.Func(n) == nil {
 			return errf(ReasonFuncSetChanged, n, "", "function appeared during a move-only transform")
 		}
-		delete(set, n)
 	}
-	for n := range set {
-		return errf(ReasonFuncSetChanged, n, "", "function disappeared during a move-only transform")
+	for i := 0; i < before.NumFuncs(); i++ {
+		if n := before.FuncAt(i).Name; after.Func(n) == nil {
+			return errf(ReasonFuncSetChanged, n, "", "function disappeared during a move-only transform")
+		}
 	}
 	return nil
+}
+
+// sameOrder reports whether both programs list the same function names in
+// the same link order, the common case of an image cloned from the other.
+func sameOrder(before, after *code.Program) bool {
+	if before.NumFuncs() != after.NumFuncs() {
+		return false
+	}
+	for i := 0; i < before.NumFuncs(); i++ {
+		if before.FuncAt(i).Name != after.FuncAt(i).Name {
+			return false
+		}
+	}
+	return true
+}
+
+// counterpart returns after's function of before's i-th function's name:
+// the function at the same link position when the orders agree.
+func counterpart(after *code.Program, bf *code.Function, i int, same bool) *code.Function {
+	if same {
+		return after.FuncAt(i)
+	}
+	return after.Func(bf.Name)
 }
 
 // sameBlock verifies a move-only transform left one block untouched.
@@ -72,8 +109,10 @@ func CheckOutline(before, after *code.Program) error {
 	if err := checkFuncSets(before, after); err != nil {
 		return err
 	}
-	for _, bf := range before.Funcs() {
-		af := after.Func(bf.Name)
+	same := sameOrder(before, after)
+	for fi := 0; fi < before.NumFuncs(); fi++ {
+		bf := before.FuncAt(fi)
+		af := counterpart(after, bf, fi, same)
 		if bf.Class != af.Class {
 			return errf(ReasonBlockChanged, bf.Name, "", "bipartite class changed")
 		}
@@ -124,12 +163,17 @@ func CheckClone(before, after *code.Program, specialized []string) error {
 	if err := checkFuncSets(before, after); err != nil {
 		return err
 	}
-	spec := make(map[string]bool, len(specialized))
-	for _, n := range specialized {
-		spec[n] = true
+	var spec map[string]bool
+	if len(specialized) > 0 {
+		spec = make(map[string]bool, len(specialized))
+		for _, n := range specialized {
+			spec[n] = true
+		}
 	}
-	for _, bf := range before.Funcs() {
-		af := after.Func(bf.Name)
+	same := sameOrder(before, after)
+	for fi := 0; fi < before.NumFuncs(); fi++ {
+		bf := before.FuncAt(fi)
+		af := counterpart(after, bf, fi, same)
 		if bf.Class != af.Class {
 			return errf(ReasonBlockChanged, bf.Name, "", "bipartite class changed")
 		}
@@ -171,8 +215,9 @@ func CheckClone(before, after *code.Program, specialized []string) error {
 func checkSpecializedBlock(fn string, before, after *code.Block, spec map[string]bool) error {
 	i := 0
 	droppedPrologue := false
-	for _, in := range before.Instrs {
-		if i < len(after.Instrs) && sameInstr(in, after.Instrs[i]) {
+	for k := range before.Instrs {
+		in := &before.Instrs[k]
+		if i < len(after.Instrs) && sameInstr(in, &after.Instrs[i]) {
 			i++
 			continue
 		}
@@ -439,7 +484,7 @@ func (bs *bisim) visit(aSt []inlFrame, bFr inlFrame) error {
 		return err
 	}
 	if evA.kind != evB.kind ||
-		(evA.kind == 'i' && !sameInstr(evA.in, evB.in)) ||
+		(evA.kind == 'i' && !sameInstr(&evA.in, &evB.in)) ||
 		(evA.kind == 'c' && evA.cond != evB.cond) {
 		return errf(ReasonPathDivergence, bFr.fn.Name, bFr.blk.Label,
 			"original path observes [%v], inlined path observes [%v]", evA, evB)

@@ -30,8 +30,11 @@
 package verify
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
+	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/code"
@@ -144,44 +147,71 @@ func errf(r Reason, fn, block, format string, args ...any) *VerifyError {
 // placement invariants. It returns nil or the first *VerifyError found, in
 // deterministic (link, then source) order.
 func Program(p *code.Program, m arch.Machine) error {
-	for _, f := range p.Funcs() {
-		if err := checkFunc(f); err != nil {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	for i := 0; i < p.NumFuncs(); i++ {
+		if err := sc.checkFunc(p.FuncAt(i)); err != nil {
 			return err
 		}
 	}
-	if err := checkCallGraph(p); err != nil {
+	if err := sc.checkCallGraph(p); err != nil {
 		return err
 	}
-	return checkPlacement(p, m)
+	return sc.checkPlacement(p, m)
+}
+
+// scratch is the reusable state of one well-formedness pass. Its marks
+// are stamped rather than cleared: a mark is set when it equals the
+// current stamp, and taking a new stamp clears every mark at once.
+type scratch struct {
+	stamp uint32
+	// mark is indexed by block position within one function.
+	mark []uint32
+	// at is the link position of each function id.
+	at    []int32
+	stack []int32
+	// adj lists each function's distinct callees by link position, in
+	// first-call order; function k's are adj[adjEnd[k-1]:adjEnd[k]].
+	adj, adjEnd []int32
+	color       []uint8
+	spans       []span
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// newStamp starts a fresh set of marks over n slots.
+func (sc *scratch) newStamp(n int) uint32 {
+	if sc.stamp++; sc.stamp == 0 || len(sc.mark) < n {
+		sc.mark = make([]uint32, max(n, cap(sc.mark)))
+		sc.stamp = 1
+	}
+	return sc.stamp
 }
 
 // checkFunc verifies one function's CFG: structure, terminator targets,
 // and reachability of mainline blocks.
-func checkFunc(f *code.Function) error {
+func (sc *scratch) checkFunc(f *code.Function) error {
 	if len(f.Blocks) == 0 {
 		return errf(ReasonNoBlocks, f.Name, "", "function has no blocks")
 	}
-	labels := map[string]bool{}
-	for _, b := range f.Blocks {
-		if labels[b.Label] {
-			return errf(ReasonDuplicateLabel, f.Name, b.Label, "label defined twice")
-		}
-		labels[b.Label] = true
+	ix := f.Index()
+	if d := ix.Duplicate(); d >= 0 {
+		return errf(ReasonDuplicateLabel, f.Name, f.Blocks[d].Label, "label defined twice")
 	}
-	for _, b := range f.Blocks {
+	for i, b := range f.Blocks {
 		switch b.Term.Kind {
 		case code.TermJump:
-			if !labels[b.Term.Then] {
+			if ix.Then(i) < 0 {
 				return errf(ReasonDanglingLabel, f.Name, b.Label, "jump to unknown label %q", b.Term.Then)
 			}
 		case code.TermCond:
 			if b.Term.Cond == "" {
 				return errf(ReasonBadTerminator, f.Name, b.Label, "conditional branch with empty condition")
 			}
-			if !labels[b.Term.Then] {
+			if ix.Then(i) < 0 {
 				return errf(ReasonDanglingLabel, f.Name, b.Label, "branch to unknown label %q", b.Term.Then)
 			}
-			if !labels[b.Term.Else] {
+			if ix.Else(i) < 0 {
 				return errf(ReasonDanglingLabel, f.Name, b.Label, "branch to unknown label %q", b.Term.Else)
 			}
 		case code.TermRet:
@@ -189,69 +219,190 @@ func checkFunc(f *code.Function) error {
 			return errf(ReasonBadTerminator, f.Name, b.Label, "invalid terminator kind %d", b.Term.Kind)
 		}
 	}
-	reach := FuncCFG(f).Reachable()
-	for _, b := range f.Blocks {
-		if !reach[b.Label] && !b.Kind.Outlinable() {
+	// Depth-first from the entry over terminator edges.
+	reached := sc.newStamp(len(f.Blocks))
+	sc.mark[0] = reached
+	work := append(sc.stack[:0], 0)
+	for len(work) > 0 {
+		i := int(work[len(work)-1])
+		work = work[:len(work)-1]
+		var succ [2]int
+		n := 0
+		switch f.Blocks[i].Term.Kind {
+		case code.TermJump:
+			succ[0], n = ix.Then(i), 1
+		case code.TermCond:
+			succ[0], succ[1], n = ix.Then(i), ix.Else(i), 2
+		}
+		for _, s := range succ[:n] {
+			if sc.mark[s] != reached {
+				sc.mark[s] = reached
+				work = append(work, int32(s))
+			}
+		}
+	}
+	sc.stack = work
+	for i, b := range f.Blocks {
+		if sc.mark[i] != reached && !b.Kind.Outlinable() {
 			return errf(ReasonUnreachable, f.Name, b.Label, "mainline block has no path from entry %q", f.Blocks[0].Label)
 		}
 	}
 	return nil
 }
 
+// callee resolves a call instruction to a function of p: through the
+// callee id LinkData stored when it still names the instruction's target,
+// by name otherwise (an unlinked program, or a call retargeted since).
+func callee(p *code.Program, in *code.Instr) *code.Function {
+	if g := p.FuncByID(in.CalleeID()); g != nil && g.Name == in.Call {
+		return g
+	}
+	return p.Func(in.Call)
+}
+
 // checkCallGraph verifies every call target resolves and the call graph is
 // acyclic (the engine's call stack is depth-bounded, so recursion is a
-// model bug, not a feature).
-func checkCallGraph(p *code.Program) error {
-	for _, f := range p.Funcs() {
+// model bug, not a feature). Functions are tried in link order and callees
+// in first-call order, as CallGraph.Cycle does.
+func (sc *scratch) checkCallGraph(p *code.Program) error {
+	nf := p.NumFuncs()
+	maxID := int32(0)
+	for k := 0; k < nf; k++ {
+		maxID = max(maxID, p.FuncAt(k).ID())
+	}
+	if len(sc.at) <= int(maxID) {
+		sc.at = make([]int32, maxID+1)
+	}
+	for k := 0; k < nf; k++ {
+		sc.at[p.FuncAt(k).ID()] = int32(k)
+	}
+	// Each function's distinct callees by link position.
+	adj, adjEnd := sc.adj[:0], sc.adjEnd[:0]
+	for k := 0; k < nf; k++ {
+		f := p.FuncAt(k)
+		start := len(adj)
 		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if in.Call != "" && p.Func(in.Call) == nil {
+			for i := range b.Instrs {
+				in := &b.Instrs[i]
+				if in.Call == "" {
+					continue
+				}
+				g := callee(p, in)
+				if g == nil {
 					return errf(ReasonUnresolvedCall, f.Name, b.Label, "call to unknown function %q", in.Call)
+				}
+				c := sc.at[g.ID()]
+				if !containsID(adj[start:], c) {
+					adj = append(adj, c)
 				}
 			}
 		}
+		adjEnd = append(adjEnd, int32(len(adj)))
 	}
-	if cyc := ProgramCallGraph(p).Cycle(); cyc != nil {
+	sc.adj, sc.adjEnd = adj, adjEnd
+	if cyc := sc.cycle(p); cyc != nil {
 		return errf(ReasonRecursion, cyc[0], "", "call cycle %v", cyc)
 	}
 	return nil
 }
 
+// cycle returns one cycle of the callee lists as a function-name path
+// (first element repeated at the end), or nil.
+func (sc *scratch) cycle(p *code.Program) []string {
+	const (
+		white = 0
+		grey  = 1
+		black = 2
+	)
+	nf := p.NumFuncs()
+	color := sc.color[:0]
+	for k := 0; k < nf; k++ {
+		color = append(color, white)
+	}
+	sc.color = color
+	path := sc.stack[:0]
+	var found []string
+	var dfs func(n int32) bool
+	dfs = func(n int32) bool {
+		color[n] = grey
+		path = append(path, n)
+		lo := int32(0)
+		if n > 0 {
+			lo = sc.adjEnd[n-1]
+		}
+		for _, c := range sc.adj[lo:sc.adjEnd[n]] {
+			switch color[c] {
+			case grey:
+				i := slices.Index(path, c)
+				for _, x := range path[i:] {
+					found = append(found, p.FuncAt(int(x)).Name)
+				}
+				found = append(found, p.FuncAt(int(c)).Name)
+				return true
+			case white:
+				if dfs(c) {
+					return true
+				}
+			}
+		}
+		path = path[:len(path)-1]
+		color[n] = black
+		return false
+	}
+	for k := 0; k < nf; k++ {
+		if color[k] == white && dfs(int32(k)) {
+			break
+		}
+	}
+	sc.stack = path[:0]
+	return found
+}
+
+// span is one placed block in checkPlacement's overlap check.
+type span struct {
+	lo, hi uint64
+	fn, bl string
+}
+
 // checkPlacement verifies the layout of every function: all blocks placed
 // exactly once, segment packing contiguous and instruction-aligned, block
 // sizes consistent with the bodies they claim to hold, and no two placed
-// blocks overlapping anywhere in the image.
-func checkPlacement(p *code.Program, m arch.Machine) error {
+// blocks overlapping anywhere in the image. It recomputes the packing from
+// the segments and each block's body and compares the result with the
+// placement's own addresses and sizes.
+func (sc *scratch) checkPlacement(p *code.Program, m arch.Machine) error {
 	ib := uint64(m.InstrBytes)
-	type span struct {
-		lo, hi uint64
-		fn, bl string
-	}
-	var spans []span
-	for _, f := range p.Funcs() {
-		pl := p.Placement(f.Name)
+	spans := sc.spans[:0]
+	defer func() { sc.spans = spans[:0] }()
+	for k := 0; k < p.NumFuncs(); k++ {
+		f := p.FuncAt(k)
+		pl := p.PlacementOf(f)
 		if pl == nil {
 			return errf(ReasonUnplacedFunc, f.Name, "", "function has no placement")
 		}
-		placed := map[string]bool{}
+		ix := f.Index()
+		placed := sc.newStamp(len(f.Blocks))
 		for _, seg := range pl.Segments {
 			if seg.Addr%ib != 0 {
 				return errf(ReasonMisaligned, f.Name, "", "segment at %#x not %d-byte aligned", seg.Addr, ib)
 			}
 			addr := seg.Addr
+			hint := -1
 			for i, l := range seg.Labels {
-				b := f.Block(l)
-				if b == nil {
+				at := ix.Pos(l, hint)
+				if at < 0 {
 					return errf(ReasonStalePlacement, f.Name, l, "placement names a block the function no longer has")
 				}
-				if placed[l] {
+				hint = at + 1
+				if sc.mark[at] == placed {
 					return errf(ReasonStalePlacement, f.Name, l, "block placed twice")
 				}
-				placed[l] = true
-				got, size, err := pl.BlockSpan(l)
+				sc.mark[at] = placed
+				got, size, err := pl.BlockSpanAt(at)
 				if err != nil {
 					return errf(ReasonUnplacedBlock, f.Name, l, "segment lists the block but the placement lost it")
 				}
+				b := f.Blocks[at]
 				fall := ""
 				if i+1 < len(seg.Labels) {
 					fall = seg.Labels[i+1]
@@ -274,22 +425,22 @@ func checkPlacement(p *code.Program, m arch.Machine) error {
 				addr += uint64(want) * ib
 			}
 		}
-		for _, b := range f.Blocks {
-			if !placed[b.Label] {
+		for i, b := range f.Blocks {
+			if sc.mark[ix.Pos(b.Label, i)] != placed {
 				return errf(ReasonUnplacedBlock, f.Name, b.Label, "block missing from every segment")
 			}
 		}
 	}
 	// Ties sort by function then block for deterministic error messages on
 	// exact-duplicate placements.
-	sort.Slice(spans, func(i, j int) bool {
-		if spans[i].lo != spans[j].lo {
-			return spans[i].lo < spans[j].lo
+	slices.SortFunc(spans, func(a, b span) int {
+		if c := cmp.Compare(a.lo, b.lo); c != 0 {
+			return c
 		}
-		if spans[i].fn != spans[j].fn {
-			return spans[i].fn < spans[j].fn
+		if c := strings.Compare(a.fn, b.fn); c != 0 {
+			return c
 		}
-		return spans[i].bl < spans[j].bl
+		return strings.Compare(a.bl, b.bl)
 	})
 	for i := 1; i < len(spans); i++ {
 		if spans[i].lo < spans[i-1].hi {
