@@ -137,7 +137,7 @@ func (p *Program) resolve(name string) (*Placement, error) {
 	if f == nil {
 		return nil, fmt.Errorf("code: call to unknown function %q", name)
 	}
-	pl := p.placementOf(f)
+	pl := p.PlacementOf(f)
 	if pl == nil {
 		return nil, fmt.Errorf("code: function %q has no placement (program not linked)", name)
 	}

@@ -3,6 +3,7 @@ package optimize
 import (
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/code"
@@ -217,6 +218,56 @@ func TestWorkingImageMatchesFreshClones(t *testing.T) {
 	if got, want := s.work.LayoutFingerprint(), fresh.LayoutFingerprint(); got != want {
 		t.Fatalf("working image fingerprint %#x, freshly linked clone %#x", got, want)
 	}
+
+	// Execute the working image, re-place it so that functions start at
+	// other offsets within a cache line, and execute it again. Each run
+	// must measure exactly what a fresh clone of the same placement
+	// measures: a body compiled for the old offsets and kept across the
+	// move would show here.
+	rotated := append(append([]string(nil), order[1:]...), order[0])
+	offsets := func(p *code.Program) []uint64 {
+		var out []uint64
+		for _, n := range order {
+			addr, err := p.FuncEntry(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, addr%uint64(s.model.Machine.BlockBytes))
+		}
+		return out
+	}
+	var prev []uint64
+	for _, o := range [][]string{order, rotated} {
+		if _, err := placeOrder(s.work, fx.spec, o, pads, s.model.Machine); err != nil {
+			t.Fatal(err)
+		}
+		fresh := fx.ref.Clone()
+		if _, err := placeOrder(fresh, fx.spec, o, pads, s.model.Machine); err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.FinishLayout(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := core.Run(s.simConfig(s.work))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.Run(s.simConfig(fresh))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The results differ in the image they name, by construction.
+		got.Config.Custom, want.Config.Custom = nil, nil
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("order %s: the executed working image measures\n %+v\nwhere a fresh clone measures\n %+v",
+				candKey(o, pads), got.Samples, want.Samples)
+		}
+		cur := offsets(s.work)
+		if prev != nil && reflect.DeepEqual(cur, prev) {
+			t.Fatal("re-placement left every function at its old offset within a cache line")
+		}
+		prev = cur
+	}
 }
 
 // TestPlaceOrderRefusesNonPermutations: an order that names a function
@@ -243,14 +294,6 @@ func TestPlaceOrderRefusesNonPermutations(t *testing.T) {
 	}
 }
 
-// annealStepBytesLimit pins the heap bytes one annealing step allocates
-// on dec3000 — placement, the well-formedness and equivalence proofs, and
-// the cost replay — at 1.25x the 429,550 bytes measured with Go 1.24 on
-// linux/amd64 (431,637 under -race). Cloning the reference image per
-// candidate took a step to 2,548,609 bytes, so a clone creeping back in
-// cannot fit under it.
-const annealStepBytesLimit = 537_000
-
 // TestAnnealStepAllocBudget measures the bytes one annealing step
 // allocates — a budget-40 search minus a budget-0 one, over 40 — and
 // holds it to annealStepBytesLimit.
@@ -269,6 +312,13 @@ func TestAnnealStepAllocBudget(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
+	// The checks draw their scratch from sync.Pools. Collection empties
+	// them, and a goroutine moved to another P misses the object it put
+	// back, both at moments that differ between the two searches; with
+	// neither, the difference is the steps' own allocation.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	searchBytes(0) // fill the pools, so neither search pays for that
 	perStep := (searchBytes(budget) - searchBytes(0)) / budget
 	t.Logf("%d bytes per annealing step", perStep)
 	if perStep > annealStepBytesLimit {

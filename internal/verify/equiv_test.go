@@ -211,3 +211,45 @@ func TestCheckInlineRejectsSabotage(t *testing.T) {
 			verify.ReasonRecursion)
 	})
 }
+
+// TestFuncSetChangeNamesFirstInLinkOrder: when several functions vanish
+// (or appear) the move-only proofs name the first of them in link order,
+// the same one on every run. Twenty rounds per check, since a name picked
+// by ranging over a set would come out different in some of them.
+func TestFuncSetChangeNamesFirstInLinkOrder(t *testing.T) {
+	before := makeLayers(4, 6)
+	vanished := before.Clone()
+	vanished.Remove("d_layer")
+	vanished.Remove("b_layer")
+	vanished.Remove("c_layer")
+	appeared := before.Clone()
+	appeared.MustAdd(
+		code.NewBuilder("z_new", code.ClassPath).ALU(1).Ret().MustBuild(),
+		code.NewBuilder("y_new", code.ClassPath).ALU(1).Ret().MustBuild(),
+	)
+	cases := []struct {
+		name          string
+		before, after *code.Program
+		want          string
+	}{
+		{"vanished", before, vanished, before.Names()[1]},
+		{"appeared", before, appeared, "z_new"},
+	}
+	for _, tc := range cases {
+		for round := 0; round < 20; round++ {
+			for _, check := range []func(b, a *code.Program) error{
+				verify.CheckOutline,
+				func(b, a *code.Program) error { return verify.CheckClone(b, a, nil) },
+			} {
+				err := check(tc.before, tc.after)
+				var ve *verify.VerifyError
+				if !errors.As(err, &ve) || ve.Reason != verify.ReasonFuncSetChanged {
+					t.Fatalf("%s: got %v, want %s", tc.name, err, verify.ReasonFuncSetChanged)
+				}
+				if ve.Func != tc.want {
+					t.Fatalf("%s round %d: names %q, want %q, the first in link order", tc.name, round, ve.Func, tc.want)
+				}
+			}
+		}
+	}
+}
