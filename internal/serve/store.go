@@ -1,11 +1,11 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -14,15 +14,17 @@ import (
 	"repro/internal/storage"
 )
 
-// Store file formats, all carried by the soak journal envelope
-// (tmp+rename+CRC32, typed *soak.JournalError on every failure mode).
+// Store file formats, all carried by the soak journal envelope (a header
+// line, then the payload verbatim; tmp+rename+CRC-32, typed
+// *soak.JournalError on every failure mode).
 const (
 	// docMagic identifies a memoized result document.
 	docMagic = "protolat-serve-doc"
 	// jobMagic identifies a journaled pending job.
 	jobMagic = "protolat-serve-job"
-	// storeSchema versions both formats together.
-	storeSchema = 1
+	// storeSchema versions both formats together; 2 is the header-line
+	// envelope.
+	storeSchema = 2
 )
 
 // Store is the daemon's crash-safe on-disk state: memoized result
@@ -112,11 +114,8 @@ func (s *Store) JournalPath(fp string) string { return filepath.Join(s.dir, fp+"
 func (s *Store) touch(fp string, size int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, f := range s.lru {
-		if f == fp {
-			s.lru = append(s.lru[:i], s.lru[i+1:]...)
-			break
-		}
+	if i := slices.Index(s.lru, fp); i >= 0 {
+		s.lru = slices.Delete(s.lru, i, i+1)
 	}
 	s.lru = append(s.lru, fp)
 	s.sizes[fp] = size
@@ -126,11 +125,8 @@ func (s *Store) touch(fp string, size int64) {
 func (s *Store) forget(fp string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, f := range s.lru {
-		if f == fp {
-			s.lru = append(s.lru[:i], s.lru[i+1:]...)
-			break
-		}
+	if i := slices.Index(s.lru, fp); i >= 0 {
+		s.lru = slices.Delete(s.lru, i, i+1)
 	}
 	delete(s.sizes, fp)
 }
@@ -195,33 +191,29 @@ func (s *Store) evict(keep string) error {
 }
 
 // Get returns the memoized document for a fingerprint: (nil, nil) on a
-// miss, the exact bytes Put stored on a hit, and a *soak.JournalError for
-// a tampered or torn entry. The document is stored compacted inside the
-// envelope and re-indented here; because the library's Document.Marshal
-// output is deterministic indented JSON, the round trip is byte-exact (a
-// tested invariant). A hit refreshes the entry's LRU recency.
+// miss, the exact bytes Put stored on a hit (the envelope's payload,
+// returned without a JSON pass), and a *soak.JournalError for a tampered
+// or torn entry. A document in a layout this binary does not speak (a
+// "schema" error) is a miss too, so its spec recomputes and Put overwrites
+// it. A hit refreshes the entry's LRU recency.
 func (s *Store) Get(fp string) ([]byte, error) {
-	raw, err := soak.LoadEnvelopeFS(s.fs, s.docPath(fp), docMagic, storeSchema, 0, fp)
+	path := s.docPath(fp)
+	doc, err := soak.LoadEnvelopeFS(s.fs, path, docMagic, storeSchema, 0, fp)
 	if err != nil {
 		var je *soak.JournalError
-		if errors.As(err, &je) && je.Reason == "missing" {
+		if errors.As(err, &je) && (je.Reason == "missing" || je.Reason == "schema") {
 			return nil, nil
 		}
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := json.Indent(&buf, raw, "", "  "); err != nil {
-		return nil, &soak.JournalError{Path: s.docPath(fp), Reason: "corrupt", Err: err}
-	}
-	buf.WriteByte('\n')
-	if fi, err := s.fs.Stat(s.docPath(fp)); err == nil {
+	if fi, err := s.fs.Stat(path); err == nil {
 		s.touch(fp, fi.Size())
 	}
-	return buf.Bytes(), nil
+	return doc, nil
 }
 
-// Put memoizes a completed document under its fingerprint, then evicts
-// least-recently-used documents if the store exceeds its byte cap.
+// Put memoizes a completed document, verbatim, under its fingerprint, then
+// evicts least-recently-used documents if the store exceeds its byte cap.
 func (s *Store) Put(fp string, doc []byte) error {
 	if err := soak.SaveEnvelopeFS(s.fs, s.docPath(fp), docMagic, storeSchema, 0, fp, json.RawMessage(doc)); err != nil {
 		return err
@@ -239,21 +231,13 @@ func (s *Store) PutJob(fp string, spec Spec) error {
 	return soak.SaveEnvelopeFS(s.fs, s.jobPath(fp), jobMagic, storeSchema, 0, fp, spec)
 }
 
-// DropJob removes a finished job's journal entry (missing is fine).
-func (s *Store) DropJob(fp string) {
-	if err := s.fs.Remove(s.jobPath(fp)); err != nil && !os.IsNotExist(err) {
-		// Best-effort: a stale job file is re-dropped on the next
-		// recovery pass when its document is found present.
-		_ = err
-	}
-}
+// DropJob removes a finished job's journal entry. Best-effort: missing is
+// fine, and a stale job file is re-dropped on the next recovery pass when
+// its document is found present.
+func (s *Store) DropJob(fp string) { _ = s.fs.Remove(s.jobPath(fp)) }
 
-// DropJournal removes a finished soak job's checkpoint (missing is fine).
-func (s *Store) DropJournal(fp string) {
-	if err := s.fs.Remove(s.JournalPath(fp)); err != nil && !os.IsNotExist(err) {
-		_ = err
-	}
-}
+// DropJournal removes a finished soak job's checkpoint (best-effort).
+func (s *Store) DropJournal(fp string) { _ = s.fs.Remove(s.JournalPath(fp)) }
 
 // Recover replays the store after a restart: torn temp files are removed,
 // job entries whose document already exists are dropped (the crash hit

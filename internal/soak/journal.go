@@ -17,8 +17,8 @@ import (
 const journalMagic = "protolat-soak-journal"
 
 // journalSchema versions the journal layout; a mismatch is a typed error,
-// not a silent misread.
-const journalSchema = 1
+// not a silent misread. Schema 2 is the header-line layout of envelope.
+const journalSchema = 2
 
 // JournalError is the typed failure for every way a checkpoint journal (or
 // any other envelope-based store file — see SaveEnvelope) can be unusable:
@@ -52,17 +52,19 @@ func writeError(path string, err error) *JournalError {
 	return &JournalError{Path: path, Reason: "io", Err: err}
 }
 
-// envelope is the on-disk checkpoint format shared by the soak journal and
-// every other crash-safe store built on it (the serve daemon's result store
-// and job queue). State is kept as raw bytes so the CRC covers exactly what
-// was written.
+// envelope is the header of the on-disk format shared by the soak journal
+// and every other crash-safe store built on it (the serve daemon's result
+// store and job queue). A file is this header as one line of JSON, a
+// newline, then the payload verbatim: Bytes long, with CRC its CRC-32
+// (IEEE). A load parses only the header line, so it returns the exact
+// bytes that were saved without a JSON pass over them.
 type envelope struct {
-	Magic       string          `json:"magic"`
-	Schema      int             `json:"schema"`
-	Seed        uint64          `json:"seed"`
-	Fingerprint string          `json:"fingerprint"`
-	CRC         uint32          `json:"crc"`
-	State       json.RawMessage `json:"state"`
+	Magic       string `json:"magic"`
+	Schema      int    `json:"schema"`
+	Seed        uint64 `json:"seed"`
+	Fingerprint string `json:"fingerprint"`
+	CRC         uint32 `json:"crc"`
+	Bytes       int64  `json:"bytes"`
 }
 
 // SaveEnvelope checkpoints state atomically under the journal discipline —
@@ -77,31 +79,30 @@ func SaveEnvelope(path, magic string, schema int, seed uint64, fingerprint strin
 // leaves either the previous file or the new one, never a torn write. magic
 // and schema identify the file format; seed and fingerprint identify the
 // configuration that wrote it, and LoadEnvelope rejects a file whose
-// identity does not match. Exported so other crash-safe stores (the serve
-// daemon's memoized result store and journaled job queue) reuse the exact
-// same discipline and typed failure modes instead of reinventing them. All
-// file operations go through fsys so the storage fault layer can inject
-// failures and enumerate crash points.
+// identity does not match. A json.RawMessage state is stored verbatim, so
+// a load returns exactly its bytes; it must be valid JSON ("io" if not),
+// which keeps every payload JSON although a load no longer parses it.
+// Exported so other crash-safe stores (the serve daemon's memoized result
+// store and journaled job queue) reuse the exact same discipline and typed
+// failure modes instead of reinventing them. All file operations go
+// through fsys so the storage fault layer can inject failures and
+// enumerate crash points.
 func SaveEnvelopeFS(fsys storage.FS, path, magic string, schema int, seed uint64, fingerprint string, state any) error {
 	fsys = storage.Default(fsys)
-	raw, err := json.Marshal(state)
-	if err != nil {
-		return &JournalError{Path: path, Reason: "io", Err: err}
+	payload, verbatim := state.(json.RawMessage)
+	if !verbatim {
+		var err error
+		if payload, err = json.Marshal(state); err != nil {
+			return &JournalError{Path: path, Reason: "io", Err: err}
+		}
+	} else if !json.Valid(payload) {
+		return &JournalError{Path: path, Reason: "io", Err: errors.New("payload is not valid JSON")}
 	}
-	j := envelope{
-		Magic:       magic,
-		Schema:      schema,
-		Seed:        seed,
-		Fingerprint: fingerprint,
-		CRC:         crc32.ChecksumIEEE(raw),
-		State:       raw,
-	}
-	out, err := json.MarshalIndent(&j, "", "  ")
-	if err != nil {
-		return &JournalError{Path: path, Reason: "io", Err: err}
-	}
+	// Marshalling this struct cannot fail.
+	header, _ := json.Marshal(envelope{magic, schema, seed, fingerprint, crc32.ChecksumIEEE(payload), int64(len(payload))})
+	out := append(append(append(make([]byte, 0, len(header)+1+len(payload)), header...), '\n'), payload...)
 	tmp := path + ".tmp"
-	if err := fsys.WriteFile(tmp, append(out, '\n'), 0o644); err != nil {
+	if err := fsys.WriteFile(tmp, out, 0o644); err != nil {
 		return writeError(path, err)
 	}
 	if err := fsys.Sync(tmp); err != nil {
@@ -125,12 +126,14 @@ func LoadEnvelope(path, magic string, schema int, seed uint64, fingerprint strin
 }
 
 // LoadEnvelopeFS reads and validates an envelope written by SaveEnvelopeFS,
-// returning the state bytes it carries (in compact form, exactly what the
-// CRC was computed over). Every failure mode maps to a *JournalError:
-// "missing" when the file does not exist, "corrupt" for torn or tampered
-// bytes (bad JSON, empty file, wrong magic, CRC mismatch), "schema" for a
-// version the caller does not speak, and "mismatch" when seed or fingerprint
-// disagree with the expected identity.
+// returning the payload it carries: exactly the bytes that were saved and
+// that the CRC was computed over. It parses the header line only. Every
+// failure mode maps to a *JournalError: "missing" when the file does not
+// exist, "corrupt" for torn or tampered bytes (no header line, a header
+// that is not JSON or not in the form SaveEnvelopeFS writes, wrong magic,
+// a payload whose length or CRC disagrees with the header), "schema" for a
+// version the caller does not speak, and "mismatch" when seed or
+// fingerprint disagree with the expected identity.
 func LoadEnvelopeFS(fsys storage.FS, path, magic string, schema int, seed uint64, fingerprint string) (json.RawMessage, error) {
 	fsys = storage.Default(fsys)
 	data, err := fsys.ReadFile(path)
@@ -140,37 +143,46 @@ func LoadEnvelopeFS(fsys storage.FS, path, magic string, schema int, seed uint64
 		}
 		return nil, &JournalError{Path: path, Reason: "io", Err: err}
 	}
-	if len(data) == 0 {
+	nl := bytes.IndexByte(data, '\n')
+	if nl < 0 {
+		return nil, &JournalError{Path: path, Reason: "corrupt", Err: errors.New("no header line")}
+	}
+	line, payload := data[:nl], data[nl+1:]
+	var h envelope
+	if err := json.Unmarshal(line, &h); err != nil {
+		// Schema 1 wrote the whole file as one indented JSON object, whose
+		// first line is "{" alone: read its magic and schema from the
+		// object, so an old file fails as a version, not as corruption.
+		if string(line) != "{" || json.Unmarshal(data, &h) != nil {
+			return nil, &JournalError{Path: path, Reason: "corrupt", Err: err}
+		}
+	}
+	if h.Magic != magic {
 		return nil, &JournalError{Path: path, Reason: "corrupt",
-			Err: fmt.Errorf("empty file")}
+			Err: fmt.Errorf("magic %q", h.Magic)}
 	}
-	var j envelope
-	if err := json.Unmarshal(data, &j); err != nil {
-		return nil, &JournalError{Path: path, Reason: "corrupt", Err: err}
-	}
-	if j.Magic != magic {
-		return nil, &JournalError{Path: path, Reason: "corrupt",
-			Err: fmt.Errorf("magic %q", j.Magic)}
-	}
-	if j.Schema != schema {
+	if h.Schema != schema {
 		return nil, &JournalError{Path: path, Reason: "schema",
-			Err: fmt.Errorf("file schema %d, this binary speaks %d", j.Schema, schema)}
+			Err: fmt.Errorf("file schema %d, this binary speaks %d", h.Schema, schema)}
 	}
-	if j.Seed != seed || j.Fingerprint != fingerprint {
+	// Only the exact header SaveEnvelopeFS writes is accepted, so every
+	// file that loads re-saves to the same bytes.
+	if canon, _ := json.Marshal(&h); !bytes.Equal(line, canon) {
+		return nil, &JournalError{Path: path, Reason: "corrupt", Err: errors.New("header is not in canonical form")}
+	}
+	if h.Seed != seed || h.Fingerprint != fingerprint {
 		return nil, &JournalError{Path: path, Reason: "mismatch",
-			Err: fmt.Errorf("file was written under a different configuration (seed %d, fingerprint %s)", j.Seed, j.Fingerprint)}
+			Err: fmt.Errorf("file was written under a different configuration (seed %d, fingerprint %s)", h.Seed, h.Fingerprint)}
 	}
-	// The envelope was written indented, which re-indents the embedded
-	// state; compact it back to the canonical form the CRC was taken over.
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, j.State); err != nil {
-		return nil, &JournalError{Path: path, Reason: "corrupt", Err: err}
-	}
-	if got := crc32.ChecksumIEEE(compact.Bytes()); got != j.CRC {
+	if h.Bytes != int64(len(payload)) {
 		return nil, &JournalError{Path: path, Reason: "corrupt",
-			Err: fmt.Errorf("state crc %08x, file claims %08x", got, j.CRC)}
+			Err: fmt.Errorf("payload is %d bytes, header claims %d", len(payload), h.Bytes)}
 	}
-	return compact.Bytes(), nil
+	if got := crc32.ChecksumIEEE(payload); got != h.CRC {
+		return nil, &JournalError{Path: path, Reason: "corrupt",
+			Err: fmt.Errorf("payload crc %08x, header claims %08x", got, h.CRC)}
+	}
+	return payload, nil
 }
 
 // saveJournal checkpoints the soak state atomically (see SaveEnvelopeFS). A

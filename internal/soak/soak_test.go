@@ -147,18 +147,32 @@ func TestSoakJournalErrors(t *testing.T) {
 	})
 	check("bit flip in state", "corrupt", func() error {
 		bad := append([]byte(nil), good...)
-		// Flip a digit inside the state payload (the CRC must catch it).
-		idx := bytes.Index(bad, []byte(`"state"`))
+		// Flip a digit inside the state payload, which follows the header
+		// line (the CRC must catch it).
+		idx := bytes.IndexByte(bad, '\n')
 		if idx < 0 {
-			return errors.New("no state field in journal")
+			return errors.New("no header line in journal")
 		}
-		for i := idx; i < len(bad); i++ {
+		for i := idx + 1; i < len(bad); i++ {
 			if bad[i] >= '1' && bad[i] <= '8' {
 				bad[i]++
 				break
 			}
 		}
 		return os.WriteFile(cfg.CheckpointPath, bad, 0o644)
+	})
+	check("payload shorter than its header says", "corrupt", func() error {
+		return os.WriteFile(cfg.CheckpointPath, good[:len(good)-1], 0o644)
+	})
+	check("schema-1 layout", "schema", func() error {
+		if err := os.WriteFile(cfg.CheckpointPath, good, 0o644); err != nil {
+			return err
+		}
+		state, err := LoadEnvelope(cfg.CheckpointPath, journalMagic, journalSchema, cfg.Seed, cfg.fingerprint())
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(cfg.CheckpointPath, legacyEnvelope(journalMagic, cfg.Seed, cfg.fingerprint(), state), 0o644)
 	})
 	check("not a journal", "corrupt", func() error {
 		return os.WriteFile(cfg.CheckpointPath, []byte(`{"magic":"something-else"}`), 0o644)
