@@ -30,10 +30,10 @@ func (b *Builder) Frame(nRegs int) *Builder {
 	blk := b.block()
 	blk.Instrs = append(blk.Instrs, Instr{Op: arch.OpALU, Prologue: true})
 	for i := 0; i < nRegs; i++ {
-		blk.Instrs = append(blk.Instrs, Instr{Op: arch.OpStore, Data: "$stack", Off: uint32(8 * i), Prologue: true})
+		blk.Instrs = append(blk.Instrs, Instr{Op: arch.OpStore, data: stackID, Off: uint32(8 * i), Prologue: true})
 	}
 	for i := 0; i < nRegs; i++ {
-		b.f.Epilogue = append(b.f.Epilogue, Instr{Op: arch.OpLoad, Data: "$stack", Off: uint32(8 * i)})
+		b.f.Epilogue = append(b.f.Epilogue, Instr{Op: arch.OpLoad, data: stackID, Off: uint32(8 * i)})
 	}
 	b.f.Epilogue = append(b.f.Epilogue, Instr{Op: arch.OpALU})
 	return b
@@ -96,19 +96,16 @@ func (b *Builder) Mul() *Builder { return b.emit(Instr{Op: arch.OpMul}) }
 // Load emits n loads from the named object, spreading offsets in 8-byte
 // strides so consecutive accesses walk across cache blocks the way field
 // accesses to a large structure do.
-func (b *Builder) Load(obj string, n int) *Builder {
-	blk := b.block()
-	for i := 0; i < n; i++ {
-		blk.Instrs = append(blk.Instrs, Instr{Op: arch.OpLoad, Data: obj, Off: b.nextOff(obj)})
-	}
-	return b
-}
+func (b *Builder) Load(obj string, n int) *Builder { return b.access(arch.OpLoad, obj, n) }
 
 // Store emits n stores to the named object.
-func (b *Builder) Store(obj string, n int) *Builder {
+func (b *Builder) Store(obj string, n int) *Builder { return b.access(arch.OpStore, obj, n) }
+
+func (b *Builder) access(op arch.Op, obj string, n int) *Builder {
 	blk := b.block()
+	id := valueSyms.intern(obj)
 	for i := 0; i < n; i++ {
-		blk.Instrs = append(blk.Instrs, Instr{Op: arch.OpStore, Data: obj, Off: b.nextOff(obj)})
+		blk.Instrs = append(blk.Instrs, Instr{Op: op, data: id, Off: b.nextOff(obj)})
 	}
 	return b
 }
@@ -126,15 +123,15 @@ func (b *Builder) nextOff(obj string) uint32 {
 // Call emits a standard indirect call sequence: the address-materializing
 // load (removable by cloning specialization) followed by the jsr.
 func (b *Builder) Call(callee string) *Builder {
-	b.emit(Instr{Op: arch.OpLoad, Data: "$got", Off: b.nextOff("$got"), CallLoad: true, Call: callee})
-	return b.emit(Instr{Op: arch.OpJump, Call: callee})
+	b.emit(Instr{Op: arch.OpLoad, Off: b.nextOff("$got"), CallLoad: true}.WithData("$got").WithCall(callee))
+	return b.emit(Instr{Op: arch.OpJump}.WithCall(callee))
 }
 
 // CallRegister emits an indirect call through a computed register (protocol
 // demux tables): no address load to delete, and never convertible to a
 // PC-relative branch.
 func (b *Builder) CallRegister(callee string) *Builder {
-	return b.emit(Instr{Op: arch.OpJump, Call: callee})
+	return b.emit(Instr{Op: arch.OpJump}.WithCall(callee))
 }
 
 // Cond terminates the current block with a conditional branch on the named

@@ -415,9 +415,11 @@ func TestRecursionGuard(t *testing.T) {
 	}
 }
 
-// TestUnlinkedNamesStillResolve runs a program placed without LinkData:
-// no call, operand or condition carries an id, and the engine must look
-// each name up rather than treat the zero id as a symbol.
+// TestUnlinkedNamesStillResolve runs a program placed without LinkData.
+// Its calls and operands carry ids from the moment they were written, but
+// no condition has an id and no operand a static address: the engine must
+// look each condition up by name rather than treat the zero id as a
+// symbol, and run the program exactly as it runs the linked one.
 func TestUnlinkedNamesStillResolve(t *testing.T) {
 	build := func() *Program {
 		p := NewProgram()
@@ -442,6 +444,10 @@ func TestUnlinkedNamesStillResolve(t *testing.T) {
 	}
 	if err := p.FinishText(); err != nil {
 		t.Fatal(err)
+	}
+	f := p.Func("f")
+	if f.Blocks[0].cond != 0 || f.Blocks[1].Instrs[1].CalleeID() != p.Func("g").ID() {
+		t.Fatal("premise: an unlinked program has call ids but no condition ids")
 	}
 	got := record(t, NewEngine(cpu.New(mem.New(arch.DEC3000_600())), p), "f", env())
 	if len(got) != len(want) {

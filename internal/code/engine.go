@@ -110,18 +110,13 @@ func (e *Engine) step(entry cpu.Entry) {
 // named operands it does not bind use the static address LinkData cached
 // on the instruction, and unnamed operands model a stack-frame access.
 func dataAddr(env *Binding, in *Instr) uint64 {
-	if in.Data == "" {
+	if in.data == 0 {
 		if base, ok := env.addr(stackID); ok {
 			return base + uint64(in.Off)%256
 		}
 		return DefaultDataBase + uint64(in.Off)
 	}
-	id := in.data
-	if id == 0 {
-		// Not linked since the operand was written.
-		id = valueSyms.lookup(in.Data)
-	}
-	if base, ok := env.addr(id); ok {
+	if base, ok := env.addr(in.data); ok {
 		return base + uint64(in.Off)
 	}
 	if in.staticOK {
@@ -145,15 +140,15 @@ func (p *Program) resolve(name string) (*Placement, error) {
 }
 
 // callee returns the placement a call instruction transfers to: the
-// placement slice indexed by the callee id LinkData stored, or, when that
-// misses, the by-name lookup and its error.
+// placement slice indexed by its callee id, or, when that misses, the
+// error the by-name lookup reports.
 func (p *Program) callee(in *Instr) (*Placement, error) {
 	if id := in.callee; int(id) < len(p.placements) {
 		if pl := p.placements[id]; pl != nil {
 			return pl, nil
 		}
 	}
-	return p.resolve(in.Call)
+	return p.resolve(in.Call())
 }
 
 // maxRunData bounds the loads and stores of one run, so their effective
@@ -209,7 +204,7 @@ func (pb *placedBlock) body(m *cpu.Model) *bodyCode {
 }
 
 // isCall reports whether in is a call: a jump naming its callee.
-func isCall(in *Instr) bool { return in.Call != "" && in.Op == arch.OpJump }
+func isCall(in *Instr) bool { return in.IsCall() && in.Op == arch.OpJump }
 
 // call executes one function model. The loop works entirely on the placed
 // blocks the linker resolved: successors and fall-throughs are pointers and

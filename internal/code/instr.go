@@ -75,30 +75,26 @@ func (k BlockKind) String() string {
 // out of the mainline.
 func (k BlockKind) Outlinable() bool { return k != BlockMain }
 
-// Instr is one modeled machine instruction. The fields are ordered
-// largest first so the struct packs into 56 bytes: every executed
-// instruction is read from a slice of these.
+// Instr is one modeled machine instruction. It holds its operand and
+// callee as interned ids, never as names, so the struct packs into 24
+// bytes: every executed instruction, and every instruction the layout
+// search's checks compare, is read from a slice of these. The names are
+// interned when the instruction is written (the Builder, SetData,
+// SetCall, WithData, WithCall) and read back through Data and Call.
 type Instr struct {
-	// Data names the memory operand of a load or store; the Binding
-	// resolves it to a base address at run time, and unresolved names fall
-	// back to linker-assigned static storage.
-	Data string
-	// Call names the function invoked by this jump; the engine recurses
-	// into the callee's model after emitting the instruction.
-	Call string
-
-	// staticBase caches the linker-assigned address of Data, filled in by
-	// LinkData; staticOK marks it valid. The Binding may still shadow it
-	// with a run-time binding, but when it does not the engine reads the
-	// address here instead of hashing the symbol name per execution.
+	// staticBase caches the linker-assigned address of the operand, filled
+	// in by LinkData; staticOK marks it valid. A run-time binding of the
+	// operand shadows it.
 	staticBase uint64
 
 	// Off is the byte offset of the access within the named object,
 	// assigned by the builder to spread accesses across the object.
 	Off uint32
 
-	// data and callee are the interned ids of Data and Call, set by
-	// LinkData; 0 means the name is empty or not yet resolved.
+	// data is the interned id of the memory operand of a load or store,
+	// which the Binding resolves to a base address at run time (unbound
+	// names fall back to linker-assigned static storage); callee is the
+	// interned id of the function this jump invokes. 0 means none.
 	data   int32
 	callee int32
 
@@ -115,15 +111,44 @@ type Instr struct {
 	staticOK bool
 }
 
-// DataID returns the interned id LinkData gave the Data operand: 0 when
-// Data is empty or the instruction was not linked since it was written.
-// Ids are process-wide, so two linked instructions name the same object
-// exactly when their ids are equal and non-zero.
+// Data returns the name of the memory operand, or "" when there is none.
+func (in *Instr) Data() string { return valueSyms.name(in.data) }
+
+// Call returns the name of the function this instruction calls (or, for a
+// CallLoad, loads the address of), or "" when there is none.
+func (in *Instr) Call() string { return funcSyms.name(in.callee) }
+
+// SetData names the memory operand; "" makes it a stack-frame access. The
+// static address LinkData cached is dropped until the next LinkData.
+func (in *Instr) SetData(name string) {
+	in.data = valueSyms.intern(name)
+	in.staticBase, in.staticOK = 0, false
+}
+
+// SetCall names the callee; "" makes the instruction call nothing.
+func (in *Instr) SetCall(name string) { in.callee = funcSyms.intern(name) }
+
+// WithData returns in with its memory operand named, for literals.
+func (in Instr) WithData(name string) Instr {
+	in.SetData(name)
+	return in
+}
+
+// WithCall returns in with its callee named, for literals.
+func (in Instr) WithCall(name string) Instr {
+	in.SetCall(name)
+	return in
+}
+
+// IsCall reports whether the instruction names a callee (a CallLoad does).
+func (in *Instr) IsCall() bool { return in.callee != 0 }
+
+// DataID returns the interned id of the memory operand, 0 when there is
+// none. Equal ids name the same object in every program.
 func (in *Instr) DataID() int32 { return in.data }
 
-// CalleeID returns the interned id LinkData gave the Call target, the id
-// the engine executes the call through: 0 when Call is empty or the
-// instruction was not linked since it was written.
+// CalleeID returns the interned id of the callee, which Program.FuncByID
+// resolves; 0 when there is none.
 func (in *Instr) CalleeID() int32 { return in.callee }
 
 // TermKind is the way a basic block ends.
@@ -195,9 +220,8 @@ type Function struct {
 	index atomic.Pointer[BlockIndex]
 }
 
-// ID returns the interned id of the function's name, the callee id
-// LinkData stores in each call to it; 0 until the function is added to a
-// program.
+// ID returns the interned id of the function's name, the callee id each
+// call to it carries; 0 until the function is added to a program.
 func (f *Function) ID() int32 { return f.id }
 
 // Clone returns a deep copy of the function under a new name.
@@ -251,10 +275,10 @@ func (f *Function) Callees() []string {
 	var out []string
 	seen := map[string]bool{}
 	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Call != "" && !seen[in.Call] {
-				seen[in.Call] = true
-				out = append(out, in.Call)
+		for i := range b.Instrs {
+			if c := b.Instrs[i].Call(); c != "" && !seen[c] {
+				seen[c] = true
+				out = append(out, c)
 			}
 		}
 	}

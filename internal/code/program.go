@@ -133,7 +133,7 @@ type Program struct {
 	// list is the link order.
 	list []*Function
 	// byID and placements are indexed by function id (Function.id, the
-	// callee id LinkData stores in each call). Place updates placements,
+	// callee id each call to it carries). Place updates placements,
 	// so a program re-placed without re-linking still resolves every call
 	// to the current layout.
 	byID       []*Function
@@ -516,57 +516,46 @@ func (p *Program) EntryAddr(name string) (uint64, bool) {
 // layout is independent of authoring order. The "$stack" symbol is skipped:
 // it is always bound at run time to the current thread's stack.
 func (p *Program) LinkData() error {
-	sizes := map[string]uint32{}
+	sizes := map[int32]uint32{} // by operand id
 	for _, f := range p.funcs {
-		note := func(in Instr) {
-			if in.Data == "" || in.Data == stackName {
-				return
-			}
-			if in.Off+8 > sizes[in.Data] {
-				sizes[in.Data] = in.Off + 8
+		note := func(in *Instr) {
+			if in.data != 0 && in.data != stackID {
+				sizes[in.data] = max(sizes[in.data], in.Off+8)
 			}
 		}
 		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				note(in)
+			for i := range b.Instrs {
+				note(&b.Instrs[i])
 			}
 		}
-		for _, in := range f.Epilogue {
-			note(in)
+		for i := range f.Epilogue {
+			note(&f.Epilogue[i])
 		}
 	}
 	names := make([]string, 0, len(sizes))
-	for n := range sizes {
-		names = append(names, n)
+	for id := range sizes {
+		names = append(names, valueSyms.name(id))
 	}
 	sort.Strings(names)
 	p.dataSyms = map[string]uint64{}
 	p.dataSizes = map[string]uint32{}
+	static := make([]uint64, valueSyms.size()+1) // by operand id; 0 = none
 	addr := uint64(DefaultDataBase)
 	for _, n := range names {
-		sz := (sizes[n] + 63) &^ 63
-		p.dataSyms[n] = addr
-		p.dataSizes[n] = sz
+		id := valueSyms.lookup(n)
+		sz := (sizes[id] + 63) &^ 63
+		p.dataSyms[n], p.dataSizes[n], static[id] = addr, sz, addr
 		addr += uint64(sz)
 	}
-	// Resolve every name the engine consults: each operand gets its
-	// interned id and linker-assigned fallback address, each call its
-	// callee id, each conditional block its condition id. Execution then
+	// Give each operand its linker-assigned fallback address and each
+	// conditional block its condition id. Operand and callee ids were
+	// interned when the instructions were written, so execution then
 	// indexes a Binding slot or the placement slice and never hashes a
 	// name.
 	for _, f := range p.funcs {
 		annotate := func(in *Instr) {
-			in.data, in.callee = 0, 0
-			if in.Data != "" {
-				in.data = valueSyms.intern(in.Data)
-			}
-			if in.Call != "" {
-				in.callee = funcSyms.intern(in.Call)
-			}
-			in.staticOK = false
-			if a, ok := p.dataSyms[in.Data]; ok {
-				in.staticBase, in.staticOK = a, true
-			}
+			in.staticBase = static[in.data]
+			in.staticOK = in.staticBase != 0
 		}
 		for _, b := range f.Blocks {
 			b.cond = 0
@@ -600,7 +589,7 @@ func (p *Program) DataAddr(name string) (uint64, bool) {
 func (p *Program) LayoutFingerprint() uint64 {
 	h := fnv.New64a()
 	hashInstr := func(in *Instr) {
-		fmt.Fprintf(h, "i%d,%s,%d,%s,%t,%t,%d,%t;", in.Op, in.Data, in.Off, in.Call, in.CallLoad, in.Prologue, in.staticBase, in.staticOK)
+		fmt.Fprintf(h, "i%d,%s,%d,%s,%t,%t,%d,%t;", in.Op, in.Data(), in.Off, in.Call(), in.CallLoad, in.Prologue, in.staticBase, in.staticOK)
 	}
 	for _, f := range p.list {
 		fmt.Fprintf(h, "f%s,%d:", f.Name, f.Class)

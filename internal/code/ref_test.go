@@ -32,7 +32,7 @@ func refCall(e *Engine, pl *Placement, env *Binding, depth int) error {
 			}
 			e.step(entry)
 			addr += instrBytes
-			if in.Call != "" && in.Op == arch.OpJump {
+			if in.IsCall() && in.Op == arch.OpJump {
 				callee, err := e.prog.callee(in)
 				if err == nil {
 					err = refCall(e, callee, env, depth+1)

@@ -133,15 +133,15 @@ func connectionSpecialize(f *code.Function, conn int, s Spec, cloneName func(int
 				droppedPrologue = true
 				continue
 			}
-			if in.Call != "" && pathSet[in.Call] {
+			if in.IsCall() && pathSet[in.Call()] {
 				if in.CallLoad {
 					continue // PC-relative within the clone set
 				}
-				in.Call = cloneName(conn, in.Call)
+				in.SetCall(cloneName(conn, in.Call()))
 			}
 			// Partial evaluation: every fourth load of connection
 			// state disappears into the code.
-			if in.Op.AccessesMemory() && in.Call == "" && isConnState(in.Data) {
+			if in.Op.AccessesMemory() && !in.IsCall() && isConnState(in.Data()) {
 				constLoads++
 				if constLoads%4 == 0 {
 					continue

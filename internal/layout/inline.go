@@ -77,15 +77,15 @@ func (ix *inliner) expand(f *code.Function, prefix string, depth int) ([]*code.B
 			if prefix != "" && in.Prologue {
 				continue
 			}
-			if in.Call != "" && ix.inSet[in.Call] {
+			if name := in.Call(); name != "" && ix.inSet[name] {
 				if in.CallLoad {
 					// Address load of an inlined call: gone.
 					continue
 				}
 				// The jsr itself: splice the callee here.
-				callee := ix.prog.Func(in.Call)
+				callee := ix.prog.Func(name)
 				ix.instance++
-				calleePrefix := fmt.Sprintf("%s%s$%d$", prefix, in.Call, ix.instance)
+				calleePrefix := fmt.Sprintf("%s%s$%d$", prefix, name, ix.instance)
 				inlined, err := ix.expand(callee, calleePrefix, depth+1)
 				if err != nil {
 					return nil, err

@@ -120,7 +120,7 @@ func specialize(p *code.Program, s Spec) int {
 					removed++
 					continue
 				}
-				if in.CallLoad && inSet[in.Call] {
+				if in.CallLoad && inSet[in.Call()] {
 					removed++
 					continue
 				}

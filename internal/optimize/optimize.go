@@ -201,13 +201,7 @@ func reference(cfg Config, feat features.Set) (*code.Program, layout.Spec, map[s
 	// One specialization up front, in place (the material is freshly built
 	// and nothing else holds it): the reference image every working image
 	// is cloned from and every candidate is proved move-only equivalent to.
-	// Linking its data once interns every operand and callee, so the
-	// move-only proof compares ids rather than names; the clones inherit
-	// the ids.
 	layout.Specialize(material, spec)
-	if err := material.LinkData(); err != nil {
-		return nil, layout.Spec{}, nil, fmt.Errorf("optimize: link reference: %w", err)
-	}
 	weights := cfg.Weights
 	if weights == nil {
 		weights = make(map[string]float64, len(usage))
@@ -612,10 +606,9 @@ func greedyOrder(ref *code.Program, spec layout.Spec, weights map[string]float64
 				continue
 			}
 			for _, in := range b.Instrs {
-				if in.Call == "" || in.CallLoad || in.Call == n || !inSet[in.Call] {
-					continue
+				if c := in.Call(); c != "" && !in.CallLoad && c != n && inSet[c] {
+					acc[[2]string{n, c}] += wOf(n)
 				}
-				acc[[2]string{n, in.Call}] += wOf(n)
 			}
 		}
 	}

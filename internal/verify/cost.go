@@ -330,10 +330,10 @@ func Cost(p *code.Program, spec CostSpec, m arch.Machine) (*CostReport, error) {
 	// inLibrary reports whether a call instruction targets a spec'd
 	// library helper, the functions whose calls the replay expands.
 	inLibrary := func(in *code.Instr) (*code.Function, bool) {
-		if f := callee(p, in); f != nil {
+		if f := p.FuncByID(in.CalleeID()); f != nil {
 			return f, cs.isLib[f.ID()] == cs.stamp
 		}
-		return nil, slices.Contains(cs.unresolvedLib, in.Call)
+		return nil, slices.Contains(cs.unresolvedLib, in.Call())
 	}
 
 	rep := &CostReport{}
@@ -522,14 +522,14 @@ func Cost(p *code.Program, spec CostSpec, m arch.Machine) (*CostReport, error) {
 			}
 			for k := range b.Instrs {
 				in := &b.Instrs[k]
-				if in.Call == "" || in.CallLoad {
+				if !in.IsCall() || in.CallLoad {
 					continue
 				}
 				g, lib := inLibrary(in)
 				if !lib {
 					continue
 				}
-				if err := expand(in.Call, g, depth+1, w); err != nil {
+				if err := expand(in.Call(), g, depth+1, w); err != nil {
 					return err
 				}
 				for _, id := range ids {

@@ -133,10 +133,10 @@ func Cost(p *code.Program, spec verify.CostSpec, m arch.Machine) (*verify.CostRe
 			}
 			emit()
 			for _, in := range b.Instrs {
-				if in.Call == "" || in.CallLoad || !inLibrary[in.Call] {
+				if in.Call() == "" || in.CallLoad || !inLibrary[in.Call()] {
 					continue
 				}
-				if err := expand(in.Call, depth+1, w); err != nil {
+				if err := expand(in.Call(), depth+1, w); err != nil {
 					return err
 				}
 				emit()

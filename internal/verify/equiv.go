@@ -10,23 +10,12 @@ import (
 // sameInstr compares the semantic fields of two instructions. The
 // linker-private static-address annotations are deliberately excluded:
 // they differ between an unlinked transform input and a linked output
-// without changing what the instruction does. Operand and callee names
-// compare by the ids LinkData interned when both sides carry one (the ids
-// are what the engine executes through), by name otherwise.
+// without changing what the instruction does. Operands and callees
+// compare by interned id, which names the same symbol in every program.
 func sameInstr(a, b *code.Instr) bool {
 	return a.Op == b.Op && a.Off == b.Off &&
 		a.CallLoad == b.CallLoad && a.Prologue == b.Prologue &&
-		sameSym(a.Data, b.Data, a.DataID(), b.DataID()) &&
-		sameSym(a.Call, b.Call, a.CalleeID(), b.CalleeID())
-}
-
-// sameSym compares two symbol references by interned id when both have
-// one, by name otherwise.
-func sameSym(a, b string, aID, bID int32) bool {
-	if aID != 0 && bID != 0 {
-		return aID == bID
-	}
-	return len(a) == len(b) && (len(a) == 0 || a == b)
+		a.DataID() == b.DataID() && a.CalleeID() == b.CalleeID()
 }
 
 func sameInstrs(a, b []code.Instr) bool {
@@ -224,10 +213,10 @@ func checkSpecializedBlock(fn string, before, after *code.Block, spec map[string
 		switch {
 		case in.Prologue && !droppedPrologue:
 			droppedPrologue = true
-		case in.CallLoad && spec[in.Call]:
+		case in.CallLoad && spec[in.Call()]:
 		default:
 			return errf(ReasonIllegalDrop, fn, before.Label,
-				"instruction %v (%s) dropped without a specialization license", in.Op, in.Data)
+				"instruction %v (%s) dropped without a specialization license", in.Op, in.Data())
 		}
 	}
 	if i != len(after.Instrs) {
@@ -338,7 +327,7 @@ type event struct {
 func (e event) String() string {
 	switch e.kind {
 	case 'i':
-		return fmt.Sprintf("instr %v %s", e.in.Op, e.in.Data)
+		return fmt.Sprintf("instr %v %s", e.in.Op, e.in.Data())
 	case 'c':
 		return fmt.Sprintf("cond %q", e.cond)
 	default:
@@ -374,12 +363,12 @@ func (bs *bisim) stepA(st []inlFrame) (event, [][]inlFrame, error) {
 				top.idx++
 				continue
 			}
-			if in.Call != "" && bs.inSet[in.Call] {
+			if in.IsCall() && bs.inSet[in.Call()] {
 				top.idx++
 				if in.CallLoad {
 					continue
 				}
-				callee := bs.before.Func(in.Call)
+				callee := bs.before.FuncByID(in.CalleeID())
 				st = append(st, inlFrame{fn: callee, blk: callee.Blocks[0]})
 				continue
 			}

@@ -7,6 +7,8 @@ import (
 	"repro/internal/arch"
 	"repro/internal/code"
 	"repro/internal/layout"
+	"repro/internal/sim/cpu"
+	"repro/internal/sim/mem"
 	"repro/internal/verify"
 )
 
@@ -138,7 +140,7 @@ func TestCheckCloneRejectsSabotage(t *testing.T) {
 		// Drop a plain body instruction — not a prologue slot, not a
 		// call-address load.
 		for i, in := range b.Instrs {
-			if !in.Prologue && !in.CallLoad && in.Call == "" {
+			if !in.Prologue && !in.CallLoad && !in.IsCall() {
 				b.Instrs = append(b.Instrs[:i], b.Instrs[i+1:]...)
 				break
 			}
@@ -150,6 +152,56 @@ func TestCheckCloneRejectsSabotage(t *testing.T) {
 		clo.Func("a_layer").Blocks[0].Kind = code.BlockInit
 		wantReason(t, verify.CheckClone(p, clo, specialized), verify.ReasonBlockChanged)
 	})
+}
+
+// TestRetargetAfterLink retargets a call of a linked clone the way
+// connection cloning does, with SetCall and no relink: the engine must
+// execute the new callee at once, and CheckClone must refuse the change.
+// Both read the callee id SetCall interned, not a name cached at link time.
+func TestRetargetAfterLink(t *testing.T) {
+	p := layout.Outline(makeLayers(3, 10))
+	spec := layersSpec(3)
+	specialized := append(append([]string(nil), spec.Path...), spec.Library...)
+	clo, err := layout.Bipartite(p, spec, arch.DEC3000_600(), layout.DefaultCloneBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetched := func() map[uint64]bool {
+		seen := map[uint64]bool{}
+		e := code.NewEngine(cpu.New(mem.New(arch.DEC3000_600())), clo)
+		e.Observer = func(en cpu.Entry) { seen[en.Addr] = true }
+		if err := e.Run("a_layer", code.NewBinding(nil)); err != nil {
+			t.Fatal(err)
+		}
+		return seen
+	}
+	entry := func(name string) uint64 {
+		addr, ok := clo.EntryAddr(name)
+		if !ok {
+			t.Fatalf("%s has no entry address", name)
+		}
+		return addr
+	}
+	b, c := entry("b_layer"), entry("c_layer")
+	if before := fetched(); !before[b] {
+		t.Fatal("a_layer does not reach b_layer before the retarget")
+	}
+	n := 0
+	for _, blk := range clo.Func("a_layer").Blocks {
+		for i := range blk.Instrs {
+			if blk.Instrs[i].Call() == "b_layer" {
+				blk.Instrs[i].SetCall("c_layer")
+				n++
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("a_layer has no call to b_layer")
+	}
+	if after := fetched(); after[b] || !after[c] {
+		t.Fatalf("after the retarget: b_layer fetched %v, c_layer fetched %v; want false, true", after[b], after[c])
+	}
+	wantReason(t, verify.CheckClone(p, clo, specialized), verify.ReasonIllegalDrop)
 }
 
 func TestCheckInlineAcceptsPathInline(t *testing.T) {

@@ -250,16 +250,6 @@ func (sc *scratch) checkFunc(f *code.Function) error {
 	return nil
 }
 
-// callee resolves a call instruction to a function of p: through the
-// callee id LinkData stored when it still names the instruction's target,
-// by name otherwise (an unlinked program, or a call retargeted since).
-func callee(p *code.Program, in *code.Instr) *code.Function {
-	if g := p.FuncByID(in.CalleeID()); g != nil && g.Name == in.Call {
-		return g
-	}
-	return p.Func(in.Call)
-}
-
 // checkCallGraph verifies every call target resolves and the call graph is
 // acyclic (the engine's call stack is depth-bounded, so recursion is a
 // model bug, not a feature). Functions are tried in link order and callees
@@ -284,12 +274,12 @@ func (sc *scratch) checkCallGraph(p *code.Program) error {
 		for _, b := range f.Blocks {
 			for i := range b.Instrs {
 				in := &b.Instrs[i]
-				if in.Call == "" {
+				if !in.IsCall() {
 					continue
 				}
-				g := callee(p, in)
+				g := p.FuncByID(in.CalleeID())
 				if g == nil {
-					return errf(ReasonUnresolvedCall, f.Name, b.Label, "call to unknown function %q", in.Call)
+					return errf(ReasonUnresolvedCall, f.Name, b.Label, "call to unknown function %q", in.Call())
 				}
 				c := sc.at[g.ID()]
 				if !containsID(adj[start:], c) {

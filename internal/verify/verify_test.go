@@ -186,8 +186,8 @@ func retargetCall(t *testing.T, f *code.Function, to string) {
 	t.Helper()
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
-			if b.Instrs[i].Call != "" {
-				b.Instrs[i].Call = to
+			if b.Instrs[i].IsCall() {
+				b.Instrs[i].SetCall(to)
 				if !b.Instrs[i].CallLoad {
 					return
 				}

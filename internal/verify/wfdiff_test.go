@@ -140,13 +140,13 @@ func placeAt(p *code.Program, f, g *code.Function, off uint64) {
 }
 
 // retargetTo redirects every call of f to the named function, relinking
-// the data layout afterwards when relink is set (a program whose calls
-// changed since it was linked carries stale callee ids otherwise).
+// the data layout afterwards when relink is set. SetCall interns the new
+// callee at once, so both forms must give the same verdict.
 func retargetTo(p *code.Program, f *code.Function, to string, relink bool) {
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
-			if b.Instrs[i].Call != "" {
-				b.Instrs[i].Call = to
+			if b.Instrs[i].IsCall() {
+				b.Instrs[i].SetCall(to)
 			}
 		}
 	}

@@ -87,8 +87,8 @@ func CheckCallGraph(p *code.Program) error {
 	for _, f := range p.Funcs() {
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
-				if in.Call != "" && p.Func(in.Call) == nil {
-					return errf(verify.ReasonUnresolvedCall, f.Name, b.Label, "call to unknown function %q", in.Call)
+				if in.Call() != "" && p.Func(in.Call()) == nil {
+					return errf(verify.ReasonUnresolvedCall, f.Name, b.Label, "call to unknown function %q", in.Call())
 				}
 			}
 		}
