@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -10,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/layout"
 	"repro/internal/protocols/features"
-	"repro/internal/trace"
 	"repro/internal/xkernel"
 )
 
@@ -344,11 +344,11 @@ func BenchmarkThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkSensitivity replays the STD/ALL traces across the machine sweep
+// BenchmarkSensitivity runs STD and ALL on the machine sweep's two machines
 // (the paper's closing-remark experiment).
 func BenchmarkSensitivity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Sensitivity(core.StackTCPIP, "machine", core.Quick); err != nil {
+		if _, err := core.Sensitivity(context.Background(), core.StackTCPIP, "machine", core.Quick); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -358,7 +358,7 @@ func BenchmarkSensitivity(b *testing.B) {
 // absorbed the pessimal layout (it does not).
 func BenchmarkAssociativityWhatIf(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Sensitivity(core.StackTCPIP, "assoc", core.Quick); err != nil {
+		if _, err := core.Sensitivity(context.Background(), core.StackTCPIP, "assoc", core.Quick); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -383,21 +383,4 @@ func BenchmarkConnectionCloning(b *testing.B) {
 			b.ReportMetric(te, "Te-us")
 		})
 	}
-}
-
-// BenchmarkTraceReplay measures the raw replay rate of the simulator.
-func BenchmarkTraceReplay(b *testing.B) {
-	cfg := core.DefaultConfig(core.StackTCPIP, core.STD)
-	cfg.Warmup, cfg.Measured, cfg.Samples = 4, 6, 1
-	tr, err := core.RecordTrace(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := trace.Replay(tr, arch.DEC3000_600()); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(tr.Len()), "trace-instrs")
 }

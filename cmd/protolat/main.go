@@ -12,7 +12,7 @@
 //	protolat -parallel 8 -quality paper           # 8 workers; same output
 //	protolat -throughput                          # §4.1 throughput check
 //	protolat -multiconn                           # §3.2 connection-time cloning
-//	protolat -sensitivity cache                   # trace-replay geometry sweep
+//	protolat -sensitivity cache                   # i-cache size sweep
 //	protolat -faults -seed 7                      # fault-injection study
 //	protolat -faults -rates 0,0.05 -stack rpc     # custom rates / RPC stack
 //	protolat -stack tcpip -policy adaptive        # adaptive recovery timers

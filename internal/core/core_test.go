@@ -1,14 +1,18 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/machines"
+	"repro/internal/obs"
 	"repro/internal/protocols/features"
 	"repro/internal/sim/cpu"
-	"repro/internal/trace"
 )
 
 func TestBuildProgramAllVersions(t *testing.T) {
@@ -205,35 +209,108 @@ func TestUnusedICacheFractionDropsWithOutlining(t *testing.T) {
 	}
 }
 
-func TestSensitivityMachineSweep(t *testing.T) {
-	q := Quality{Warmup: 3, Measured: 4, Samples: 1}
-	tab, err := Sensitivity(StackTCPIP, "machine", q)
+// sweepQuality is the test shape of every sensitivity sweep.
+var sweepQuality = Quality{Warmup: 3, Measured: 4, Samples: 1}
+
+// sweepTable runs one sensitivity sweep at sweepQuality.
+func sweepTable(t *testing.T, kind StackKind, name string) obs.Table {
+	t.Helper()
+	tab, err := Sensitivity(context.Background(), kind, name, sweepQuality)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := RenderTable(tab); !strings.Contains(s, "future") {
+	return tab
+}
+
+// sweepCell parses column col of the row for machine.
+func sweepCell(t *testing.T, tab obs.Table, machine string, col int) float64 {
+	t.Helper()
+	for _, r := range tab.Rows {
+		if r[0] == machine {
+			v, err := strconv.ParseFloat(r[col], 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("%s: no row for %s", tab.Title, machine)
+	return 0
+}
+
+// TestSensitivityMachineSweep holds every sweep to the machine study: each
+// row is one model, and its mCPI cells are the study's for the same model,
+// versions and quality.
+func TestSensitivityMachineSweep(t *testing.T) {
+	pick := func(names string) []machines.Model {
+		ms, err := machines.Select(names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ms
+	}
+	var cache []machines.Model
+	for _, kb := range []int{4, 8, 16, 32, 64} {
+		m := pick("dec3000")[0]
+		m.Name = fmt.Sprintf("icache-%dk", kb)
+		m.Machine.ICacheBytes = kb * 1024
+		cache = append(cache, m)
+	}
+	want := []struct {
+		sweep  string
+		a, b   Version
+		models []machines.Model
+	}{
+		{"cache", STD, ALL, cache},
+		{"machine", STD, ALL, pick("dec3000,future266")},
+		{"assoc", BAD, ALL, pick("dec3000,l1-2way,l1-4way")},
+	}
+	if len(want) != len(SweepNames()) {
+		t.Fatalf("sweeps %v, test covers %d", SweepNames(), len(want))
+	}
+	for _, kind := range []StackKind{StackTCPIP, StackRPC} {
+		for _, w := range want {
+			tab := sweepTable(t, kind, w.sweep)
+			cells, err := MachineStudy(MachineStudyConfig{Stack: kind, Models: w.models, Versions: []Version{w.a, w.b}, Quality: sweepQuality})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(tab.Rows) != len(w.models) {
+				t.Fatalf("%v %s: %d rows, want %d", kind, w.sweep, len(tab.Rows), len(w.models))
+			}
+			for i, m := range w.models {
+				got := tab.Rows[i][:3]
+				exp := []string{m.Name, fmt.Sprintf("%.2f", cells[2*i].MCPI), fmt.Sprintf("%.2f", cells[2*i+1].MCPI)}
+				if !slices.Equal(got, exp) {
+					t.Errorf("%v %s row %d: %v, machine study %v", kind, w.sweep, i, got, exp)
+				}
+			}
+		}
+	}
+	if s := RenderTable(sweepTable(t, StackTCPIP, "machine")); !strings.Contains(s, "future266") {
 		t.Fatalf("sweep output malformed:\n%s", s)
 	}
 }
 
 func TestFutureMachineWidensMCPI(t *testing.T) {
-	q := Quality{Warmup: 3, Measured: 4, Samples: 1}
-	cfg := q.Apply(DefaultConfig(StackTCPIP, STD))
-	cfg.Samples = 1
-	tr, err := RecordTrace(cfg)
-	if err != nil {
-		t.Fatal(err)
+	tab := sweepTable(t, StackTCPIP, "machine")
+	now, fut := sweepCell(t, tab, "dec3000", 1), sweepCell(t, tab, "future266", 1)
+	if fut <= now {
+		t.Fatalf("future machine STD mCPI %.2f not worse than testbed %.2f", fut, now)
 	}
-	mNow, _, err := trace.Replay(tr, arch.DEC3000_600())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mFut, _, err := trace.Replay(tr, arch.Future266())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mFut.MCPI() <= mNow.MCPI() {
-		t.Fatalf("future machine mCPI %.2f not worse than testbed %.2f", mFut.MCPI(), mNow.MCPI())
+}
+
+// TestAllBeatsSTDAtEveryCacheSize: with code placed for each i-cache size,
+// ALL's processing time beats STD's at every point of the cache sweep, on
+// both stacks — the techniques still pay when the path fits.
+func TestAllBeatsSTDAtEveryCacheSize(t *testing.T) {
+	for _, kind := range []StackKind{StackTCPIP, StackRPC} {
+		tab := sweepTable(t, kind, "cache")
+		for _, r := range tab.Rows {
+			if saved := sweepCell(t, tab, r[0], 4); saved <= 0 {
+				t.Errorf("%v %s: ALL saves %.1f us of STD's Tp; want > 0", kind, r[0], saved)
+			}
+		}
 	}
 }
 
@@ -331,27 +408,12 @@ func TestAssociativityDoesNotRescueBad(t *testing.T) {
 	// The BAD layout stacks ~30 functions on the same sets: no practical
 	// associativity absorbs that, which is why layout is a software
 	// problem. 2-way helps some but must stay far worse than ALL.
-	q := Quality{Warmup: 3, Measured: 4, Samples: 1}
-	cfgBad := q.Apply(DefaultConfig(StackTCPIP, BAD))
-	cfgBad.Samples = 1
-	trBad, err := RecordTrace(cfgBad)
-	if err != nil {
-		t.Fatal(err)
+	tab := sweepTable(t, StackTCPIP, "assoc")
+	bad1, bad2 := sweepCell(t, tab, "dec3000", 1), sweepCell(t, tab, "l1-2way", 1)
+	if bad2 >= bad1 {
+		t.Fatalf("2-way associativity did not help BAD at all: %.2f vs %.2f", bad2, bad1)
 	}
-	m2 := arch.DEC3000_600()
-	m2.Assoc = 2
-	bad2, _, err := trace.Replay(trBad, m2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad1, _, err := trace.Replay(trBad, arch.DEC3000_600())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bad2.MCPI() >= bad1.MCPI() {
-		t.Fatalf("2-way associativity did not help BAD at all: %.2f vs %.2f", bad2.MCPI(), bad1.MCPI())
-	}
-	if bad2.MCPI() < 1.5 {
-		t.Fatalf("2-way associativity rescued the pessimal layout (mCPI %.2f); it should not", bad2.MCPI())
+	if bad2 < 1.5 {
+		t.Fatalf("2-way associativity rescued the pessimal layout (mCPI %.2f); it should not", bad2)
 	}
 }

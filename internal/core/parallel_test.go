@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -140,25 +141,29 @@ func TestParallelRunVersionsMatchesSerial(t *testing.T) {
 // rendered text is the determinism contract users actually see.
 func TestParallelTablesMatchSerial(t *testing.T) {
 	q := Quality{Warmup: 3, Measured: 4, Samples: 1}
-	render := func() (string, string) {
+	render := func() []string {
 		t1, err := Table1Data(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sens, err := Sensitivity(StackTCPIP, "machine", q)
-		if err != nil {
-			t.Fatal(err)
+		out := []string{RenderTable(t1)}
+		for _, name := range SweepNames() {
+			sens, err := Sensitivity(context.Background(), StackTCPIP, name, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, RenderTable(sens))
 		}
-		return RenderTable(t1), RenderTable(sens)
+		return out
 	}
-	var t1s, sensS, t1p, sensP string
-	withParallelism(t, 1, func() { t1s, sensS = render() })
-	withParallelism(t, 4, func() { t1p, sensP = render() })
-	if t1s != t1p {
-		t.Fatalf("Table 1 differs under parallelism:\nserial:\n%s\nparallel:\n%s", t1s, t1p)
-	}
-	if sensS != sensP {
-		t.Fatalf("Sensitivity differs under parallelism:\nserial:\n%s\nparallel:\n%s", sensS, sensP)
+	var serial, parallel []string
+	withParallelism(t, 1, func() { serial = render() })
+	withParallelism(t, 4, func() { parallel = render() })
+	names := append([]string{"Table 1"}, SweepNames()...)
+	for i := range serial {
+		if serial[i] != parallel[i] {
+			t.Fatalf("%s differs under parallelism:\nserial:\n%s\nparallel:\n%s", names[i], serial[i], parallel[i])
+		}
 	}
 }
 

@@ -407,8 +407,8 @@ func runMultiConn(ctx context.Context, s Spec, env Env, out *Output) error {
 }
 
 func runSensitivity(ctx context.Context, s Spec, env Env, out *Output) error {
-	// One recorded trace per version, replayed on every geometry.
+	// One sample per (machine, version) cell of the machine study.
 	q := s.quality()
 	out.shape(core.Quality{Warmup: q.Warmup, Measured: q.Measured, Samples: 1})
-	return out.table(core.Sensitivity(s.stackKind(), s.Sweep, q))
+	return out.table(core.Sensitivity(ctx, s.stackKind(), s.Sweep, q))
 }
