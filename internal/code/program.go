@@ -29,10 +29,16 @@ type Segment struct {
 
 // Placement is the computed layout of one function.
 type Placement struct {
+	// Segments is the placement's own copy of the segments Place was
+	// given, so a caller may reuse its segment slice for the next Place.
 	Segments []Segment
 	// blocks holds the placed blocks by position in fn.Blocks at Place
 	// time: every block is placed exactly once, so the slice is dense.
 	blocks []placedBlock
+	// seq lists the slots of blocks in segment order, and segEnd the end
+	// of each segment's run in seq: each run is packed contiguously, so
+	// ordering the segments by address orders every block.
+	seq, segEnd []int32
 	// fn is the function this placement lays out, and entry its placed
 	// entry block — resolved once at Place time so the engine's call path
 	// starts executing without a lookup.
@@ -75,19 +81,29 @@ func (pb *placedBlock) fall() string {
 // after Place ran). Blocks sit at their Place-time positions, so the
 // search past position i only runs on a function mutated since.
 func (p *Placement) placed(i int) *placedBlock {
+	if j := p.Slot(i); j >= 0 {
+		return &p.blocks[j]
+	}
+	return nil
+}
+
+// Slot returns the placement slot of the function's Blocks[i] (its
+// position in Blocks when Place ran, the slot TextBlock.Slot names), or
+// -1 under the conditions BlockSpanAt reports as a missing block.
+func (p *Placement) Slot(i int) int {
 	if i < 0 || i >= len(p.fn.Blocks) {
-		return nil
+		return -1
 	}
 	b := p.fn.Blocks[i]
 	if i < len(p.blocks) && p.blocks[i].b == b {
-		return &p.blocks[i]
+		return i
 	}
 	for j := range p.blocks {
 		if p.blocks[j].b == b {
-			return &p.blocks[j]
+			return j
 		}
 	}
-	return nil
+	return -1
 }
 
 // End returns the first address past the placement's highest segment.
@@ -142,6 +158,13 @@ type Program struct {
 	dataSizes  map[string]uint32
 	textBase   uint64
 	textEnd    uint64
+	// text lists every non-empty placed block in address order, as the
+	// last FinishText found them; textOK is cleared by anything that
+	// could make it stale (a Place, or a change to the function list).
+	// textSegs is FinishText's reusable segment list.
+	text     []TextBlock
+	textOK   bool
+	textSegs []textSeg
 }
 
 // NewProgram returns an empty program.
@@ -169,6 +192,7 @@ func (p *Program) Add(fs ...*Function) error {
 			p.byID = append(p.byID, make([]*Function, n-len(p.byID))...)
 		}
 		p.byID[f.id] = f
+		p.textOK = false
 	}
 	return nil
 }
@@ -230,6 +254,7 @@ func (p *Program) SetOrder(names []string) error {
 	for i, n := range names {
 		p.list[i] = p.funcs[n]
 	}
+	p.textOK = false
 	return nil
 }
 
@@ -255,6 +280,7 @@ func (p *Program) Remove(name string) {
 		p.placements[f.id] = nil
 	}
 	p.byID[f.id] = nil
+	p.textOK = false
 	delete(p.funcs, name)
 	for i, g := range p.list {
 		if g == f {
@@ -324,7 +350,8 @@ func (p *Program) Place(name string, segs []Segment) error {
 	} else {
 		pl.blocks = make([]placedBlock, n)
 	}
-	pl.Segments, pl.end = segs, 0
+	pl.Segments = append(pl.Segments[:0], segs...)
+	pl.seq, pl.segEnd, pl.end = append(pl.seq[:0], pos...), pl.segEnd[:0], 0
 	k := 0
 	for _, s := range segs {
 		addr := s.Addr
@@ -340,7 +367,9 @@ func (p *Program) Place(name string, segs []Segment) error {
 			pb.b, pb.addr = b, addr
 			pb.size = len(b.Instrs) + termStaticSize(f, b, fall)
 			pb.fallThrough = nil
-			pb.code.Store(nil)
+			if pb.code.Load() != nil {
+				pb.code.Store(nil)
+			}
 			if prev != nil {
 				prev.fallThrough = pb
 			}
@@ -350,6 +379,7 @@ func (p *Program) Place(name string, segs []Segment) error {
 		if addr > pl.end {
 			pl.end = addr
 		}
+		pl.segEnd = append(pl.segEnd, int32(k))
 	}
 	// Resolve successor labels to placed-block pointers so execution never
 	// consults a label again.
@@ -374,6 +404,7 @@ func (p *Program) Place(name string, segs []Segment) error {
 		p.placements = append(p.placements, make([]*Placement, n-len(p.placements))...)
 	}
 	p.placements[f.id] = pl
+	p.textOK = false
 	return nil
 }
 
@@ -406,7 +437,9 @@ func (p *Program) Link() error {
 		}
 		addr = end
 	}
-	p.textEnd = addr
+	if err := p.FinishText(); err != nil {
+		return err
+	}
 	return p.LinkData()
 }
 
@@ -420,62 +453,142 @@ func (p *Program) FinishLayout() error {
 	return p.LinkData()
 }
 
-// textSpan is one placed block in FinishText's overlap check: its address
-// range, its function's link position and its position in that function's
-// placement.
-type textSpan struct {
-	lo, hi  uint64
-	fn, blk int32
+// TextBlock is one non-empty placed block of the image, as TextOrder
+// lists them.
+type TextBlock struct {
+	// Addr is the block's placed address.
+	Addr uint64
+	// Block is the placed block.
+	Block *Block
+	// Size is the block's placed size in instructions, terminator
+	// included; never zero.
+	Size int32
+	// Func is the owning function's link position, and Slot the block's
+	// slot in that function's placement (Placement.Slot).
+	Func, Slot int32
 }
 
-var textSpanPool = sync.Pool{New: func() any { return new([]textSpan) }}
+// End returns the first address past the block.
+func (t *TextBlock) End() uint64 { return t.Addr + uint64(t.Size)*instrBytes }
+
+// textSeg is one placed segment in FinishText's address order: its start,
+// its function's link position and its index among that placement's
+// segments.
+type textSeg struct {
+	addr    uint64
+	fn, seg int32
+}
 
 // FinishText is the placement half of FinishLayout: it verifies that every
-// function is placed and no two placed blocks overlap, and computes the
-// text end. It leaves the data layout alone, which depends only on the
-// instructions, never on where they sit; a caller that re-places an
-// already-linked program without changing any instruction needs only this.
-// Of two overlapping blocks it names the one starting later, or on a tie
-// the one later in link order, then in its function's block order.
+// function is placed and no two placed blocks overlap, computes the text
+// end, and keeps the address-ordered block list TextOrder returns. It
+// leaves the data layout alone, which depends only on the instructions,
+// never on where they sit; a caller that re-places an already-linked
+// program without changing any instruction needs only this. Of two
+// overlapping blocks it names the one starting later, or on a tie the one
+// later in link order, then in its function's block order.
 func (p *Program) FinishText() error {
-	buf := textSpanPool.Get().(*[]textSpan)
-	defer textSpanPool.Put(buf)
-	spans := (*buf)[:0]
 	end := p.textBase
-	for fi, f := range p.list {
+	for _, f := range p.list {
 		pl := p.PlacementOf(f)
 		if pl == nil {
 			return fmt.Errorf("code: FinishText: function %q not placed", f.Name)
 		}
-		for bi := range pl.blocks {
-			pb := &pl.blocks[bi]
-			if pb.size == 0 {
-				continue
-			}
-			spans = append(spans, textSpan{pb.addr, pb.addr + uint64(pb.size*instrBytes), int32(fi), int32(bi)})
+		end = max(end, pl.end)
+	}
+	text, at := p.orderText(p.text[:0], &p.textSegs)
+	p.text, p.textOK = text, true
+	if at > 0 {
+		return fmt.Errorf("code: FinishText: %s at %#x overlaps %s ending at %#x",
+			p.list[text[at].Func].Name, text[at].Addr, p.list[text[at-1].Func].Name, text[at-1].End())
+	}
+	p.textEnd = end
+	return nil
+}
+
+// orderText appends every non-empty placed block to dst in address
+// order, ties broken by link position and then placement slot, and
+// returns the list with the index of the first block that starts before
+// its predecessor ends, or 0 when none does. Place packs each segment
+// contiguously, so sorting the segments by their first block's address
+// orders every block of a layout whose segments do not overlap; only an
+// overlapping layout pays for sorting the blocks themselves. Unplaced
+// functions contribute nothing.
+func (p *Program) orderText(dst []TextBlock, segs *[]textSeg) ([]TextBlock, int) {
+	ss := (*segs)[:0]
+	for fi, f := range p.list {
+		pl := p.PlacementOf(f)
+		if pl == nil {
+			continue
 		}
-		if pl.end > end {
-			end = pl.end
+		lo := int32(0)
+		for si, hi := range pl.segEnd {
+			if hi > lo {
+				ss = append(ss, textSeg{pl.blocks[pl.seq[lo]].addr, int32(fi), int32(si)})
+			}
+			lo = hi
 		}
 	}
-	*buf = spans
-	slices.SortFunc(spans, func(a, b textSpan) int {
-		if c := cmp.Compare(a.lo, b.lo); c != 0 {
+	*segs = ss
+	slices.SortFunc(ss, func(a, b textSeg) int {
+		if c := cmp.Compare(a.addr, b.addr); c != 0 {
 			return c
 		}
 		if c := cmp.Compare(a.fn, b.fn); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.blk, b.blk)
+		return cmp.Compare(a.seg, b.seg)
 	})
-	for i := 1; i < len(spans); i++ {
-		if spans[i].lo < spans[i-1].hi {
-			return fmt.Errorf("code: FinishText: %s at %#x overlaps %s ending at %#x",
-				p.list[spans[i].fn].Name, spans[i].lo, p.list[spans[i-1].fn].Name, spans[i-1].hi)
+	text, sorted := dst, true
+	for _, s := range ss {
+		pl := p.PlacementOf(p.list[s.fn])
+		lo := int32(0)
+		if s.seg > 0 {
+			lo = pl.segEnd[s.seg-1]
+		}
+		for _, slot := range pl.seq[lo:pl.segEnd[s.seg]] {
+			pb := &pl.blocks[slot]
+			if pb.size == 0 {
+				continue
+			}
+			if n := len(text); n > 0 && pb.addr < text[n-1].End() {
+				sorted = false
+			}
+			text = append(text, TextBlock{Addr: pb.addr, Block: pb.b, Size: int32(pb.size), Func: s.fn, Slot: slot})
 		}
 	}
-	p.textEnd = end
-	return nil
+	if sorted {
+		return text, 0
+	}
+	slices.SortFunc(text, func(a, b TextBlock) int {
+		if c := cmp.Compare(a.Addr, b.Addr); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.Func, b.Func); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Slot, b.Slot)
+	})
+	for i := 1; i < len(text); i++ {
+		if text[i].Addr < text[i-1].End() {
+			return text, i
+		}
+	}
+	return text, 0
+}
+
+// TextOrder returns every non-empty placed block in address order, ties
+// broken by link position and then placement slot. After FinishText (or
+// Link) it is the list FinishText kept, valid until the next Place;
+// otherwise it is computed afresh, without being kept, so a program
+// shared between goroutines is only ever read. The caller must not
+// modify the list.
+func (p *Program) TextOrder() []TextBlock {
+	if p.textOK {
+		return p.text
+	}
+	text, _ := p.orderText(nil, new([]textSeg))
+	return text
 }
 
 // TextBase returns the base address of program text.

@@ -35,11 +35,19 @@ func AllLabels(f *Function) []string {
 // SegmentSize computes the static instruction count a segment would occupy
 // if the given blocks were packed contiguously in the given order, including
 // materialized terminators.
-func SegmentSize(f *Function, labels []string) int {
-	ix := f.Index()
+func SegmentSize(f *Function, labels []string) int { return f.Index().SegmentSize(f, labels) }
+
+// SegmentBytes is SegmentSize in bytes.
+func SegmentBytes(f *Function, labels []string) uint64 {
+	return uint64(SegmentSize(f, labels) * instrBytes)
+}
+
+// SegmentSize is code.SegmentSize on f's index x (f.Index()), for a
+// caller sizing several segments of one function.
+func (x *BlockIndex) SegmentSize(f *Function, labels []string) int {
 	n, hint := 0, -1
 	for i, l := range labels {
-		at := ix.Pos(l, hint)
+		at := x.Pos(l, hint)
 		if at < 0 {
 			continue
 		}
@@ -55,6 +63,6 @@ func SegmentSize(f *Function, labels []string) int {
 }
 
 // SegmentBytes is SegmentSize in bytes.
-func SegmentBytes(f *Function, labels []string) uint64 {
-	return uint64(SegmentSize(f, labels) * instrBytes)
+func (x *BlockIndex) SegmentBytes(f *Function, labels []string) uint64 {
+	return uint64(x.SegmentSize(f, labels) * instrBytes)
 }

@@ -6,7 +6,10 @@ package optimize
 // annealing step allocates. Under -race, sync.Pool drops a quarter of
 // what is put back at random, so the checks re-allocate their pooled
 // scratch on a random share of steps: fifty runs with Go 1.24 on
-// linux/amd64 measured 59,213 to 115,380 bytes per step. The limit is
-// 1.25x the highest, a third of the 431,637 bytes a step allocated under
-// -race while placements and the checks built maps per candidate.
-const annealStepBytesLimit = 144_000
+// linux/amd64 measured 35,424 to 88,237 bytes per step once the gate
+// read each candidate in one pass. The limit is 1.25x the highest. It was
+// 144,000 while the three checks each read the image and placement
+// derived its label lists per candidate, and a step allocated 431,637
+// bytes under -race while placements and the checks built maps per
+// candidate.
+const annealStepBytesLimit = 110_300

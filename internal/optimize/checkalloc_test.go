@@ -3,6 +3,7 @@
 package optimize
 
 import (
+	"errors"
 	"runtime/debug"
 	"testing"
 
@@ -10,9 +11,10 @@ import (
 )
 
 // checkAllocs pins the allocations of the three checks every candidate
-// runs, on the placed dec3000 working image after one warm-up call: the
-// well-formedness pass and the move-only proof allocate nothing, and the
-// cost replay allocates only the report it returns. The pins are not
+// runs, alone and as the one gate the search calls, on the placed dec3000
+// working image after one warm-up call: the well-formedness pass and the
+// move-only proof allocate nothing, and the cost replay and the gate
+// allocate only the report they return. The pins are not
 // built under -race, where sync.Pool drops a quarter of what is put back
 // and the checks' pooled scratch is re-allocated at random.
 var checkAllocs = []struct {
@@ -26,6 +28,10 @@ var checkAllocs = []struct {
 		_, err := verify.Cost(s.work, s.costSpec, s.model.Machine)
 		return err
 	}},
+	{"verify.Candidate", costAllocs, func(s *searcher) error {
+		_, wf, eq := verify.Candidate(s.ref, s.work, s.costSpec, s.model.Machine)
+		return errors.Join(wf, eq)
+	}},
 }
 
 // costAllocs is what verify.Cost allocated for the report on the greedy
@@ -38,7 +44,7 @@ func TestCheckAllocs(t *testing.T) {
 	fx := newSearchFixture(t, 0)
 	s := fx.searcher(t, modelNamed(t, "dec3000"))
 	order := greedyOrder(fx.ref, fx.spec, fx.weights)
-	if _, err := placeOrder(s.work, fx.spec, order, make([]int, len(order)), s.model.Machine); err != nil {
+	if _, err := s.placer.place(s.work, order, make([]int, len(order))); err != nil {
 		t.Fatal(err)
 	}
 	// A collection would empty the pools mid-measurement.

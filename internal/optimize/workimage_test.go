@@ -73,7 +73,7 @@ func TestCostMatchesReferenceOnSearchedPlacements(t *testing.T) {
 		pads := make([]int, len(order))
 		for i := 0; i < steps; i++ {
 			order, pads = mutate(r, order, pads)
-			if _, err := placeOrder(s.work, fx.spec, order, pads, m); err != nil {
+			if _, err := s.placer.place(s.work, order, pads); err != nil {
 				t.Fatalf("%s step %d: placement rejected a mutate candidate: %v", model.Name, i, err)
 			}
 			// The zero model adds little once the weighted one agrees
@@ -131,7 +131,7 @@ func evalOnImage(t *testing.T, s *searcher, order []string, pads []int) verdict 
 // per-candidate path, kept here as the oracle for the working image.
 func evalOnFreshClone(s *searcher, order []string, pads []int) verdict {
 	p := s.ref.Clone()
-	hot, err := placeOrder(p, s.spec, order, pads, s.model.Machine)
+	hot, err := s.placer.place(p, order, pads)
 	if err == nil {
 		err = p.FinishLayout()
 	}
@@ -205,11 +205,11 @@ func TestWorkingImageMatchesFreshClones(t *testing.T) {
 		t.Fatalf("only %d of %d candidates rejected; the rejectable ones were not exercised", rejected, candidates)
 	}
 
-	if _, err := placeOrder(s.work, fx.spec, order, pads, s.model.Machine); err != nil {
+	if _, err := s.placer.place(s.work, order, pads); err != nil {
 		t.Fatal(err)
 	}
 	fresh := fx.ref.Clone()
-	if _, err := placeOrder(fresh, fx.spec, order, pads, s.model.Machine); err != nil {
+	if _, err := s.placer.place(fresh, order, pads); err != nil {
 		t.Fatal(err)
 	}
 	if err := fresh.FinishLayout(); err != nil {
@@ -238,11 +238,11 @@ func TestWorkingImageMatchesFreshClones(t *testing.T) {
 	}
 	var prev []uint64
 	for _, o := range [][]string{order, rotated} {
-		if _, err := placeOrder(s.work, fx.spec, o, pads, s.model.Machine); err != nil {
+		if _, err := s.placer.place(s.work, o, pads); err != nil {
 			t.Fatal(err)
 		}
 		fresh := fx.ref.Clone()
-		if _, err := placeOrder(fresh, fx.spec, o, pads, s.model.Machine); err != nil {
+		if _, err := s.placer.place(fresh, o, pads); err != nil {
 			t.Fatal(err)
 		}
 		if err := fresh.FinishLayout(); err != nil {
@@ -279,13 +279,13 @@ func TestPlaceOrderRefusesNonPermutations(t *testing.T) {
 	s := fx.searcher(t, modelNamed(t, "dec3000"))
 	order := greedyOrder(fx.ref, fx.spec, fx.weights)
 	pads := make([]int, len(order))
-	if _, err := placeOrder(s.work, fx.spec, order, pads, s.model.Machine); err != nil {
+	if _, err := s.placer.place(s.work, order, pads); err != nil {
 		t.Fatal(err)
 	}
 	placed := s.work.LayoutFingerprint()
 	for kind := 0; kind < 3; kind++ {
 		o, p := rejectable(kind, order, pads)
-		if _, err := placeOrder(s.work, fx.spec, o, p, s.model.Machine); err == nil {
+		if _, err := s.placer.place(s.work, o, p); err == nil {
 			t.Fatalf("order %s accepted", candKey(o, p))
 		}
 		if s.work.LayoutFingerprint() != placed {

@@ -16,8 +16,10 @@ import (
 
 // sameVerdicts holds Program and each of its passes to the map-based
 // reference in wfref: the same *VerifyError (reason, function, block and
-// detail) or nil from both. It returns Program's verdict.
-func sameVerdicts(t *testing.T, where string, p *code.Program, m arch.Machine) error {
+// detail) or nil from both. It holds the layout search's gate, Candidate,
+// to the same reference, and otherwise to CheckClone against ref and then
+// Cost under spec run one after another. It returns Program's verdict.
+func sameVerdicts(t *testing.T, where string, ref, p *code.Program, spec verify.PathSpec, m arch.Machine) error {
 	t.Helper()
 	check := func(pass string, got, want error) {
 		t.Helper()
@@ -33,6 +35,20 @@ func sameVerdicts(t *testing.T, where string, p *code.Program, m arch.Machine) e
 	}
 	check("checkCallGraph", verify.CheckCallGraph(p), wfref.CheckCallGraph(p))
 	check("checkPlacement", verify.CheckPlacement(p, m), wfref.CheckPlacement(p, m))
+
+	rep, wf, eq := verify.Candidate(ref, p, verify.CostSpec{PathSpec: spec}, m)
+	var wantRep *verify.CostReport
+	wantWF, wantEq := got, error(nil)
+	if got == nil {
+		if wantEq = verify.CheckClone(ref, p, nil); wantEq == nil {
+			wantRep, wantWF = verify.Cost(p, verify.CostSpec{PathSpec: spec}, m)
+		}
+	}
+	check("Candidate's well-formedness", wf, wantWF)
+	check("Candidate's equivalence", eq, wantEq)
+	if !reflect.DeepEqual(rep, wantRep) {
+		t.Fatalf("%s: Candidate reports %+v, Cost %+v", where, rep, wantRep)
+	}
 	return got
 }
 
@@ -164,7 +180,8 @@ func retargetTo(p *code.Program, f *code.Function, to string, relink bool) {
 // dec3000 image: blocks appended, dropped and relabelled after Place,
 // dangling labels, misaligned and reordered segments, overlapping
 // placements, call cycles and unresolved calls. Each corruption hits a
-// few functions of each image, drawn from a fixed seed.
+// few functions of each image, drawn from a fixed seed. Every image also
+// goes through Candidate, proved against the image it was corrupted from.
 func TestWellFormednessMatchesReference(t *testing.T) {
 	const perImage = 3
 	feat := features.Improved()
@@ -176,7 +193,7 @@ func TestWellFormednessMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				where := fmt.Sprintf("%s/%v/%v", model.Name, kind, v)
-				if err := sameVerdicts(t, where, p, model.Machine); err != nil {
+				if err := sameVerdicts(t, where, p, p, core.LintSpec(kind, v), model.Machine); err != nil {
 					t.Fatalf("%s: built image rejected: %v", where, err)
 				}
 			}
@@ -200,7 +217,7 @@ func TestWellFormednessMatchesReference(t *testing.T) {
 					f := p.FuncAt(fi)
 					c.apply(p, f)
 					where := fmt.Sprintf("%v/%v %s in %s", kind, v, c.name, f.Name)
-					if sameVerdicts(t, where, p, m) != nil {
+					if sameVerdicts(t, where, built, p, core.LintSpec(kind, v), m) != nil {
 						caught[ci]++
 					}
 					cases++
