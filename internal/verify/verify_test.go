@@ -2,7 +2,9 @@ package verify_test
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/arch"
 	"repro/internal/code"
@@ -263,5 +265,34 @@ func TestGeometryMatchesMachine(t *testing.T) {
 	}
 	if g.BlockIndex(base, base+uint64(2*m.BlockBytes)) != 2 {
 		t.Fatal("BlockIndex broken")
+	}
+}
+
+// TestChecksKeepNoImageAlive: once a check returns, its pooled scratch
+// holds nothing of the program it read, so the first collection after
+// the caller drops an image frees it. A pool that kept the last image it
+// read would keep a whole candidate, with its placements, alive for as
+// long as the checks keep running.
+func TestChecksKeepNoImageAlive(t *testing.T) {
+	m := arch.DEC3000_600()
+	spec := verify.CostSpec{PathSpec: verify.PathSpec{Path: []string{"a_layer"}, Library: []string{"lib_copy"}}}
+	for name, check := range map[string]func(ref, p *code.Program){
+		"Program":    func(_, p *code.Program) { _ = verify.Program(p, m) },
+		"CheckClone": func(ref, p *code.Program) { _ = verify.CheckClone(ref, p, nil) },
+		"Cost":       func(_, p *code.Program) { _, _ = verify.Cost(p, spec, m) },
+		"Candidate":  func(ref, p *code.Program) { _, _, _ = verify.Candidate(ref, p, spec, m) },
+	} {
+		freed := make(chan struct{})
+		func() {
+			ref, p := buildStack(t), placedStack(t)
+			runtime.SetFinalizer(p, func(*code.Program) { close(freed) })
+			check(ref, p)
+		}()
+		runtime.GC()
+		select {
+		case <-freed:
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s: the image it read outlived a collection after it returned", name)
+		}
 	}
 }
