@@ -13,12 +13,13 @@ vet: ## toolchain vet plus the repo's determinism analyzers (cmd/protovet)
 profile: ## capture CPU+alloc pprof profiles of the hot workloads into profiles/
 	./scripts/profile.sh
 
-fuzz: ## 30 s each of coverage-guided fuzzing: the layout search's move-only proof, the spec parser, the PROTOLAT_FSFAULT parser, the CPU issue model against its reference, compiled runs against stepping, the store envelope parser (not part of check)
+fuzz: ## 30 s each of coverage-guided fuzzing: the layout search's move-only proof, the spec parser, the PROTOLAT_FSFAULT parser, the CPU issue model against its reference, compiled runs against stepping, the memory hierarchy against its reference, the store envelope parser (not part of check)
 	go test -run '^$$' -fuzz '^FuzzMoveOnlyMutation$$' -fuzztime 30s ./internal/optimize
 	go test -run '^$$' -fuzz '^FuzzSpec$$' -fuzztime 30s ./internal/serve
 	go test -run '^$$' -fuzz '^FuzzFromEnv$$' -fuzztime 30s ./internal/storage
 	go test -run '^$$' -fuzz '^FuzzStep$$' -fuzztime 30s ./internal/sim/cpu
 	go test -run '^$$' -fuzz '^FuzzExecRun$$' -fuzztime 30s ./internal/sim/cpu
+	go test -run '^$$' -fuzz '^FuzzHierarchyMatchesReference$$' -fuzztime 30s ./internal/sim/mem
 	go test -run '^$$' -fuzz '^FuzzLoadEnvelopeFS$$' -fuzztime 30s ./internal/soak
 
 build:

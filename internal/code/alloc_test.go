@@ -58,9 +58,11 @@ func TestEngineStepLoopAllocFree(t *testing.T) {
 	}
 }
 
-// TestEngineRunWithObserverAllocFree covers the traced variant: installing an
-// Observer must not make the loop allocate either (each entry is rebuilt
-// from the run and passed by value to a pre-bound closure).
+// TestEngineRunWithObserverAllocFree covers the traced variants: installing
+// an Observer must not make the loop allocate either (each entry is rebuilt
+// from the run and passed by value to a pre-bound closure), nor must the
+// Executed hook coverage uses, and the hook must see every instruction the
+// Observer sees.
 func TestEngineRunWithObserverAllocFree(t *testing.T) {
 	f := NewBuilder("hot", ClassPath).
 		ALU(16).Load("state", 3).Call("leaf").Store("", 2).ALU(4).Ret().
@@ -72,7 +74,7 @@ func TestEngineRunWithObserverAllocFree(t *testing.T) {
 		t.Fatalf("Link: %v", err)
 	}
 	e := NewEngine(cpu.New(mem.New(arch.DEC3000_600())), p)
-	var n int
+	var n, covered int
 	e.Observer = func(cpu.Entry) { n++ }
 	e.MustRun("hot", nil)
 	env := NewBinding(nil)
@@ -81,5 +83,20 @@ func TestEngineRunWithObserverAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("observed step loop allocates %.1f objects per run, want 0", allocs)
+	}
+
+	n = 0
+	e.MustRun("hot", env)
+	e.Observer = nil
+	e.Executed = func(_ uint64, k int) { covered += k }
+	e.MustRun("hot", env)
+	if covered != n {
+		t.Fatalf("Executed hook saw %d instructions of a run, the observer %d", covered, n)
+	}
+	allocs = testing.AllocsPerRun(50, func() {
+		e.MustRun("hot", env)
+	})
+	if allocs != 0 {
+		t.Fatalf("step loop with the Executed hook allocates %.1f objects per run, want 0", allocs)
 	}
 }

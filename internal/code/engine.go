@@ -35,12 +35,19 @@ type Engine struct {
 	// data holds the effective addresses of one run's loads and stores.
 	data [maxRunData]uint64
 	// Observer, when non-nil, sees every emitted trace entry, in
-	// execution order; the experiment harness uses it for coverage
-	// analysis (Table 9), the Table-3 counts and the trace files that
-	// micro-positioning consumes. A body run's entries are rebuilt from
-	// the run and delivered just before the CPU executes it, so an
-	// observer must only consume entries, never read CPU state.
+	// execution order; the experiment harness uses it for the Table-3
+	// counts and the trace files that micro-positioning consumes. A body
+	// run's entries are rebuilt from the run and delivered just before
+	// the CPU executes it, so an observer must only consume entries,
+	// never read CPU state.
 	Observer func(cpu.Entry)
+	// Executed, when non-nil, sees every stretch of consecutive
+	// instructions executed, as its first address and its length: once
+	// per compiled body run, and once with n = 1 per stepped terminator
+	// or epilogue instruction. It carries no per-instruction detail, so
+	// coverage analysis (Table 9) pays per run rather than per
+	// instruction.
+	Executed func(addr uint64, n int)
 	// Attr, when non-nil, is notified of every function entry and exit so
 	// the observability layer can attribute cycles and misses to the
 	// function executing them. Runs end at calls, so every boundary falls
@@ -101,6 +108,9 @@ func observeRun(obs func(cpu.Entry), instrs []Instr, addr uint64, data []uint64)
 func (e *Engine) step(entry cpu.Entry) {
 	if e.Observer != nil {
 		e.Observer(entry)
+	}
+	if e.Executed != nil {
+		e.Executed(entry.Addr, 1)
 	}
 	e.cpu.Step(entry)
 }
@@ -212,8 +222,9 @@ func isCall(in *Instr) bool { return in.IsCall() && in.Op == arch.OpJump }
 // an index rather than a label- or name-map lookup. A block body executes
 // as its compiled runs (see cpu.Run): per run, the engine resolves the
 // effective address of each load and store, feeds the observer the run's
-// entries if one is installed, and hands the run to the CPU; a run that
-// ends in a call then recurses into the callee.
+// entries and the Executed hook its stretch if they are installed, and
+// hands the run to the CPU; a run that ends in a call then recurses into
+// the callee.
 func (e *Engine) call(pl *Placement, env *Binding, depth int) error {
 	name := pl.fn.Name
 	if depth > maxCallDepth {
@@ -223,11 +234,11 @@ func (e *Engine) call(pl *Placement, env *Binding, depth int) error {
 	if e.Attr != nil {
 		e.Attr.EnterFunc(name)
 	}
-	// The observer and CPU cannot change while a model executes (hooks are
+	// The hooks and CPU cannot change while a model executes (hooks are
 	// installed between Run invocations, never from model code), so hoist
-	// them out of the loop: the common observer-less case then pays
-	// nothing per run.
-	obs := e.Observer
+	// them out of the loop: the common hook-less case then pays nothing
+	// per run.
+	obs, executed := e.Observer, e.Executed
 	c := e.cpu
 	model := c.Model()
 	pb := pl.entry
@@ -244,6 +255,9 @@ func (e *Engine) call(pl *Placement, env *Binding, depth int) error {
 				end := start + r.Len()
 				if obs != nil {
 					observeRun(obs, instrs[start:end], addr, data)
+				}
+				if executed != nil {
+					executed(addr, r.Len())
 				}
 				c.Exec(r, addr, data)
 				addr += uint64(r.Len() * instrBytes)

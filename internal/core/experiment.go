@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime/debug"
 	"sync"
 
@@ -534,10 +535,10 @@ func recoverSample(cfg Config, sampleIdx int, err *error) {
 // addrBitset tracks distinct addresses over the program's text range at a
 // fixed granularity (1<<shift bytes) — the dense replacement for the
 // per-sample coverage maps, sized once from the linked image. dirty lists
-// the words add has set, so a reset clears what the sample touched rather
-// than the whole text span: version BAD's pessimal layout spreads a few
-// tens of KB of code over about 100 MB of text, whose 4-byte bitset alone
-// is 3.2 MB.
+// the words addRange has set, so a reset clears what the sample touched
+// rather than the whole text span: version BAD's pessimal layout spreads a
+// few tens of KB of code over about 100 MB of text, whose 4-byte bitset
+// alone is 3.2 MB.
 type addrBitset struct {
 	base  uint64 // first tracked unit (address >> shift)
 	words []uint64
@@ -547,11 +548,11 @@ type addrBitset struct {
 }
 
 // bitsetPools recycle coverage bitsets between samples, one pool per
-// granularity: a sample takes a fine (4-byte) and a coarse (32-byte)
-// bitset whose word arrays differ eightfold in size, so a shared pool
-// would hand the small array to the large request, which drops it. A
-// pooled bitset is indistinguishable from a fresh one: reset clears every
-// word its previous use set.
+// granularity: a sample takes a fine (4-byte) and a coarse (one i-cache
+// block) bitset whose word arrays differ eightfold or more in size, so a
+// shared pool would hand the small array to the large request, which
+// drops it. A pooled bitset is indistinguishable from a fresh one: reset
+// clears every word its previous use set.
 var bitsetPools [64]sync.Pool // by shift
 
 func newAddrBitset(textBase, textEnd uint64, shift uint) *addrBitset {
@@ -586,23 +587,38 @@ func (s *addrBitset) reset(textBase, textEnd uint64, shift uint) {
 // used afterwards.
 func (s *addrBitset) release() { bitsetPools[s.shift].Put(s) }
 
-// add marks an address; out-of-range addresses (nothing the engine emits)
-// are ignored.
-func (s *addrBitset) add(addr uint64) {
-	i := addr>>s.shift - s.base // below-base underflows past len
-	w := i >> 6
-	if w >= uint64(len(s.words)) {
+// addRange marks every unit from the one holding first to the one holding
+// last, a word at a time; units outside the bitset (nothing the engine
+// emits) are ignored.
+func (s *addrBitset) addRange(first, last uint64) {
+	lo, hi := first>>s.shift, last>>s.shift
+	if hi < s.base {
 		return
 	}
-	bit := uint64(1) << (i & 63)
-	switch old := s.words[w]; {
-	case old == 0:
-		s.dirty = append(s.dirty, int(w))
-	case old&bit != 0:
+	lo = max(lo, s.base) - s.base
+	hi = min(hi-s.base, uint64(len(s.words))*64-1)
+	if lo > hi {
 		return
 	}
-	s.words[w] |= bit
-	s.count++
+	for w := lo >> 6; w <= hi>>6; w++ {
+		mask := ^uint64(0)
+		if w == lo>>6 {
+			mask <<= lo & 63
+		}
+		if w == hi>>6 {
+			mask &= ^uint64(0) >> (63 - hi&63)
+		}
+		old := s.words[w]
+		fresh := mask &^ old
+		if fresh == 0 {
+			continue
+		}
+		if old == 0 {
+			s.dirty = append(s.dirty, int(w))
+		}
+		s.words[w] = old | fresh
+		s.count += bits.OnesCount64(fresh)
+	}
 }
 
 // phaseSnap freezes the phase-accounting counters at one roundtrip
@@ -655,10 +671,12 @@ func runSample(cfg Config, sampleIdx int) (s Sample, err error) {
 
 	var startMetrics cpu.Metrics
 	executed := newAddrBitset(hp.clientProg.TextBase(), hp.clientProg.TextEnd(), 2)
-	fetchedBlocks := newAddrBitset(hp.clientProg.TextBase(), hp.clientProg.TextEnd(), 5)
-	coverage := func(e cpu.Entry) {
-		executed.add(e.Addr)
-		fetchedBlocks.add(e.Addr)
+	fetchedBlocks := newAddrBitset(hp.clientProg.TextBase(), hp.clientProg.TextEnd(), ch.Mem.ILineShift())
+	instrBytes := uint64(m.InstrBytes)
+	coverage := func(addr uint64, n int) {
+		last := addr + uint64(n-1)*instrBytes
+		executed.addRange(addr, last)
+		fetchedBlocks.addRange(addr, last)
 	}
 
 	// Latency is averaged over all measured roundtrips; the trace, CPI and
@@ -687,7 +705,7 @@ func runSample(cfg Config, sampleIdx int) (s Sample, err error) {
 		if n == roundtrips-2 {
 			ch.Mem.BeginEpoch()
 			startMetrics = ch.CPU.Metrics()
-			ch.Engine.Observer = coverage
+			ch.Engine.Executed = coverage
 			if col != nil {
 				// Attach after BeginEpoch so the collector's
 				// snapshot deltas line up with the epoch stats.
@@ -701,7 +719,7 @@ func runSample(cfg Config, sampleIdx int) (s Sample, err error) {
 			traceMetrics = ch.CPU.Metrics().Sub(startMetrics)
 			iStats, dStats, bStats = ch.Mem.IStats, ch.Mem.DStats, ch.Mem.BStats
 			l2Stats, victimHits = ch.Mem.L2Stats, ch.Mem.VictimHits
-			ch.Engine.Observer = nil
+			ch.Engine.Executed = nil
 		}
 		if n == roundtrips {
 			phaseEnd = hp.snapPhases()

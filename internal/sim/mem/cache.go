@@ -12,10 +12,22 @@
 // (DCacheWriteAllocate). With every extension disabled the simulated
 // behaviour is bit-identical to the original two-level model.
 //
-// The simulator classifies every miss as either a cold miss (first touch of
-// the block within the current measurement epoch) or a replacement miss (the
-// block was resident earlier in the epoch and was evicted by a conflicting
-// block), matching the methodology behind Table 6 of the paper.
+// Inside a measurement epoch the simulator classifies every miss as either
+// a cold miss (first touch of the block within the epoch) or a replacement
+// miss (the block was resident earlier in the epoch and was evicted by a
+// conflicting block), matching the methodology behind Table 6 of the paper,
+// which reads cache statistics from one traced invocation. BeginEpoch opens
+// an epoch; New, NewPooled and Reset leave it closed. Outside an epoch a
+// miss still counts, but as cold: nothing is recorded for classification,
+// so the roundtrips before the traced one, and a host whose statistics are
+// never read, pay no set insert per miss.
+//
+// The write buffer is a FIFO ring. Each unmerged store retires at least one
+// cycle after the previous one, so the entries still draining are always
+// the newest few: a merge looks back from the newest entry and stops at the
+// first drained one, and a full buffer waits for its oldest entry. Drain
+// times are cycles of the caller's clock, which must not run backwards
+// between Resets.
 package mem
 
 // Stats counts the accesses observed by one level of the hierarchy during
@@ -29,7 +41,9 @@ type Stats struct {
 	Misses uint64
 	// ReplMisses is the subset of Misses whose block had been resident
 	// earlier in the epoch: a conflict (replacement) miss rather than a
-	// cold miss.
+	// cold miss. Only misses inside an epoch (after BeginEpoch, before the
+	// next Reset) are classified; outside one every miss is cold, so
+	// ReplMisses stays 0 until BeginEpoch.
 	ReplMisses uint64
 }
 
@@ -65,9 +79,11 @@ type cache struct {
 	lines  []uint64
 	stamps []uint32
 	gen    uint32
-	// seen records every block number missed on this epoch, for
-	// classifying later misses as cold vs. replacement.
-	seen u64set
+	// seen records every block number missed in the open epoch, for
+	// classifying later misses as cold vs. replacement. Nothing is
+	// recorded while epoch is false.
+	seen  u64set
+	epoch bool
 }
 
 func newCache(sizeBytes, blockBytes, assoc int) *cache {
@@ -111,8 +127,8 @@ func (c *cache) present(addr uint64) bool {
 
 // access looks up the block containing addr, filling it on a miss (evicting
 // the LRU way when the set is full). It reports whether the access hit and,
-// on a miss, whether the miss is a replacement miss (block was resident
-// earlier this epoch).
+// on a miss inside an epoch, whether the miss is a replacement miss (block
+// was resident earlier this epoch).
 func (c *cache) access(addr uint64) (hit, repl bool) {
 	b := addr >> c.blockShift
 	base := (b & c.setMask) * c.assoc
@@ -124,7 +140,7 @@ func (c *cache) access(addr uint64) (hit, repl bool) {
 		}
 		c.lines[base] = b
 		c.stamps[base] = g
-		return false, c.seen.add(b)
+		return false, c.classify(b)
 	}
 	lines := c.lines[base : base+c.assoc]
 	stamps := c.stamps[base : base+c.assoc]
@@ -139,12 +155,12 @@ func (c *cache) access(addr uint64) (hit, repl bool) {
 			return true, false
 		}
 	}
-	seenBefore := c.seen.add(b)
+	repl = c.classify(b)
 	copy(lines[1:], lines[:c.assoc-1])
 	copy(stamps[1:], stamps[:c.assoc-1])
 	lines[0] = b
 	stamps[0] = g
-	return false, seenBefore
+	return false, repl
 }
 
 // accessEvict is access plus eviction reporting: on a miss that displaces
@@ -165,7 +181,7 @@ func (c *cache) accessEvict(addr uint64) (hit, repl bool, evicted uint64, hasEvi
 		}
 		c.lines[base] = b
 		c.stamps[base] = g
-		return false, c.seen.add(b), evicted, hasEvict
+		return false, c.classify(b), evicted, hasEvict
 	}
 	lines := c.lines[base : base+c.assoc]
 	stamps := c.stamps[base : base+c.assoc]
@@ -183,17 +199,26 @@ func (c *cache) accessEvict(addr uint64) (hit, repl bool, evicted uint64, hasEvi
 		// The set is full: the LRU way is about to be displaced.
 		evicted, hasEvict = lines[c.assoc-1], true
 	}
-	seenBefore := c.seen.add(b)
+	repl = c.classify(b)
 	copy(lines[1:], lines[:c.assoc-1])
 	copy(stamps[1:], stamps[:c.assoc-1])
 	lines[0] = b
 	stamps[0] = g
-	return false, seenBefore, evicted, hasEvict
+	return false, repl, evicted, hasEvict
 }
 
-// beginEpoch forgets the miss-classification history but keeps contents, so
-// that a measurement epoch starts with warm caches and zero counters.
-func (c *cache) beginEpoch() { c.seen.clear() }
+// classify records the missed block b in the open epoch and reports whether
+// it was missed before in that epoch (a replacement miss). Outside an epoch
+// it records nothing and reports a cold miss.
+func (c *cache) classify(b uint64) bool { return c.epoch && c.seen.add(b) }
+
+// beginEpoch forgets the miss-classification history but keeps contents, and
+// opens an epoch, so that a measurement starts with warm caches and misses
+// are classified from here on.
+func (c *cache) beginEpoch() {
+	c.seen.clear()
+	c.epoch = true
+}
 
 // reset empties the cache entirely (cold start) by bumping the validity
 // generation; the backing arrays are reused untouched.
@@ -206,6 +231,7 @@ func (c *cache) reset() {
 		c.gen = 1
 	}
 	c.seen.clear()
+	c.epoch = false
 }
 
 // u64set is a reusable open-addressing hash set of uint64 keys with
@@ -325,15 +351,23 @@ func (v *victimBuffer) reset() { v.n = 0 }
 // writeBuffer models the 21064's 4-deep write buffer. Each entry holds one
 // cache block and merges subsequent stores to the same block; entries retire
 // to the b-cache one at a time.
+//
+// The entries form a FIFO ring, newest at head. Every unmerged store moves
+// retireAt up by at least retireCyc >= 1 cycles (arch.Validate), so drainsAt
+// rises strictly from the oldest entry to the newest: the entries still
+// draining at any cycle are the newest few. A merge therefore looks back
+// from head and stops at the first drained entry, and the slot after head
+// is always the oldest, the one a new entry replaces. An empty slot reads
+// as drained at cycle 0.
 type writeBuffer struct {
 	entries   []wbEntry
+	head      int    // index of the newest entry
 	retireAt  uint64 // virtual cycle when the b-cache port frees up
 	retireCyc uint64
 }
 
 type wbEntry struct {
 	block    uint64
-	validAt  bool
 	drainsAt uint64 // entry leaves the buffer at this cycle
 }
 
@@ -345,43 +379,43 @@ func newWriteBuffer(depth, retireCycles int) *writeBuffer {
 }
 
 // put records a store to block at time now. It reports whether the store
-// merged into an existing entry and how many cycles the CPU stalled waiting
-// for a free entry.
+// merged into an entry still draining and how many cycles the CPU stalled
+// waiting for a free entry.
 func (w *writeBuffer) put(now, block uint64) (merged bool, stall uint64) {
-	free := -1
-	var earliest uint64
-	earliestIdx := -1
-	for i := range w.entries {
+	n := len(w.entries)
+	for k, i := 0, w.head; k < n; k++ {
 		e := &w.entries[i]
-		if e.validAt && e.drainsAt > now {
-			if e.block == block {
-				return true, 0
-			}
-			if earliestIdx < 0 || e.drainsAt < earliest {
-				earliest, earliestIdx = e.drainsAt, i
-			}
-		} else if free < 0 {
-			free = i
+		if e.drainsAt <= now {
+			break
 		}
+		if e.block == block {
+			return true, 0
+		}
+		if i == 0 {
+			i = n
+		}
+		i--
 	}
-	if free < 0 {
-		// Buffer full: stall until the earliest entry drains.
-		stall = earliest - now
-		now = earliest
-		free = earliestIdx
+	w.head++
+	if w.head == n {
+		w.head = 0
+	}
+	if oldest := w.entries[w.head].drainsAt; oldest > now {
+		// Buffer full: stall until the oldest entry drains.
+		stall = oldest - now
+		now = oldest
 	}
 	if w.retireAt < now {
 		w.retireAt = now
 	}
 	w.retireAt += w.retireCyc
-	w.entries[free] = wbEntry{block: block, validAt: true, drainsAt: w.retireAt}
+	w.entries[w.head] = wbEntry{block: block, drainsAt: w.retireAt}
 	return false, stall
 }
 
 // reset empties the buffer.
 func (w *writeBuffer) reset() {
-	for i := range w.entries {
-		w.entries[i] = wbEntry{}
-	}
+	clear(w.entries)
+	w.head = 0
 	w.retireAt = 0
 }

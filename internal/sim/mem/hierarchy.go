@@ -9,6 +9,8 @@ import (
 // Hierarchy is the complete simulated memory system of one host. All methods
 // take the current virtual cycle ("now") and return the number of cycles the
 // CPU stalls on the access; the caller (internal/sim/cpu) owns the clock.
+// now must not decrease between Resets: the write buffer's drain times and
+// the stream buffer's arrival time are cycles of that one forward clock.
 type Hierarchy struct {
 	m arch.Machine
 
@@ -74,15 +76,17 @@ type Hierarchy struct {
 
 	// OnIMiss, when non-nil, observes every i-cache miss: the faulting
 	// instruction address and whether the miss was a replacement
-	// (conflict) miss rather than a cold one. The observability layer
+	// (conflict) miss rather than a cold one; outside an epoch every
+	// miss reports repl=false (see BeginEpoch). The observability layer
 	// uses it to build per-set conflict heatmaps. The hook sits on the
 	// miss path only, so a nil hook leaves the hit path untouched and
 	// costs one pointer comparison per miss.
 	OnIMiss func(addr uint64, repl bool)
 }
 
-// New builds a hierarchy for machine m. The machine description must be
-// valid (see arch.Machine.Validate).
+// New builds a hierarchy for machine m, with cold caches and no epoch
+// open. The machine description must be valid (see
+// arch.Machine.Validate).
 func New(m arch.Machine) *Hierarchy {
 	assoc := m.Assoc
 	if assoc < 1 {
@@ -126,8 +130,9 @@ func poolFor(m arch.Machine) *sync.Pool {
 // NewPooled returns a cold hierarchy for machine m, reusing one Released
 // for the same machine when there is one. A recycled hierarchy is
 // indistinguishable from a fresh one: Reset restores cold caches, an empty
-// write buffer, zeroed statistics, and a nil OnIMiss hook, so results are
-// byte-identical whether or not reuse happened (a tested invariant).
+// write buffer, zeroed statistics, a closed epoch and a nil OnIMiss hook,
+// so results are byte-identical whether or not reuse happened (a tested
+// invariant).
 func NewPooled(m arch.Machine) *Hierarchy {
 	if v := poolFor(m).Get(); v != nil {
 		h := v.(*Hierarchy)
@@ -323,12 +328,12 @@ func (h *Hierarchy) Store(now, addr uint64) (stall uint64) {
 	return wstall
 }
 
-// BeginEpoch zeroes all statistics and forgets the cold/replacement
-// classification history while keeping cache contents warm. Use it at the
-// start of a traced measurement, as the paper does.
+// BeginEpoch zeroes all statistics, forgets the cold/replacement
+// classification history while keeping cache contents warm, and opens an
+// epoch: from here until the next Reset every miss is classified. Use it
+// at the start of a traced measurement, as the paper does.
 func (h *Hierarchy) BeginEpoch() {
-	h.IStats, h.DStats, h.BStats, h.L2Stats = Stats{}, Stats{}, Stats{}, Stats{}
-	h.VictimHits = 0
+	h.zeroStats()
 	h.icache.beginEpoch()
 	h.dcache.beginEpoch()
 	h.bcache.beginEpoch()
@@ -337,9 +342,15 @@ func (h *Hierarchy) BeginEpoch() {
 	}
 }
 
-// Reset makes every cache cold and zeroes all statistics.
+func (h *Hierarchy) zeroStats() {
+	h.IStats, h.DStats, h.BStats, h.L2Stats = Stats{}, Stats{}, Stats{}, Stats{}
+	h.VictimHits = 0
+}
+
+// Reset makes every cache cold, zeroes all statistics and closes the
+// epoch.
 func (h *Hierarchy) Reset() {
-	h.BeginEpoch()
+	h.zeroStats()
 	h.icache.reset()
 	h.dcache.reset()
 	h.bcache.reset()

@@ -59,6 +59,7 @@ func TestPrefetchCountsAsBCacheAccess(t *testing.T) {
 func TestReplacementMissClassification(t *testing.T) {
 	m := testMachine()
 	h := New(m)
+	h.BeginEpoch() // misses are classified only inside an epoch
 	// Two addresses that map to the same i-cache set: 8 KB apart.
 	a, b := uint64(0x1000), uint64(0x1000+8*1024)
 	h.FetchInstr(0, a) // cold miss
@@ -87,6 +88,68 @@ func TestBeginEpochKeepsContentsClearsStats(t *testing.T) {
 	h.FetchInstr(0, 0x1000+8*1024)
 	if h.IStats.ReplMisses != 0 {
 		t.Fatalf("cross-epoch conflict counted as replacement miss: %+v", h.IStats)
+	}
+}
+
+// TestClassificationOnlyInsideEpoch: before the first BeginEpoch, after a
+// Reset and on a pooled hierarchy, misses count but stay cold on every
+// level, and OnIMiss reports repl=false; inside an epoch the same pattern
+// is classified.
+func TestClassificationOnlyInsideEpoch(t *testing.T) {
+	m := testMachine()
+	// Two i-cache conflicts, two d-cache conflicts and two b-cache
+	// conflicts, each revisiting its first block.
+	a, b := uint64(0x1000), uint64(0x1000+8*1024)
+	da, db := uint64(0x40000), uint64(0x40000+8*1024)
+	ba, bb := uint64(0x800000), uint64(0x800000+uint64(m.BCacheBytes))
+	pingPong := func(h *Hierarchy) (replFlags int) {
+		h.OnIMiss = func(_ uint64, repl bool) {
+			if repl {
+				replFlags++
+			}
+		}
+		for _, addr := range []uint64{a, b, a} {
+			h.FetchInstr(0, addr)
+		}
+		for _, addr := range []uint64{da, db, da, ba, bb, ba} {
+			h.Load(0, addr)
+		}
+		h.OnIMiss = nil
+		return replFlags
+	}
+	closed := func(what string, h *Hierarchy) {
+		t.Helper()
+		flags := pingPong(h)
+		if h.IStats.Misses != 3 || h.DStats.Misses != 6 {
+			t.Errorf("%s: misses I %d D %d, want 3 and 6 counted", what, h.IStats.Misses, h.DStats.Misses)
+		}
+		if h.IStats.ReplMisses+h.DStats.ReplMisses+h.BStats.ReplMisses != 0 || flags != 0 {
+			t.Errorf("%s: classified outside an epoch: I %+v D %+v B %+v, %d OnIMiss repl flags",
+				what, h.IStats, h.DStats, h.BStats, flags)
+		}
+	}
+
+	h := New(m)
+	closed("before the first BeginEpoch", h)
+
+	h.Reset()
+	h.BeginEpoch()
+	if flags := pingPong(h); flags != 1 || h.IStats.ReplMisses != 1 ||
+		h.DStats.ReplMisses != 2 || h.BStats.ReplMisses != 1 {
+		t.Errorf("inside an epoch: I %+v D %+v B %+v, %d OnIMiss repl flags; want 1, 2, 1 and 1",
+			h.IStats, h.DStats, h.BStats, flags)
+	}
+
+	h.Reset()
+	closed("after Reset", h)
+
+	h.BeginEpoch()
+	h.Release()
+	for i := 0; i < 4; i++ {
+		p := NewPooled(m)
+		closed("pooled", p)
+		p.BeginEpoch()
+		p.Release()
 	}
 }
 
@@ -145,6 +208,67 @@ func TestWriteBufferFullStalls(t *testing.T) {
 	// Long after all entries drained, stores are free again.
 	if s := h.Store(1_000_000, 0xa0000); s != 0 {
 		t.Fatalf("store after drain stalled %d", s)
+	}
+}
+
+// TestWriteBufferMergesIntoLiveEntry: a store merges into any entry still
+// draining, the oldest included, and costs no stall.
+func TestWriteBufferMergesIntoLiveEntry(t *testing.T) {
+	w := newWriteBuffer(4, 5)
+	for i := uint64(0); i < 4; i++ {
+		if merged, stall := w.put(0, 100+i); merged || stall != 0 {
+			t.Fatalf("store %d: merged %v stall %d into a buffer with room", i, merged, stall)
+		}
+	}
+	// Entries drain at 5, 10, 15, 20. At cycle 4 all four are live.
+	for i := uint64(0); i < 4; i++ {
+		if merged, stall := w.put(4, 100+i); !merged || stall != 0 {
+			t.Fatalf("block %d: merged %v stall %d, want a free merge", 100+i, merged, stall)
+		}
+	}
+}
+
+// TestWriteBufferFullStallDrainsOldest: a store into a full buffer waits
+// for the oldest entry to drain, takes its slot, and retires after the
+// newest.
+func TestWriteBufferFullStallDrainsOldest(t *testing.T) {
+	w := newWriteBuffer(4, 5)
+	for i := uint64(0); i < 4; i++ {
+		w.put(1, 100+i) // drain at 6, 11, 16, 21
+	}
+	if merged, stall := w.put(2, 200); merged || stall != 4 {
+		t.Fatalf("full buffer: merged %v stall %d, want 4 (until the oldest drains at 6)", merged, stall)
+	}
+	// The oldest (block 100) is gone; the other three and 200 remain.
+	if merged, _ := w.put(7, 100); merged {
+		t.Fatal("store merged into the entry the full-buffer stall drained")
+	}
+	// That store stalled again, for block 101 (drains at 11), and took
+	// its slot: 102, 103, 200 and 100 remain, the last draining at 31.
+	for _, blk := range []uint64{102, 103, 200, 100} {
+		if merged, _ := w.put(12, blk); !merged {
+			t.Fatalf("block %d did not merge: it should still be draining", blk)
+		}
+	}
+	if merged, _ := w.put(12, 101); merged {
+		t.Fatal("block 101 merged after a stall displaced it")
+	}
+}
+
+// TestWriteBufferDrainedEntryNeverMerges: once an entry's drain cycle has
+// passed it takes no merge, even though it still occupies a slot.
+func TestWriteBufferDrainedEntryNeverMerges(t *testing.T) {
+	w := newWriteBuffer(4, 5)
+	w.put(0, 100) // drains at 5
+	w.put(0, 101) // drains at 10
+	if merged, _ := w.put(5, 100); merged {
+		t.Fatal("store merged into an entry that drained at its own cycle")
+	}
+	if merged, _ := w.put(9, 101); !merged {
+		t.Fatal("store did not merge into an entry draining at 10")
+	}
+	if merged, stall := w.put(1000, 101); merged || stall != 0 {
+		t.Fatalf("long after draining: merged %v stall %d", merged, stall)
 	}
 }
 
