@@ -120,19 +120,48 @@ func (e *Engine) step(entry cpu.Entry) {
 // named operands it does not bind use the static address LinkData cached
 // on the instruction, and unnamed operands model a stack-frame access.
 func dataAddr(env *Binding, in *Instr) uint64 {
+	base, bound := env.addr(operandID(in))
+	return operandAddr(in, base, bound)
+}
+
+// operandID returns the id whose binding in's operand resolves through:
+// its own, or stackID for an unnamed operand.
+func operandID(in *Instr) int32 {
 	if in.data == 0 {
-		if base, ok := env.addr(stackID); ok {
-			return base + uint64(in.Off)%256
-		}
-		return DefaultDataBase + uint64(in.Off)
+		return stackID
 	}
-	if base, ok := env.addr(in.data); ok {
+	return in.data
+}
+
+// operandAddr is dataAddr given the binding of in's operandID: base, when
+// bound is true.
+func operandAddr(in *Instr, base uint64, bound bool) uint64 {
+	switch {
+	case bound && in.data == 0:
+		return base + uint64(in.Off)%256
+	case bound:
 		return base + uint64(in.Off)
-	}
-	if in.staticOK {
+	case in.staticOK:
 		return in.staticBase + uint64(in.Off)
 	}
 	return DefaultDataBase + uint64(in.Off)
+}
+
+// runData appends to data the effective addresses of the memory operands
+// at offsets mem of instrs, as dataAddr resolves them. Consecutive
+// operands with the same operandID share one binding lookup: nothing runs
+// between them that could rebind it.
+func runData(data []uint64, env *Binding, instrs []Instr, mem []uint32) []uint64 {
+	id, base, bound := int32(-1), uint64(0), false
+	for _, k := range mem {
+		in := &instrs[k]
+		if oid := operandID(in); oid != id {
+			id = oid
+			base, bound = env.addr(id)
+		}
+		data = append(data, operandAddr(in, base, bound))
+	}
+	return data
 }
 
 // resolve returns the placement of the named function, or the error a call
@@ -248,11 +277,8 @@ func (e *Engine) call(pl *Placement, env *Binding, depth int) error {
 		if instrs := pb.b.Instrs; len(instrs) > 0 {
 			start := 0
 			for _, r := range pb.body(model).runs {
-				data := e.data[:0]
-				for _, k := range r.MemOps() {
-					data = append(data, dataAddr(env, &instrs[start+int(k)]))
-				}
 				end := start + r.Len()
+				data := runData(e.data[:0], env, instrs[start:end], r.MemOps())
 				if obs != nil {
 					observeRun(obs, instrs[start:end], addr, data)
 				}

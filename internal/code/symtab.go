@@ -1,6 +1,7 @@
 package code
 
 import (
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -11,19 +12,22 @@ import (
 // only grow, and an id is never reused, so an id interned when one
 // instruction was written stays valid in every Binding and every other
 // program of the process. Lookups of an id or a name take no lock.
+//
+// Both directions are immutable snapshots behind atomic pointers:
+// interning publishes longer copies. A process interns about a hundred
+// names, but every Set, SetFunc and Bind of every event looks one up, so
+// a plain map read beats a sync.Map's.
 type symtab struct {
-	ids sync.Map   // string -> int32
+	ids atomic.Pointer[map[string]int32]
 	mu  sync.Mutex // serializes assigning new ids
-	// byID holds the name of id i at i-1. Interning publishes a new,
-	// longer copy, so a reader never sees a slice being appended to; a
-	// run interns about a hundred names, so the copies cost nothing.
+	// byID holds the name of id i at i-1.
 	byID atomic.Pointer[[]string]
 }
 
 // lookup returns the id of name, or 0 if it was never interned.
 func (t *symtab) lookup(name string) int32 {
-	if id, ok := t.ids.Load(name); ok {
-		return id.(int32)
+	if ids := t.ids.Load(); ids != nil {
+		return (*ids)[name]
 	}
 	return 0
 }
@@ -36,13 +40,18 @@ func (t *symtab) intern(name string) int32 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if id, ok := t.ids.Load(name); ok {
-		return id.(int32)
+	if id := t.lookup(name); id != 0 {
+		return id
 	}
 	names := append(slices.Clip(t.names()), name)
 	t.byID.Store(&names) // before the id, so whoever sees the id can read its name
 	id := int32(len(names))
-	t.ids.Store(name, id)
+	ids := make(map[string]int32, len(names))
+	if old := t.ids.Load(); old != nil {
+		maps.Copy(ids, *old)
+	}
+	ids[name] = id
+	t.ids.Store(&ids)
 	return id
 }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification in one command: formatting, godoc coverage on the
 # public surfaces, vet (toolchain and the repo's own determinism
-# analyzers), build, the full test suite under the race detector (the
+# analyzers), build, the inline guard on the simulator's fetch and load
+# hit paths, the full test suite under the race detector (the
 # parallel runner and the fault-injection paths are both exercised), the
 # fixed-seed fault-study, layout-lint, layout-search, and machine-matrix smoke tests
 # (clean and fault-regime) with their golden-output diffs, the
@@ -42,6 +43,7 @@ fi
 
 go vet ./...
 go build ./...
+./scripts/inline_check.sh
 go run ./cmd/protovet
 go test -race ./...
 ./scripts/fault_smoke.sh
