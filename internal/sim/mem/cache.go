@@ -22,6 +22,16 @@
 // so the roundtrips before the traced one, and a host whose statistics are
 // never read, pay no set insert per miss.
 //
+// Each first-level cache has a one-block memo in front of it, so the
+// common fetch and load cost a compare that inlines into the CPU's run
+// loop. The i-memo holds the most recently fetched block, and the d-memo
+// the block of the most recent d-cache access: a load's hit or fill, or a
+// write-allocate store's hit or fill. Only such an access changes its
+// cache's contents, and it leaves its block resident and MRU, so an access
+// to the memoized block is a hit that needs no lookup and no LRU update,
+// with the same counts as the lookup. Reset and a pooled reuse empty both
+// memos; BeginEpoch keeps them, since it keeps the contents.
+//
 // The write buffer is a FIFO ring. Each unmerged store retires at least one
 // cycle after the previous one, so the entries still draining are always
 // the newest few: a merge looks back from the newest entry and stops at the
