@@ -20,7 +20,7 @@ fuzz: ## 30 s each of coverage-guided fuzzing: the layout search's move-only pro
 	go test -run '^$$' -fuzz '^FuzzStep$$' -fuzztime 30s ./internal/sim/cpu
 	go test -run '^$$' -fuzz '^FuzzExecRun$$' -fuzztime 30s ./internal/sim/cpu
 	go test -run '^$$' -fuzz '^FuzzHierarchyMatchesReference$$' -fuzztime 30s ./internal/sim/mem
-	go test -run '^$$' -fuzz '^FuzzLoadEnvelopeFS$$' -fuzztime 30s ./internal/soak
+	go test -run '^$$' -fuzz '^FuzzLoadEnvelopeFS$$' -fuzztime 30s ./internal/storage
 
 build:
 	go build ./...

@@ -1,8 +1,7 @@
 // Package faults is the deterministic fault-injection subsystem: a
-// seed-driven Plan composes per-link fault processes — packet loss
-// (Bernoulli and burst/Gilbert-Elliott), payload corruption, duplication,
-// reordering, and delay jitter — and an Injector applies the plan to every
-// frame crossing a netsim.Link.
+// seed-driven Plan composes per-link fault processes — Bernoulli packet
+// loss, payload corruption, duplication, reordering, and delay jitter —
+// and an Injector applies the plan to every frame crossing a netsim.Link.
 //
 // Determinism is the design constraint. The injector owns a private
 // splitmix64/xorshift generator seeded from the plan; the decision for
@@ -19,21 +18,6 @@ import (
 	"repro/internal/protocols/wire"
 )
 
-// BurstPlan parameterizes the two-state Gilbert-Elliott loss process:
-// frames are lost with LossProb while the link is in the bad state; the
-// state flips good→bad with EnterProb and bad→good with ExitProb, evaluated
-// once per frame.
-type BurstPlan struct {
-	EnterProb float64
-	ExitProb  float64
-	LossProb  float64
-}
-
-// Active reports whether the burst process can ever lose a frame.
-func (b BurstPlan) Active() bool {
-	return b.EnterProb > 0 && b.LossProb > 0
-}
-
 // Plan is one link's fault configuration. The zero value injects nothing.
 type Plan struct {
 	// Seed drives every random decision; identical seeds and traffic
@@ -42,8 +26,6 @@ type Plan struct {
 
 	// LossProb is the independent (Bernoulli) per-frame loss probability.
 	LossProb float64
-	// Burst layers a Gilbert-Elliott loss process on top of LossProb.
-	Burst BurstPlan
 
 	// CorruptProb flips CorruptBits random bits (default 3) in the frame
 	// past the Ethernet header, so IP/TCP checksum branches fire rather
@@ -67,7 +49,7 @@ type Plan struct {
 
 // Active reports whether the plan can inject any fault at all.
 func (p Plan) Active() bool {
-	return p.LossProb > 0 || p.Burst.Active() || p.CorruptProb > 0 ||
+	return p.LossProb > 0 || p.CorruptProb > 0 ||
 		p.DupProb > 0 || p.ReorderProb > 0 || (p.JitterProb > 0 && p.JitterCycles > 0)
 }
 
@@ -135,7 +117,6 @@ type Injector struct {
 	Counters
 
 	rng uint64
-	bad bool // Gilbert-Elliott state
 }
 
 // New builds an injector for the plan, filling in defaults: 3 corruption
@@ -186,21 +167,7 @@ func (in *Injector) Decide(frame []byte) netsim.Fault {
 	var f netsim.Fault
 	p := in.Plan
 
-	// Advance the Gilbert-Elliott state once per frame.
-	if p.Burst.EnterProb > 0 {
-		if in.bad {
-			if in.roll(p.Burst.ExitProb) {
-				in.bad = false
-			}
-		} else if in.roll(p.Burst.EnterProb) {
-			in.bad = true
-		}
-	}
-	drop := in.roll(p.LossProb)
-	if in.bad && in.roll(p.Burst.LossProb) {
-		drop = true
-	}
-	if drop {
+	if in.roll(p.LossProb) {
 		in.Dropped++
 		f.Drop = true
 		return f

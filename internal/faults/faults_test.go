@@ -122,36 +122,6 @@ func TestCorruptRuntFallsBackToWholeFrame(t *testing.T) {
 	}
 }
 
-func TestBurstLossClusters(t *testing.T) {
-	// Pure Gilbert-Elliott: no independent loss; bursts of certain loss.
-	in := New(Plan{Seed: 11, Burst: BurstPlan{EnterProb: 0.02, ExitProb: 0.3, LossProb: 1}})
-	const n = 20000
-	losses, runs, inRun := 0, 0, false
-	for i := 0; i < n; i++ {
-		if in.Decide(frame()).Drop {
-			losses++
-			if !inRun {
-				runs++
-				inRun = true
-			}
-		} else {
-			inRun = false
-		}
-	}
-	if losses == 0 || runs == 0 {
-		t.Fatal("burst process never lost a frame")
-	}
-	// Mean burst length should approximate 1/ExitProb ≈ 3.3, i.e. far
-	// above 1: losses must cluster, not scatter.
-	meanRun := float64(losses) / float64(runs)
-	if meanRun < 2 {
-		t.Fatalf("mean loss-burst length %.2f, want >= 2 (clustered)", meanRun)
-	}
-	if in.Dropped != losses {
-		t.Fatalf("Dropped = %d, observed %d", in.Dropped, losses)
-	}
-}
-
 func TestForSampleDecorrelates(t *testing.T) {
 	base := Plan{Seed: 1, LossProb: 0.2}
 	a, b := New(base.ForSample(0)), New(base.ForSample(1))

@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/soak"
 	"repro/internal/storage"
 )
 
@@ -28,15 +27,14 @@ type Config struct {
 	// Addr is the listen address for ListenAndServe (e.g. ":8080" or
 	// "127.0.0.1:0").
 	Addr string
-	// StoreDir roots the crash-safe store (results, job journal, soak
-	// checkpoints).
+	// StoreDir roots the crash-safe store (results and job journal).
 	StoreDir string
 	// QueueCap bounds the admission queue (default 16); submissions past
 	// it are rejected with 429 and a backoff hint.
 	QueueCap int
 	// DrainTimeout bounds graceful drain (default 30s): how long SIGTERM
-	// waits for in-flight work before cancelling it. Cancelled soaks keep
-	// their chunk checkpoint and resume on the next submission.
+	// waits for in-flight work before cancelling it. A cancelled job keeps
+	// its journal entry and is replayed on the next start.
 	DrainTimeout time.Duration
 	// JobTimeout, when positive, deadlines every job that does not carry
 	// its own timeout_ms (0 = no deadline).
@@ -226,7 +224,6 @@ func (s *Server) runJob(j *job) {
 		return
 	}
 	s.store.DropJob(j.fp)
-	s.store.DropJournal(j.fp)
 	s.addStats(func(st *obs.ServeStatsDoc) { st.Completed++ })
 }
 
@@ -258,7 +255,7 @@ func (s *Server) buildWatched(ctx context.Context, cancel context.CancelFunc, j 
 		if hook := s.beforeRun; hook != nil {
 			hook(j)
 		}
-		return s.buildDocument(ctx, j.spec, j.fp)
+		return s.buildDocument(ctx, j.spec)
 	}
 	type buildRes struct {
 		doc *obs.Document
@@ -269,7 +266,7 @@ func (s *Server) buildWatched(ctx context.Context, cancel context.CancelFunc, j 
 		if hook := s.beforeRun; hook != nil {
 			hook(j)
 		}
-		doc, err := s.buildDocument(ctx, j.spec, j.fp)
+		doc, err := s.buildDocument(ctx, j.spec)
 		ch <- buildRes{doc, err}
 	}()
 	timer := time.NewTimer(wd)
@@ -296,14 +293,8 @@ func (s *Server) buildWatched(ctx context.Context, cancel context.CancelFunc, j 
 // buildDocument computes a job's document through the registry — the
 // same call the protolat CLI makes for -json, so the two are
 // byte-identical by construction.
-func (s *Server) buildDocument(ctx context.Context, spec Spec, fp string) (*obs.Document, error) {
-	// Only a soak checkpoints, under its fingerprint. A journal left by an
-	// interrupted earlier attempt resumes instead of recomputing the
-	// chunks it finished.
-	env := Env{EventBudget: s.cfg.EventBudget, FS: s.store.fs, Checkpoint: s.store.JournalPath(fp)}
-	_, err := s.store.fs.Stat(env.Checkpoint)
-	env.Resume = err == nil
-	out, err := Run(ctx, spec, env)
+func (s *Server) buildDocument(ctx context.Context, spec Spec) (*obs.Document, error) {
+	out, err := Run(ctx, spec, Env{EventBudget: s.cfg.EventBudget})
 	if err != nil {
 		return nil, err
 	}
@@ -316,15 +307,15 @@ func (s *Server) buildDocument(ctx context.Context, spec Spec, fp string) (*obs.
 func classify(err error) (int, string) {
 	var se *SpecError
 	var be *core.BudgetError
-	var je *soak.JournalError
+	var ee *storage.EnvelopeError
 	var we *WatchdogError
 	switch {
 	case errors.As(err, &se):
 		return http.StatusBadRequest, "spec"
 	case errors.As(err, &be):
 		return http.StatusUnprocessableEntity, "budget"
-	case errors.As(err, &je):
-		return http.StatusInternalServerError, "journal-" + je.Reason
+	case errors.As(err, &ee):
+		return http.StatusInternalServerError, "journal-" + ee.Reason
 	case errors.As(err, &we):
 		return http.StatusGatewayTimeout, "watchdog"
 	case errors.Is(err, context.DeadlineExceeded):
@@ -404,10 +395,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST a spec to this endpoint", "method", 0)
 		return
 	}
-	var spec Spec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := decodeSpec(r.Body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad spec: "+err.Error(), "parse", 0)
 		return
 	}
@@ -580,9 +569,8 @@ func (s *Server) BeginDrain() {
 
 // Drain performs graceful shutdown: stop admission, wait up to timeout
 // for in-flight and queued jobs to finish, then cancel the survivors
-// cooperatively. A cancelled soak keeps its chunk checkpoint and an
-// unfinished job keeps its queue journal, so nothing is lost — the next
-// start recovers both. Returns nil on a clean drain.
+// cooperatively. An unfinished job keeps its queue journal, so nothing is
+// lost — the next start replays it. Returns nil on a clean drain.
 func (s *Server) Drain(timeout time.Duration) error {
 	s.BeginDrain()
 	done := make(chan struct{})

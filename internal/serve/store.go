@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
@@ -10,13 +11,12 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/soak"
 	"repro/internal/storage"
 )
 
-// Store file formats, all carried by the soak journal envelope (a header
-// line, then the payload verbatim; tmp+rename+CRC-32, typed
-// *soak.JournalError on every failure mode).
+// Store file formats, both carried by internal/storage's envelope (a
+// header line, then the payload verbatim; tmp+rename+CRC-32, typed
+// *storage.EnvelopeError on every failure mode).
 const (
 	// docMagic identifies a memoized result document.
 	docMagic = "protolat-serve-doc"
@@ -28,11 +28,11 @@ const (
 )
 
 // Store is the daemon's crash-safe on-disk state: memoized result
-// documents keyed by spec fingerprint, journaled pending jobs (written at
-// admission, removed at completion), and soak chunk checkpoints. Every
-// file is written atomically under the soak journal envelope, so a kill
-// -9 at any instant leaves the store replayable: Recover drops torn temp
-// files and returns the jobs that were admitted but never finished.
+// documents keyed by spec fingerprint and journaled pending jobs (written
+// at admission, removed at completion). Every file is written atomically
+// under the storage envelope, so a kill -9 at any instant leaves the store
+// replayable: Recover drops torn temp files and returns the jobs that were
+// admitted but never finished.
 //
 // When maxBytes is positive the store evicts least-recently-used documents
 // to stay under the cap. Eviction is itself crash-safe: each eviction is a
@@ -48,8 +48,7 @@ type Store struct {
 	mu sync.Mutex
 	// lru orders resident document fingerprints from least to most
 	// recently used; sizes maps fingerprint to stored byte size. Both
-	// cover only .doc.json files — jobs and journals are transient and
-	// never evicted.
+	// cover only .doc.json files — jobs are transient and never evicted.
 	lru     []string
 	sizes   map[string]int64
 	evicted int64 // documents evicted since open
@@ -103,11 +102,6 @@ func (s *Store) Dir() string { return s.dir }
 
 func (s *Store) docPath(fp string) string { return filepath.Join(s.dir, fp+".doc.json") }
 func (s *Store) jobPath(fp string) string { return filepath.Join(s.dir, fp+".job.json") }
-
-// JournalPath is where a soak job with this fingerprint checkpoints; kept
-// inside the store so crash recovery and result memoization share one
-// directory.
-func (s *Store) JournalPath(fp string) string { return filepath.Join(s.dir, fp+".soak.journal") }
 
 // touch moves fp to the most-recently-used end of the LRU order, adding it
 // if absent, and records its size.
@@ -179,7 +173,7 @@ func (s *Store) evict(keep string) error {
 	s.mu.Unlock()
 	for _, v := range victims {
 		if err := s.fs.Remove(s.docPath(v.fp)); err != nil && !os.IsNotExist(err) {
-			return &soak.JournalError{Path: s.docPath(v.fp), Reason: "io", Err: err}
+			return &storage.EnvelopeError{Path: s.docPath(v.fp), Reason: "io", Err: err}
 		}
 		s.forget(v.fp)
 		s.mu.Lock()
@@ -192,16 +186,16 @@ func (s *Store) evict(keep string) error {
 
 // Get returns the memoized document for a fingerprint: (nil, nil) on a
 // miss, the exact bytes Put stored on a hit (the envelope's payload,
-// returned without a JSON pass), and a *soak.JournalError for a tampered
+// returned without a JSON pass), and a *storage.EnvelopeError for a tampered
 // or torn entry. A document in a layout this binary does not speak (a
 // "schema" error) is a miss too, so its spec recomputes and Put overwrites
 // it. A hit refreshes the entry's LRU recency.
 func (s *Store) Get(fp string) ([]byte, error) {
 	path := s.docPath(fp)
-	doc, err := soak.LoadEnvelopeFS(s.fs, path, docMagic, storeSchema, 0, fp)
+	doc, err := storage.LoadEnvelopeFS(s.fs, path, docMagic, storeSchema, fp)
 	if err != nil {
-		var je *soak.JournalError
-		if errors.As(err, &je) && (je.Reason == "missing" || je.Reason == "schema") {
+		var ee *storage.EnvelopeError
+		if errors.As(err, &ee) && (ee.Reason == "missing" || ee.Reason == "schema") {
 			return nil, nil
 		}
 		return nil, err
@@ -215,7 +209,7 @@ func (s *Store) Get(fp string) ([]byte, error) {
 // Put memoizes a completed document, verbatim, under its fingerprint, then
 // evicts least-recently-used documents if the store exceeds its byte cap.
 func (s *Store) Put(fp string, doc []byte) error {
-	if err := soak.SaveEnvelopeFS(s.fs, s.docPath(fp), docMagic, storeSchema, 0, fp, json.RawMessage(doc)); err != nil {
+	if err := storage.SaveEnvelopeFS(s.fs, s.docPath(fp), docMagic, storeSchema, fp, json.RawMessage(doc)); err != nil {
 		return err
 	}
 	size := int64(0)
@@ -228,7 +222,7 @@ func (s *Store) Put(fp string, doc []byte) error {
 
 // PutJob journals an admitted job so a crashed daemon can replay it.
 func (s *Store) PutJob(fp string, spec Spec) error {
-	return soak.SaveEnvelopeFS(s.fs, s.jobPath(fp), jobMagic, storeSchema, 0, fp, spec)
+	return storage.SaveEnvelopeFS(s.fs, s.jobPath(fp), jobMagic, storeSchema, fp, spec)
 }
 
 // DropJob removes a finished job's journal entry. Best-effort: missing is
@@ -236,15 +230,12 @@ func (s *Store) PutJob(fp string, spec Spec) error {
 // its document is found present.
 func (s *Store) DropJob(fp string) { _ = s.fs.Remove(s.jobPath(fp)) }
 
-// DropJournal removes a finished soak job's checkpoint (best-effort).
-func (s *Store) DropJournal(fp string) { _ = s.fs.Remove(s.JournalPath(fp)) }
-
 // Recover replays the store after a restart: torn temp files are removed,
 // job entries whose document already exists are dropped (the crash hit
 // between persist and cleanup), unreadable or empty job entries are
-// discarded, entries whose spec no longer validates under this binary's
-// schema are dropped (schema drift is a clean sweep, not a panic), orphan
-// soak checkpoints with no surviving job are swept, and the remaining
+// discarded, entries whose spec no longer decodes or validates under this
+// binary's schema are dropped (schema drift is a clean sweep, not a panic
+// and not a silently different job), and the remaining
 // admitted-but-unfinished jobs are returned in fingerprint order for
 // re-execution.
 func (s *Store) Recover() ([]RecoveredJob, error) {
@@ -261,7 +252,6 @@ func (s *Store) Recover() ([]RecoveredJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	pending := map[string]bool{}
 	var out []RecoveredJob
 	for _, p := range jobs {
 		fp := strings.TrimSuffix(filepath.Base(p), ".job.json")
@@ -269,7 +259,7 @@ func (s *Store) Recover() ([]RecoveredJob, error) {
 			s.DropJob(fp)
 			continue
 		}
-		raw, err := soak.LoadEnvelopeFS(s.fs, p, jobMagic, storeSchema, 0, fp)
+		raw, err := storage.LoadEnvelopeFS(s.fs, p, jobMagic, storeSchema, fp)
 		if err != nil {
 			// A torn, empty, or tampered job entry cannot be replayed;
 			// drop it rather than wedge startup. The client that
@@ -278,39 +268,15 @@ func (s *Store) Recover() ([]RecoveredJob, error) {
 			s.DropJob(fp)
 			continue
 		}
-		var spec Spec
-		if err := json.Unmarshal(raw, &spec); err != nil {
+		spec, err := decodeSpec(bytes.NewReader(raw))
+		if err != nil || spec.Normalized().Validate() != nil {
+			// Schema drift: the journaled spec names a field this
+			// binary no longer has, or no longer canonicalizes under
+			// it. Sweep it instead of replaying a job we cannot honor.
 			s.DropJob(fp)
 			continue
 		}
-		if err := spec.Normalized().Validate(); err != nil {
-			// Schema drift: the journaled spec no longer canonicalizes
-			// under this binary. Sweep it (and any checkpoint it left)
-			// instead of replaying a job we cannot honor.
-			s.DropJob(fp)
-			s.DropJournal(fp)
-			continue
-		}
-		pending[fp] = true
 		out = append(out, RecoveredJob{Fingerprint: fp, Spec: spec})
-	}
-	// Sweep soak checkpoints whose document already exists: the job
-	// completed and the crash hit between dropping the job entry and
-	// dropping the journal. A journal with neither job nor document is
-	// kept — it may be an externally primed resume point, and a later
-	// submit will resume (or reject, typed) from it.
-	journals, err := s.fs.Glob(filepath.Join(s.dir, "*.soak.journal"))
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range journals {
-		fp := strings.TrimSuffix(filepath.Base(p), ".soak.journal")
-		if pending[fp] {
-			continue
-		}
-		if _, err := s.fs.Stat(s.docPath(fp)); err == nil {
-			s.DropJournal(fp)
-		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Fingerprint < out[j].Fingerprint })
 	return out, nil

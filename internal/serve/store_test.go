@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"testing"
 
-	"repro/internal/soak"
 	"repro/internal/storage"
 )
 
@@ -92,9 +91,9 @@ func TestStorePutRefusesNonJSON(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	err = st.Put("abcd", []byte("{\"torn\": \n"))
-	var je *soak.JournalError
-	if !errors.As(err, &je) || je.Reason != "io" {
-		t.Fatalf("Put of a non-JSON document = %v, want a JournalError with reason io", err)
+	var ee *storage.EnvelopeError
+	if !errors.As(err, &ee) || ee.Reason != "io" {
+		t.Fatalf("Put of a non-JSON document = %v, want an EnvelopeError with reason io", err)
 	}
 	if doc, err := st.Get("abcd"); doc != nil || err != nil {
 		t.Fatalf("Get after a refused Put = (%q, %v), want a miss", doc, err)

@@ -86,8 +86,8 @@ type Plan struct {
 
 // Fault wraps an inner FS with the deterministic fault schedule of a Plan,
 // counting mutating operations as it goes. It is the adversary every
-// crash-point and degraded-mode test in the repo injects behind the soak
-// journal and the serve store.
+// crash-point and degraded-mode test in the repo injects behind the
+// envelope and the serve store.
 type Fault struct {
 	inner FS
 	plan  Plan

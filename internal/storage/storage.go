@@ -1,8 +1,9 @@
 // Package storage is the injectable filesystem boundary beneath every
-// durable write in the system: the soak checkpoint journal, the serve
-// daemon's memoized result store and journaled job queue, and the store's
-// eviction policy all perform their file operations through the FS
-// interface instead of calling the os package directly.
+// durable write in the system, and the crash-safe envelope file format
+// those writes use: the serve daemon's memoized result store and journaled
+// job queue (both envelopes, see SaveEnvelopeFS) and the store's eviction
+// policy all perform their file operations through the FS interface
+// instead of calling the os package directly.
 //
 // Two implementations exist. Disk (a DiskFS) is the real thing: plain os
 // calls plus an explicit Sync operation, so the tmp+write+sync+rename+sync
@@ -19,7 +20,7 @@
 // a prefix), and Rename under a crash, which lands on either side. Crash
 // recovery therefore only ever observes pre-op or post-op state for any
 // file maintained under the envelope discipline; the enumeration tests in
-// internal/soak and internal/serve assert exactly that.
+// internal/serve assert exactly that.
 package storage
 
 import (

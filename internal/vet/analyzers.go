@@ -14,7 +14,7 @@ import (
 // core, where results must be a pure function of the configuration: any
 // wall-clock or ambient-randomness read there breaks reproducibility.
 func deterministicPkg(path string) bool {
-	for _, sub := range []string{"internal/sim", "internal/code", "internal/core", "internal/soak", "internal/optimize"} {
+	for _, sub := range []string{"internal/sim", "internal/code", "internal/core", "internal/optimize"} {
 		if strings.Contains(path, sub) {
 			return true
 		}

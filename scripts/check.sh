@@ -47,7 +47,6 @@ go build ./...
 go run ./cmd/protovet
 go test -race ./...
 ./scripts/fault_smoke.sh
-./scripts/soak_smoke.sh
 ./scripts/serve_smoke.sh
 ./scripts/fsfault_smoke.sh
 ./scripts/lint_smoke.sh

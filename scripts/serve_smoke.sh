@@ -8,9 +8,9 @@
 #   3. SIGTERM drains gracefully: the in-flight job completes with a 200,
 #      the daemon exits 0, and a restarted daemon serves the result from
 #      its store,
-#   4. kill -9 mid-soak loses nothing: the restarted daemon replays the
-#      journaled job, resumes the soak from its checkpoint, and the result
-#      is byte-identical to one computed by an undisturbed daemon.
+#   4. kill -9 mid-job loses nothing: the restarted daemon replays the
+#      journaled job, and the result is byte-identical to one computed by
+#      an undisturbed daemon.
 #
 # Every wait is a bounded poll on daemon output or store files, so the
 # script is safe on a single-core runner.
@@ -24,11 +24,11 @@ go build -o "$tmp/protolat" ./cmd/protolat
 
 printf '{"kind":"lint"}\n' > "$tmp/lint.json"
 printf '{"kind":"run","version":"STD","samples":1}\n' > "$tmp/run.json"
-# Paper-quality soaks run long enough (~1.5s, 160 units, checkpoint every
-# 8) that the job file and checkpoint journal are observable for most of
-# the run — the polls below are not racing a sub-100ms window.
-printf '{"kind":"soak","seed":7,"quality":"paper"}\n' > "$tmp/soak.json"
-printf '{"kind":"soak","seed":9,"quality":"paper"}\n' > "$tmp/soak2.json"
+# A paper-quality machine study over every model runs for a few hundred
+# milliseconds, several times the 50 ms poll below, so its job file is
+# observable while the job is in flight.
+printf '{"kind":"machines","quality":"paper","seed":7}\n' > "$tmp/slow.json"
+printf '{"kind":"machines","quality":"paper","seed":9}\n' > "$tmp/slow2.json"
 
 # start_daemon <store> <log>: launch the daemon on a free port, wait for
 # its announcement line, and export DPID/DADDR.
@@ -96,7 +96,7 @@ cmp -s "$tmp/c1.json" "$tmp/c2.json" || {
 }
 
 # --- 3. SIGTERM drain with in-flight work ---------------------------------
-"$tmp/protolat" -addr "$DADDR" -submit "$tmp/soak.json" > "$tmp/bg.json" 2> /dev/null &
+"$tmp/protolat" -addr "$DADDR" -submit "$tmp/slow.json" > "$tmp/bg.json" 2> /dev/null &
 bgpid=$!
 wait_present "$store1/*.job.json"
 kill -TERM "$DPID"
@@ -116,7 +116,7 @@ unset DPID
 
 # --- restart: the drained job's result survives in the store --------------
 start_daemon "$store1" "$tmp/d2.log"
-"$tmp/protolat" -addr "$DADDR" -submit "$tmp/soak.json" > "$tmp/r3.json" 2> "$tmp/r3.err"
+"$tmp/protolat" -addr "$DADDR" -submit "$tmp/slow.json" > "$tmp/r3.json" 2> "$tmp/r3.err"
 grep -q 'cache: hit' "$tmp/r3.err" || {
     echo "FAIL: restarted daemon recomputed a stored result: $(cat "$tmp/r3.err")" >&2
     exit 1
@@ -128,20 +128,28 @@ cmp -s "$tmp/bg.json" "$tmp/r3.json" || {
 kill -TERM "$DPID" && wait "$DPID" || true
 unset DPID
 
-# --- 4. kill -9 mid-soak, replay, byte-identical result -------------------
+# --- 4. kill -9 mid-job, replay, byte-identical result -------------------
 store2=$tmp/store2
 start_daemon "$store2" "$tmp/d3.log"
-("$tmp/protolat" -addr "$DADDR" -submit "$tmp/soak2.json" > /dev/null 2>&1 || true) &
-# The soak checkpoints every 8 of 160 units; once its journal exists the
-# schedule is provably mid-flight, so kill -9 lands on a live job.
-wait_present "$store2/*.soak.journal"
+("$tmp/protolat" -addr "$DADDR" -submit "$tmp/slow2.json" > /dev/null 2>&1 || true) &
+# The job file is written at admission and dropped once the document is
+# stored, so while it exists the job is in flight.
+wait_present "$store2/*.job.json"
 kill -9 "$DPID"
 wait "$DPID" 2> /dev/null || true
 unset DPID
+compgen -G "$store2/*.doc.json" > /dev/null && {
+    echo "FAIL: the job finished before kill -9 landed; nothing was left to replay" >&2
+    exit 1
+}
+compgen -G "$store2/*.job.json" > /dev/null || {
+    echo "FAIL: kill -9 mid-job left no journaled job to replay" >&2
+    exit 1
+}
 
 start_daemon "$store2" "$tmp/d4.log"
 wait_gone "$store2/*.job.json"
-"$tmp/protolat" -addr "$DADDR" -submit "$tmp/soak2.json" > "$tmp/rec.json" 2> "$tmp/rec.err"
+"$tmp/protolat" -addr "$DADDR" -submit "$tmp/slow2.json" > "$tmp/rec.json" 2> "$tmp/rec.err"
 grep -q 'cache: hit' "$tmp/rec.err" || {
     echo "FAIL: replayed job did not memoize its result: $(cat "$tmp/rec.err")" >&2
     exit 1
@@ -151,9 +159,9 @@ unset DPID
 
 store3=$tmp/store3
 start_daemon "$store3" "$tmp/d5.log"
-"$tmp/protolat" -addr "$DADDR" -submit "$tmp/soak2.json" > "$tmp/ref.json" 2> /dev/null
+"$tmp/protolat" -addr "$DADDR" -submit "$tmp/slow2.json" > "$tmp/ref.json" 2> /dev/null
 cmp -s "$tmp/rec.json" "$tmp/ref.json" || {
-    echo "FAIL: crash-recovered soak document differs from an undisturbed daemon's" >&2
+    echo "FAIL: crash-recovered document differs from an undisturbed daemon's" >&2
     exit 1
 }
 kill -TERM "$DPID" && wait "$DPID" || true
