@@ -195,15 +195,15 @@ func (o *options) run(stdout, stderr io.Writer) error {
 		}
 		return nil
 	}
-	out, err := repro.RunSpec(context.Background(), spec, repro.Env{})
+	doc, err := repro.RunSpec(context.Background(), spec)
 	if err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintln(stdout, repro.Text(spec.Kind, out.Doc)); err != nil || o.jsonPath == "" {
+	if _, err := fmt.Fprintln(stdout, repro.Text(spec.Kind, doc)); err != nil || o.jsonPath == "" {
 		return err
 	}
-	out.Doc.Manifest.GitDescribe = gitDescribe()
-	b, err := out.Doc.Marshal()
+	doc.Manifest.GitDescribe = gitDescribe()
+	b, err := doc.Marshal()
 	if err != nil {
 		return err
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/classifier"
 	"repro/internal/code"
 	"repro/internal/faults"
+	"repro/internal/lance"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/protocols/features"
@@ -350,6 +351,7 @@ type hostPair struct {
 	clientHost     *xkernel.Host
 	serverHost     *xkernel.Host
 	clientProg     *code.Program
+	devs           [2]*lance.Device // client, server
 	stampFn        func() []uint64
 	completedFn    func() int
 	startFn        func()
@@ -426,6 +428,7 @@ func buildPair(cfg Config, sampleIdx, roundtrips int) (*hostPair, error) {
 			server.SetRecovery(cfg.Recovery)
 		}
 		rpc.Connect(client, server)
+		hp.devs = [2]*lance.Device{client.Dev, server.Dev}
 		if cfg.UseClassifier && (cfg.Version == PIN || cfg.Version == ALL) {
 			cl := classifier.ForRPC()
 			client.Dev.Classify = cl.Match
@@ -452,6 +455,7 @@ func buildPair(cfg Config, sampleIdx, roundtrips int) (*hostPair, error) {
 			server.SetRecovery(cfg.Recovery)
 		}
 		tcpip.Connect(client, server)
+		hp.devs = [2]*lance.Device{client.Dev, server.Dev}
 		if cfg.UseClassifier && (cfg.Version == PIN || cfg.Version == ALL) {
 			cl := classifier.ForTCPIP()
 			client.Dev.Classify = cl.Match
@@ -532,92 +536,71 @@ func recoverSample(cfg Config, sampleIdx int, err *error) {
 	}
 }
 
-// addrBitset tracks distinct addresses over the program's text range at a
-// fixed granularity (1<<shift bytes) — the dense replacement for the
-// per-sample coverage maps, sized once from the linked image. dirty lists
-// the words addRange has set, so a reset clears what the sample touched
-// rather than the whole text span: version BAD's pessimal layout spreads a
-// few tens of KB of code over about 100 MB of text, whose 4-byte bitset
-// alone is 3.2 MB.
-type addrBitset struct {
-	base  uint64 // first tracked unit (address >> shift)
-	words []uint64
-	dirty []int
-	shift uint
-	count int
+// lineCoverage counts what the traced invocation fetched and executed:
+// each i-cache line it fetched maps to a mask of the 4-byte instruction
+// words it executed there. It is sized by what the invocation runs, a few
+// hundred lines, not by the text span (version BAD's pessimal layout
+// spreads a few tens of KB of code over about 100 MB of text), and one is
+// reused across samples through coveragePool.
+type lineCoverage struct {
+	shift    uint           // log2 of the line size in bytes
+	stride   int            // mask words per line
+	index    map[uint64]int // fetched line -> its first word in masks
+	masks    []uint64       // stride words per fetched line, from index[line]
+	executed int            // instruction words marked
 }
 
-// bitsetPools recycle coverage bitsets between samples, one pool per
-// granularity: a sample takes a fine (4-byte) and a coarse (one i-cache
-// block) bitset whose word arrays differ eightfold or more in size, so a
-// shared pool would hand the small array to the large request, which
-// drops it. A pooled bitset is indistinguishable from a fresh one: reset
-// clears every word its previous use set.
-var bitsetPools [64]sync.Pool // by shift
+// coveragePool recycles coverage between samples. A pooled one is
+// indistinguishable from a fresh one: newLineCoverage empties it.
+var coveragePool = sync.Pool{New: func() any { return &lineCoverage{index: map[uint64]int{}} }}
 
-func newAddrBitset(textBase, textEnd uint64, shift uint) *addrBitset {
-	s, _ := bitsetPools[shift].Get().(*addrBitset)
-	if s == nil {
-		s = new(addrBitset)
-	}
-	s.reset(textBase, textEnd, shift)
-	return s
+// newLineCoverage returns an empty coverage for lines of 1<<shift bytes.
+func newLineCoverage(shift uint) *lineCoverage {
+	c := coveragePool.Get().(*lineCoverage)
+	c.reset(shift)
+	return c
 }
 
-// reset empties the bitset and sizes it for [textBase, textEnd] at the
-// given granularity. Only the words the previous use set are cleared;
-// every other word of the array is zero already.
-func (s *addrBitset) reset(textBase, textEnd uint64, shift uint) {
-	for _, w := range s.dirty {
-		s.words[:cap(s.words)][w] = 0
-	}
-	s.dirty = s.dirty[:0]
-	base := textBase >> shift
-	n := (textEnd>>shift - base + 1 + 63) / 64
-	if uint64(cap(s.words)) >= n {
-		s.words = s.words[:n]
-	} else {
-		// Too small for this image: allocate to fit.
-		s.words = make([]uint64, n)
-	}
-	s.base, s.shift, s.count = base, shift, 0
+// reset empties the coverage, keeping its storage, for lines of 1<<shift
+// bytes.
+func (c *lineCoverage) reset(shift uint) {
+	clear(c.index)
+	c.masks, c.executed = c.masks[:0], 0
+	c.shift, c.stride = shift, int(max(1, (uint64(1)<<shift>>2+63)/64))
 }
 
-// release returns the bitset to its granularity's pool; it must not be
-// used afterwards.
-func (s *addrBitset) release() { bitsetPools[s.shift].Put(s) }
+// release returns the coverage to the pool; it must not be used
+// afterwards.
+func (c *lineCoverage) release() { coveragePool.Put(c) }
 
-// addRange marks every unit from the one holding first to the one holding
-// last, a word at a time; units outside the bitset (nothing the engine
-// emits) are ignored.
-func (s *addrBitset) addRange(first, last uint64) {
-	lo, hi := first>>s.shift, last>>s.shift
-	if hi < s.base {
-		return
-	}
-	lo = max(lo, s.base) - s.base
-	hi = min(hi-s.base, uint64(len(s.words))*64-1)
-	if lo > hi {
-		return
-	}
-	for w := lo >> 6; w <= hi>>6; w++ {
-		mask := ^uint64(0)
-		if w == lo>>6 {
-			mask <<= lo & 63
+// lines returns the number of distinct lines marked.
+func (c *lineCoverage) lines() int { return len(c.index) }
+
+// addRange marks every instruction word from the one holding first to the
+// one holding last, and every line those words lie in.
+func (c *lineCoverage) addRange(first, last uint64) {
+	for line := first >> c.shift; line <= last>>c.shift; line++ {
+		i, ok := c.index[line]
+		if !ok {
+			i = len(c.masks)
+			c.index[line] = i
+			c.masks = append(c.masks, make([]uint64, c.stride)...)
 		}
-		if w == hi>>6 {
-			mask &= ^uint64(0) >> (63 - hi&63)
+		start := line << c.shift
+		lo := (max(first, start) - start) >> 2
+		hi := (min(last, start|(1<<c.shift-1)) - start) >> 2
+		for w := lo >> 6; w <= hi>>6; w++ {
+			mask := ^uint64(0)
+			if w == lo>>6 {
+				mask <<= lo & 63
+			}
+			if w == hi>>6 {
+				mask &= ^uint64(0) >> (63 - hi&63)
+			}
+			old := c.masks[i+int(w)]
+			c.masks[i+int(w)] = old | mask
+			c.executed += bits.OnesCount64(mask &^ old)
 		}
-		old := s.words[w]
-		fresh := mask &^ old
-		if fresh == 0 {
-			continue
-		}
-		if old == 0 {
-			s.dirty = append(s.dirty, int(w))
-		}
-		s.words[w] = old | fresh
-		s.count += bits.OnesCount64(fresh)
 	}
 }
 
@@ -670,13 +653,10 @@ func runSample(cfg Config, sampleIdx int) (s Sample, err error) {
 	ch := hp.clientHost
 
 	var startMetrics cpu.Metrics
-	executed := newAddrBitset(hp.clientProg.TextBase(), hp.clientProg.TextEnd(), 2)
-	fetchedBlocks := newAddrBitset(hp.clientProg.TextBase(), hp.clientProg.TextEnd(), ch.Mem.ILineShift())
+	cov := newLineCoverage(ch.Mem.ILineShift())
 	instrBytes := uint64(m.InstrBytes)
 	coverage := func(addr uint64, n int) {
-		last := addr + uint64(n-1)*instrBytes
-		executed.addRange(addr, last)
-		fetchedBlocks.addRange(addr, last)
+		cov.addRange(addr, addr+uint64(n-1)*instrBytes)
 	}
 
 	// Latency is averaged over all measured roundtrips; the trace, CPI and
@@ -736,9 +716,9 @@ func runSample(cfg Config, sampleIdx int) (s Sample, err error) {
 	te := float64(stamps[roundtrips-1]-stamps[cfg.Warmup-1]) / M / m.CyclesPerMicrosecond()
 
 	unused := 0.0
-	if fetchedBlocks.count > 0 {
-		slots := float64(fetchedBlocks.count * m.InstrPerBlock())
-		unused = 1 - float64(executed.count)/slots
+	if cov.lines() > 0 {
+		slots := float64(cov.lines() * m.InstrPerBlock())
+		unused = 1 - float64(cov.executed)/slots
 		if unused < 0 {
 			unused = 0
 		}
@@ -770,16 +750,19 @@ func runSample(cfg Config, sampleIdx int) (s Sample, err error) {
 	// Everything the sample needs has been copied out; hand the pooled
 	// per-sample state back for the next sample to reuse. Error and panic
 	// paths skip this — the pool simply sees fewer returns.
-	executed.release()
-	fetchedBlocks.release()
+	cov.release()
 	hp.release()
 	return s, nil
 }
 
-// release returns the pair's pooled simulation state for reuse. Call only
-// after the run has completed and its statistics have been extracted; the
-// hosts must not be touched afterwards.
+// release returns the pair's pooled simulation state for reuse: both
+// hierarchies and both LANCE devices' buffers. Call only after the run has
+// completed and its statistics have been extracted; the hosts must not be
+// touched afterwards.
 func (hp *hostPair) release() {
 	hp.clientHost.Mem.Release()
 	hp.serverHost.Mem.Release()
+	for _, d := range hp.devs {
+		d.Release()
+	}
 }

@@ -214,5 +214,6 @@ func runFaultSample(cfg Config, sampleIdx int) (fs faultSample, err error) {
 		}
 	}
 	fs.stats = hp.faultStats()
+	hp.release()
 	return fs, nil
 }

@@ -64,7 +64,9 @@ func RunRoundtrips(cfg Config, sampleIdx int) (rts []Roundtrip, stats FaultStats
 			Degraded: injAt[n] > injAt[n-1],
 		})
 	}
-	return rts, hp.faultStats(), nil
+	stats = hp.faultStats()
+	hp.release()
+	return rts, stats, nil
 }
 
 // RecoveryCell is one (policy, rate) point of the recovery comparison.

@@ -21,6 +21,9 @@ const (
 	ringSize  = 4
 	descWords = 5 // ten bytes per LANCE descriptor
 	bufBytes  = 1536
+	// windowBytes is the shared window's payload: both rings'
+	// descriptors, then both rings' buffers.
+	windowBytes = 2*ringSize*descWords*2 + 2*ringSize*bufBytes
 
 	// descriptor flag bits (word 1, high byte)
 	flagOWN = 0x80
@@ -90,14 +93,13 @@ type Device struct {
 
 // New builds a device on host h attached to link l.
 func New(h *xkernel.Host, l *netsim.Link, mac wire.MACAddr, useUSC bool) *Device {
-	denseBytes := 2*ringSize*descWords*2 + 2*ringSize*bufBytes
 	d := &Device{
 		H:      h,
 		Link:   l,
 		MAC:    mac,
 		UseUSC: useUSC,
 		Pool:   xkernel.NewPool(h.Alloc, bufBytes, ringSize),
-		region: turbochannel.NewRegion(turbochannel.SparseBase, denseBytes),
+		region: turbochannel.NewRegion(turbochannel.SparseBase, windowBytes),
 	}
 	for i := 0; i < ringSize; i++ {
 		d.txDesc[i] = usc.MustCompile(DescriptorLayout, d.region, i*descWords)
@@ -119,6 +121,16 @@ func (d *Device) txBufOff(slot int) int {
 
 func (d *Device) rxBufOff(slot int) int {
 	return 2*ringSize*descWords*2 + (ringSize+slot)*bufBytes
+}
+
+// Release hands the device's Go-side buffers back for reuse: the shared
+// window's bytes and the receive pool's free message buffers (see
+// turbochannel.Region and xkernel.Pool). Call it only once the simulation
+// that used the device has finished; the device must not be used
+// afterwards.
+func (d *Device) Release() {
+	d.region.Release()
+	d.Pool.Release()
 }
 
 // Region exposes the sparse window (for tests).
@@ -153,10 +165,10 @@ func (d *Device) Transmit(m *xkernel.Msg) error {
 	slot := d.txSlot
 	d.txSlot = (d.txSlot + 1) % ringSize
 
-	// Copy the frame into the sparse buffer (padded to minimum size).
-	padded := make([]byte, n)
-	copy(padded, frame)
-	d.region.WriteBuf(d.txBufOff(slot), padded)
+	// Copy the frame into the sparse buffer, zeroing the pad up to the
+	// minimum size.
+	buf := d.region.Buf(d.txBufOff(slot), n)
+	clear(buf[copy(buf, frame):])
 
 	// Update the descriptor.
 	if d.UseUSC {
@@ -227,9 +239,8 @@ func (d *Device) deliver(frame []byte) {
 	d.H.Threads.Shepherd(func(stack uint64) {
 		d.H.SetStack(stack)
 		d.H.RunModel("lance_rx")
-		data := d.region.ReadBuf(d.rxBufOff(slot), len(frame))
 		m := d.Pool.Get()
-		if err := m.Append(data); err != nil {
+		if err := m.Append(d.region.Buf(d.rxBufOff(slot), len(frame))); err != nil {
 			return
 		}
 		if d.Up != nil {

@@ -71,6 +71,28 @@ func TestMinimumFramePadding(t *testing.T) {
 	}
 }
 
+// TestPadZeroedOverPreviousFrame: a short frame sent from a transmit
+// buffer that last held a longer frame goes out with a zero pad, not the
+// longer frame's tail.
+func TestPadZeroedOverPreviousFrame(t *testing.T) {
+	a, _, sink, q := pair(t, true)
+	for i := 0; i <= ringSize; i++ {
+		frame := bytes.Repeat([]byte{0xFF}, 2*wire.EthMinFrame)
+		if i == ringSize { // back in slot 0
+			frame = []byte{1, 2, 3}
+		}
+		a.H.BeginEvent(nil)
+		if err := a.Transmit(xkernel.NewMsgData(a.H.Alloc, frame)); err != nil {
+			t.Fatal(err)
+		}
+		q.Run(10)
+	}
+	want := append([]byte{1, 2, 3}, make([]byte, wire.EthMinFrame-3)...)
+	if got := sink.frames[ringSize]; !bytes.Equal(got, want) {
+		t.Fatalf("short frame after a long one in the same slot: % x", got)
+	}
+}
+
 func TestOversizedFrameRejected(t *testing.T) {
 	a, _, _, _ := pair(t, true)
 	a.H.BeginEvent(nil)

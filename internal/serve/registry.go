@@ -11,21 +11,6 @@ import (
 	"repro/internal/protocols/recovery"
 )
 
-// Env carries how a study executes, never what it computes: nothing in it
-// enters the fingerprint or changes a document's bytes.
-type Env struct {
-	// EventBudget overrides the per-sample simulation watchdog (0 =
-	// library default).
-	EventBudget int
-}
-
-// Output is what a study yields.
-type Output struct {
-	// Doc is the study's document, its manifest complete but for the
-	// checkout identity (git_describe), which the shell stamps.
-	Doc *obs.Document
-}
-
 // An entry is one kind of study: the parameters it reads, how it computes
 // its document and how it renders that document as text.
 type entry struct {
@@ -36,12 +21,13 @@ type entry struct {
 	// of them canonicalizes a valid value to the default. A trailing "?"
 	// keeps a parameter off the command while it holds its default.
 	params []string
-	// run computes the study into out.Doc, which already holds the
-	// manifest; a kind whose measurement shape is not the quality preset
+	// run computes the study into doc, which already holds the manifest;
+	// budget overrides the per-sample simulation watchdog (0 = library
+	// default). A kind whose measurement shape is not the quality preset
 	// records the shape it ran in the manifest's quality block. run and
 	// lint still carry the preset: perfbench/reference.txt pins the bytes
 	// of both documents.
-	run func(ctx context.Context, s Spec, env Env, out *Output) error
+	run func(ctx context.Context, s Spec, budget int, doc *obs.Document) error
 	// text renders the report from the document and its manifest alone.
 	text func(*obs.Document) string
 }
@@ -93,19 +79,22 @@ func lookup(kind string) *entry {
 	return nil
 }
 
-// Run computes the study a spec describes. The spec is normalized and
-// validated first, so an invalid one fails with a *SpecError before any
-// work starts.
-func Run(ctx context.Context, spec Spec, env Env) (*Output, error) {
+// Run computes the document of the study a spec describes, its manifest
+// complete but for the checkout identity (git_describe), which the shell
+// stamps. The spec is normalized and validated first, so an invalid one
+// fails with a *SpecError before any work starts. eventBudget overrides
+// the per-sample simulation watchdog (0 = library default); it never
+// changes a document's bytes and does not enter the fingerprint.
+func Run(ctx context.Context, spec Spec, eventBudget int) (*obs.Document, error) {
 	spec = spec.Normalized()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	out := &Output{Doc: &obs.Document{Manifest: core.NewManifest(spec.command(), spec.Seed, spec.quality())}}
-	if err := lookup(spec.Kind).run(ctx, spec, env, out); err != nil {
+	doc := &obs.Document{Manifest: core.NewManifest(spec.command(), spec.Seed, spec.quality())}
+	if err := lookup(spec.Kind).run(ctx, spec, eventBudget, doc); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return doc, nil
 }
 
 // Text renders the report of a registered kind from its document: the
@@ -124,8 +113,8 @@ var (
 )
 
 // shape records in the manifest the measurement shape a study ran.
-func (out *Output) shape(q core.Quality) {
-	out.Doc.Manifest.Quality = q.Doc()
+func shape(doc *obs.Document, q core.Quality) {
+	doc.Manifest.Quality = q.Doc()
 }
 
 // rpcShape records in doc's manifest the sample count q.Apply gave the
@@ -139,7 +128,7 @@ func rpcShape(doc *obs.Document, q core.Quality) {
 // The entries' run functions receive specs Run has validated, so
 // re-parsing a validated field cannot fail.
 
-func runOne(ctx context.Context, s Spec, env Env, out *Output) error {
+func runOne(ctx context.Context, s Spec, budget int, doc *obs.Document) error {
 	ver, _ := s.version()
 	rk, _ := recovery.ParseKind(s.Policy)
 	q := s.quality()
@@ -147,13 +136,13 @@ func runOne(ctx context.Context, s Spec, env Env, out *Output) error {
 	cfg.Warmup, cfg.Measured, cfg.Samples = q.Warmup, q.Measured, s.Samples
 	cfg.UseClassifier = s.Classifier
 	cfg.Recovery = rk
-	cfg.EventBudget = env.EventBudget
+	cfg.EventBudget = budget
 	cfg.Profile = true // observation-only: the text is identical unprofiled
 	res, err := core.RunCtx(ctx, cfg)
 	if err != nil {
 		return err
 	}
-	out.Doc.Runs = []obs.Run{core.RunDoc(res)}
+	doc.Runs = []obs.Run{core.RunDoc(res)}
 	return nil
 }
 
@@ -187,18 +176,18 @@ func sweeps(ctx context.Context, q core.Quality, doc *obs.Document) (tcpip, rpc 
 	return tcpip, rpc, nil
 }
 
-func runTable(ctx context.Context, s Spec, env Env, out *Output) error {
+func runTable(ctx context.Context, s Spec, budget int, doc *obs.Document) error {
 	q := s.quality()
 	if s.Table <= 3 {
 		t, err := measuredTables[s.Table-1](q)
-		out.Doc.Tables = []obs.Table{t}
+		doc.Tables = []obs.Table{t}
 		return err
 	}
-	tcpip, rpc, err := sweeps(ctx, q, out.Doc)
+	tcpip, rpc, err := sweeps(ctx, q, doc)
 	if err != nil {
 		return err
 	}
-	out.Doc.Tables = sweepTables[max(s.Table-5, 0)](tcpip, rpc)
+	doc.Tables = sweepTables[max(s.Table-5, 0)](tcpip, rpc)
 	return nil
 }
 
@@ -212,45 +201,45 @@ var figures = []struct {
 }
 
 // figure renders Figure n (1-based) into the document.
-func (out *Output) figure(n int) error {
+func figure(doc *obs.Document, n int) error {
 	f := figures[n-1]
 	t, err := f.render()
-	out.Doc.Figures = append(out.Doc.Figures, obs.Figure{Name: f.name, Title: f.title, Text: t})
+	doc.Figures = append(doc.Figures, obs.Figure{Name: f.name, Title: f.title, Text: t})
 	return err
 }
 
-func runFigure(ctx context.Context, s Spec, env Env, out *Output) error {
-	out.shape(core.Quality{})
-	return out.figure(s.Table)
+func runFigure(ctx context.Context, s Spec, budget int, doc *obs.Document) error {
+	shape(doc, core.Quality{})
+	return figure(doc, s.Table)
 }
 
 // runAll is the full evaluation report: both figures, tables 1..3 and the
 // version sweeps behind tables 4..9.
-func runAll(ctx context.Context, s Spec, env Env, out *Output) error {
+func runAll(ctx context.Context, s Spec, budget int, doc *obs.Document) error {
 	q := s.quality()
 	for _, t := range measuredTables {
 		data, err := t(q)
 		if err != nil {
 			return err
 		}
-		out.Doc.Tables = append(out.Doc.Tables, data)
+		doc.Tables = append(doc.Tables, data)
 	}
-	tcpip, rpc, err := sweeps(ctx, q, out.Doc)
+	tcpip, rpc, err := sweeps(ctx, q, doc)
 	if err != nil {
 		return err
 	}
 	for _, t := range sweepTables {
-		out.Doc.Tables = append(out.Doc.Tables, t(tcpip, rpc)...)
+		doc.Tables = append(doc.Tables, t(tcpip, rpc)...)
 	}
 	for n := 1; n <= len(figures); n++ {
-		if err := out.figure(n); err != nil {
+		if err := figure(doc, n); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func runFaults(ctx context.Context, s Spec, env Env, out *Output) error {
+func runFaults(ctx context.Context, s Spec, budget int, doc *obs.Document) error {
 	cfg := core.DefaultFaultStudy(s.stackKind(), s.Seed)
 	if s.Quality != "paper" {
 		cfg.Quality = faultQuickQuality
@@ -258,7 +247,7 @@ func runFaults(ctx context.Context, s Spec, env Env, out *Output) error {
 	if r := s.rates(); r != nil {
 		cfg.Rates = r
 	}
-	cfg.EventBudget = env.EventBudget
+	cfg.EventBudget = budget
 	cells, err := core.FaultStudyCtx(ctx, cfg)
 	if err != nil {
 		return err
@@ -267,36 +256,36 @@ func runFaults(ctx context.Context, s Spec, env Env, out *Output) error {
 	if err != nil {
 		return err
 	}
-	out.shape(cfg.Quality)
-	out.Doc.FaultStudy = core.FaultStudyDocOf(cfg, cells)
-	out.Doc.FaultStudy.Recovery = core.RecoveryDocOf(rcells)
+	shape(doc, cfg.Quality)
+	doc.FaultStudy = core.FaultStudyDocOf(cfg, cells)
+	doc.FaultStudy.Recovery = core.RecoveryDocOf(rcells)
 	return nil
 }
 
-func runLint(ctx context.Context, s Spec, env Env, out *Output) error {
+func runLint(ctx context.Context, s Spec, budget int, doc *obs.Document) error {
 	kind := s.stackKind()
 	cells, err := core.LintStudy(kind, core.Bipartite)
 	if err != nil {
 		return err
 	}
-	out.Doc.Verify = core.LintStudyDocOf(kind, core.Bipartite, cells)
+	doc.Verify = core.LintStudyDocOf(kind, core.Bipartite, cells)
 	return nil
 }
 
-func runProfile(ctx context.Context, s Spec, env Env, out *Output) error {
+func runProfile(ctx context.Context, s Spec, budget int, doc *obs.Document) error {
 	t, results, err := core.ProfileReportCtx(ctx, s.stackKind(), s.quality(), s.Top)
 	if err != nil {
 		return err
 	}
-	out.Doc.Runs = core.RunsDoc(results)
+	doc.Runs = core.RunsDoc(results)
 	if s.stackKind() == core.StackRPC {
-		rpcShape(out.Doc, s.quality())
+		rpcShape(doc, s.quality())
 	}
-	out.Doc.Figures = []obs.Figure{{Name: "profile", Title: "Per-function mCPI attribution", Text: t}}
+	doc.Figures = []obs.Figure{{Name: "profile", Title: "Per-function mCPI attribution", Text: t}}
 	return nil
 }
 
-func runMachines(ctx context.Context, s Spec, env Env, out *Output) error {
+func runMachines(ctx context.Context, s Spec, budget int, doc *obs.Document) error {
 	cfg := core.DefaultMachineStudy(s.stackKind(), s.Seed)
 	cfg.Models, _ = machines.Select(s.Models)
 	if s.Quality == "paper" {
@@ -305,17 +294,17 @@ func runMachines(ctx context.Context, s Spec, env Env, out *Output) error {
 	if r := s.rates(); r != nil {
 		cfg.Rates = r
 	}
-	cfg.EventBudget = env.EventBudget
+	cfg.EventBudget = budget
 	cells, err := core.MachineStudyCtx(ctx, cfg)
 	if err != nil {
 		return err
 	}
-	out.shape(cfg.Quality)
-	out.Doc.Machines = core.MachineStudyDocOf(cfg, cells)
+	shape(doc, cfg.Quality)
+	doc.Machines = core.MachineStudyDocOf(cfg, cells)
 	return nil
 }
 
-func runOptimize(ctx context.Context, s Spec, env Env, out *Output) error {
+func runOptimize(ctx context.Context, s Spec, budget int, doc *obs.Document) error {
 	cfg := optimize.Default(s.stackKind(), s.Seed)
 	cfg.Models, _ = machines.Select(s.Models)
 	cfg.Budget = s.Budget
@@ -325,13 +314,13 @@ func runOptimize(ctx context.Context, s Spec, env Env, out *Output) error {
 	if s.Quality == "paper" {
 		cfg.Quality = studyPaperQuality
 	}
-	cfg.EventBudget = env.EventBudget
+	cfg.EventBudget = budget
 	results, err := optimize.RunCtx(ctx, cfg)
 	if err != nil {
 		return err
 	}
-	out.shape(cfg.Quality)
-	out.Doc.Optimize = optimize.DocOf(cfg, results)
+	shape(doc, cfg.Quality)
+	doc.Optimize = optimize.DocOf(cfg, results)
 	return nil
 }
 
@@ -341,27 +330,27 @@ const (
 	multiconnRoundtrips                   = 32
 )
 
-// table stores the one table a study yields.
-func (out *Output) table(t obs.Table, err error) error {
-	out.Doc.Tables = []obs.Table{t}
+func runThroughput(ctx context.Context, s Spec, budget int, doc *obs.Document) error {
+	// One transfer per version, every segment timed.
+	shape(doc, core.Quality{Measured: throughputSegments, Samples: 1})
+	t, err := core.ThroughputTable(throughputSegments, throughputPayload)
+	doc.Tables = []obs.Table{t}
 	return err
 }
 
-func runThroughput(ctx context.Context, s Spec, env Env, out *Output) error {
-	// One transfer per version, every segment timed.
-	out.shape(core.Quality{Measured: throughputSegments, Samples: 1})
-	return out.table(core.ThroughputTable(throughputSegments, throughputPayload))
-}
-
-func runMultiConn(ctx context.Context, s Spec, env Env, out *Output) error {
+func runMultiConn(ctx context.Context, s Spec, budget int, doc *obs.Document) error {
 	// One run per cell; Te averages the second half of the roundtrips.
-	out.shape(core.Quality{Warmup: multiconnRoundtrips / 2, Measured: multiconnRoundtrips / 2, Samples: 1})
-	return out.table(core.MultiConnectionTable(multiconnRoundtrips))
+	shape(doc, core.Quality{Warmup: multiconnRoundtrips / 2, Measured: multiconnRoundtrips / 2, Samples: 1})
+	t, err := core.MultiConnectionTable(multiconnRoundtrips)
+	doc.Tables = []obs.Table{t}
+	return err
 }
 
-func runSensitivity(ctx context.Context, s Spec, env Env, out *Output) error {
+func runSensitivity(ctx context.Context, s Spec, budget int, doc *obs.Document) error {
 	// One sample per (machine, version) cell of the machine study.
 	q := s.quality()
-	out.shape(core.Quality{Warmup: q.Warmup, Measured: q.Measured, Samples: 1})
-	return out.table(core.Sensitivity(ctx, s.stackKind(), s.Sweep, q))
+	shape(doc, core.Quality{Warmup: q.Warmup, Measured: q.Measured, Samples: 1})
+	t, err := core.Sensitivity(ctx, s.stackKind(), s.Sweep, q)
+	doc.Tables = []obs.Table{t}
+	return err
 }

@@ -74,13 +74,13 @@ func TestManifestCommand(t *testing.T) {
 // print.
 func TestManifestRecordsShape(t *testing.T) {
 	for _, s := range []Spec{{Kind: "machines", Models: "dec3000"}, {Kind: "faults", Rates: "0"}} {
-		out, err := Run(context.Background(), s, Env{})
+		doc, err := Run(context.Background(), s, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := out.Doc.Manifest.Quality
+		q := doc.Manifest.Quality
 		want := fmt.Sprintf("Quality: %d warmup + %d measured roundtrips, %d sample(s) per cell.", q.Warmup, q.Measured, q.Samples)
-		if !slices.Contains(strings.Split(Text(s.Kind, out.Doc), "\n"), want) {
+		if !slices.Contains(strings.Split(Text(s.Kind, doc), "\n"), want) {
 			t.Errorf("%s report lacks the manifest's %q", s.Kind, want)
 		}
 	}
@@ -96,12 +96,12 @@ func TestClassifierIsSemantic(t *testing.T) {
 	}
 	var te [2]float64
 	for i, s := range []Spec{plain, charged} {
-		out, err := Run(context.Background(), s, Env{})
+		doc, err := Run(context.Background(), s, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		te[i] = out.Doc.Runs[0].TeMeanUS
-		if got, want := out.Doc.Manifest.Command, s.Normalized().command(); got != want {
+		te[i] = doc.Runs[0].TeMeanUS
+		if got, want := doc.Manifest.Command, s.Normalized().command(); got != want {
 			t.Fatalf("manifest command %q, want %q", got, want)
 		}
 	}

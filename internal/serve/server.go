@@ -294,12 +294,12 @@ func (s *Server) buildWatched(ctx context.Context, cancel context.CancelFunc, j 
 // same call the protolat CLI makes for -json, so the two are
 // byte-identical by construction.
 func (s *Server) buildDocument(ctx context.Context, spec Spec) (*obs.Document, error) {
-	out, err := Run(ctx, spec, Env{EventBudget: s.cfg.EventBudget})
+	doc, err := Run(ctx, spec, s.cfg.EventBudget)
 	if err != nil {
 		return nil, err
 	}
-	out.Doc.Manifest.GitDescribe = s.cfg.GitDescribe
-	return out.Doc, nil
+	doc.Manifest.GitDescribe = s.cfg.GitDescribe
+	return doc, nil
 }
 
 // classify maps a job failure to its HTTP status and machine-readable

@@ -38,12 +38,12 @@ func schemaOneEnvelope(t *testing.T, fp string, doc []byte) []byte {
 // does before storing it.
 func studyBytes(t *testing.T, spec Spec) []byte {
 	t.Helper()
-	out, err := Run(context.Background(), spec, Env{})
+	doc, err := Run(context.Background(), spec, 0)
 	if err != nil {
 		t.Fatalf("Run %+v: %v", spec, err)
 	}
-	out.Doc.Manifest.GitDescribe = "test-checkout"
-	b, err := out.Doc.Marshal()
+	doc.Manifest.GitDescribe = "test-checkout"
+	b, err := doc.Marshal()
 	if err != nil {
 		t.Fatalf("marshal %+v: %v", spec, err)
 	}

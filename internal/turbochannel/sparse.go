@@ -6,7 +6,10 @@
 // are followed by a 16-byte gap (§2.2.4).
 package turbochannel
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // SparseBase is the virtual address of the shared window. Its b-cache
 // offset (0x150000) avoids the static-data, heap, and stack regions.
@@ -16,15 +19,37 @@ const SparseBase = 0x0115_0000
 // payload bytes the way driver code thinks about them; the Addr methods
 // translate to the sparse virtual addresses the hardware actually decodes,
 // which is what the d-cache simulation sees.
+//
+// A region's dense bytes are recycled: Release hands them to a pool that
+// the next NewRegion draws from, clearing them first, so a region built
+// from recycled bytes is indistinguishable from a fresh one. The pool is
+// emptied by the garbage collector and has no cap.
 type Region struct {
 	base  uint64
 	dense []byte
 }
 
-// NewRegion allocates a region holding denseBytes of payload at the given
-// virtual base address.
+// denseBufs holds Released regions' dense bytes (*[]byte).
+var denseBufs sync.Pool
+
+// NewRegion returns a zeroed region holding denseBytes of payload at the
+// given virtual base address, reusing the bytes of a Released region when
+// one is large enough.
 func NewRegion(base uint64, denseBytes int) *Region {
+	if b, _ := denseBufs.Get().(*[]byte); b != nil && cap(*b) >= denseBytes {
+		dense := (*b)[:denseBytes]
+		clear(dense)
+		return &Region{base: base, dense: dense}
+	}
 	return &Region{base: base, dense: make([]byte, denseBytes)}
+}
+
+// Release hands the region's dense bytes back for a later NewRegion to
+// reuse. The region must not be used afterwards: its accessors fail.
+func (r *Region) Release() {
+	b := r.dense
+	r.dense = nil
+	denseBufs.Put(&b)
 }
 
 // Base returns the region's virtual base address.
@@ -64,6 +89,11 @@ func (r *Region) ReadBuf(off, n int) []byte {
 	copy(out, r.dense[off:off+n])
 	return out
 }
+
+// Buf returns the n payload bytes starting at dense offset off, aliased:
+// writes through it land in the region, and it stays valid only until the
+// region is Released.
+func (r *Region) Buf(off, n int) []byte { return r.dense[off : off+n] }
 
 // WriteBuf stores payload bytes at dense offset off.
 func (r *Region) WriteBuf(off int, data []byte) {

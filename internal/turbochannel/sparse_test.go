@@ -1,6 +1,7 @@
 package turbochannel
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -77,5 +78,24 @@ func TestString(t *testing.T) {
 	r := NewRegion(SparseBase, 16)
 	if r.String() == "" || r.Base() != SparseBase || r.DenseLen() != 16 {
 		t.Fatal("accessors")
+	}
+}
+
+// TestReleasedRegionComesBackZeroed: a region built on the bytes of a
+// Released one, of the same size or smaller, reads all zero, and a
+// request larger than anything pooled still gets its full size.
+func TestReleasedRegionComesBackZeroed(t *testing.T) {
+	for _, n := range []int{256, 100, 4096} {
+		dirty := NewRegion(SparseBase, 256)
+		dirty.WriteBuf(0, bytes.Repeat([]byte{0xA5}, 256))
+		dirty.Release()
+		r := NewRegion(SparseBase+64, n)
+		if r.DenseLen() != n || r.Base() != SparseBase+64 {
+			t.Fatalf("size %d: got %v", n, r)
+		}
+		if got := r.ReadBuf(0, n); !bytes.Equal(got, make([]byte, n)) {
+			t.Fatalf("size %d: recycled region is not zeroed", n)
+		}
+		r.Release()
 	}
 }

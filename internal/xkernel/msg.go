@@ -3,6 +3,7 @@ package xkernel
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // Msg is the x-kernel message tool: a byte buffer with headroom so that
@@ -39,9 +40,15 @@ const defaultHeadroom = 128
 // NewMsg allocates a message able to carry payload of n bytes below a full
 // header stack.
 func NewMsg(a *Allocator, n int) *Msg {
-	size := defaultHeadroom + n
+	return newMsg(a, make([]byte, defaultHeadroom+n))
+}
+
+// newMsg builds a message over buf, which must be zeroed and hold
+// defaultHeadroom plus the payload capacity.
+func newMsg(a *Allocator, buf []byte) *Msg {
+	size := len(buf)
 	m := &Msg{
-		buf:   make([]byte, size),
+		buf:   buf,
 		off:   defaultHeadroom,
 		end:   defaultHeadroom,
 		refs:  1,
@@ -166,6 +173,14 @@ func (m *Msg) String() string {
 // buffer was destroyed and a fresh one allocated; the improved code detects
 // the common case — the shepherded message holds the last reference — and
 // recycles the buffer without touching malloc/free.
+//
+// Apart from that simulated recycling, the Go byte buffers behind a pool's
+// messages are recycled between pools: Release hands the buffers of the
+// messages on the free list to a process-wide pool, and every buffer a
+// Pool allocates comes from there when one is large enough, cleared
+// first. A message that has left the pool (in flight, or held for
+// retransmission) is never recycled, and the simulated allocator calls,
+// addresses and Mallocs/Frees counts are those of fresh buffers.
 type Pool struct {
 	alloc   *Allocator
 	payload int
@@ -184,10 +199,36 @@ type Pool struct {
 func NewPool(a *Allocator, payload, count int) *Pool {
 	p := &Pool{alloc: a, payload: payload}
 	for i := 0; i < count; i++ {
-		p.Mallocs++
-		p.freeMsg = append(p.freeMsg, NewMsg(a, payload))
+		p.freeMsg = append(p.freeMsg, p.allocMsg())
 	}
 	return p
+}
+
+// msgBufs holds the Go buffers (*[]byte) of Released pools' messages.
+var msgBufs sync.Pool
+
+// allocMsg allocates a pool message, on a recycled buffer when one fits.
+func (p *Pool) allocMsg() *Msg {
+	p.Mallocs++
+	size := defaultHeadroom + p.payload
+	if b, _ := msgBufs.Get().(*[]byte); b != nil && cap(*b) >= size {
+		buf := (*b)[:size]
+		clear(buf)
+		return newMsg(p.alloc, buf)
+	}
+	return NewMsg(p.alloc, p.payload)
+}
+
+// Release hands the buffers of the messages on the free list back for a
+// later pool to reuse. Neither the pool nor those messages may be used
+// afterwards: the messages read as destroyed.
+func (p *Pool) Release() {
+	for _, m := range p.freeMsg {
+		b := m.buf
+		m.buf, m.refs = nil, 0
+		msgBufs.Put(&b)
+	}
+	p.freeMsg = nil
 }
 
 // Get takes a buffer from the pool (allocating if empty, as the x-kernel
@@ -198,8 +239,7 @@ func (p *Pool) Get() *Msg {
 		p.freeMsg = p.freeMsg[:n-1]
 		return m
 	}
-	p.Mallocs++
-	return NewMsg(p.alloc, p.payload)
+	return p.allocMsg()
 }
 
 // Refresh returns a ready-to-use buffer to the pool after protocol
@@ -218,7 +258,6 @@ func (p *Pool) Refresh(m *Msg) bool {
 	if m.Destroy() {
 		p.Frees++
 	}
-	p.Mallocs++
-	p.freeMsg = append(p.freeMsg, NewMsg(p.alloc, p.payload))
+	p.freeMsg = append(p.freeMsg, p.allocMsg())
 	return false
 }

@@ -21,8 +21,8 @@
 // the experiment daemon compute it — a document, whose text report is a
 // function of the document alone:
 //
-//	out, err := repro.RunSpec(ctx, repro.Spec{Kind: "table", Table: 4}, repro.Env{})
-//	fmt.Println(repro.Text("table", out.Doc))
+//	doc, err := repro.RunSpec(ctx, repro.Spec{Kind: "table", Table: 4})
+//	fmt.Println(repro.Text("table", doc))
 //
 // The building blocks (machine simulator, object-code models, layout
 // engine, protocol implementations) live under internal/; this package
@@ -103,18 +103,14 @@ func SetParallelism(n int) { core.SetParallelism(n) }
 type (
 	// Spec is one experiment request, the POST /v1/experiments body.
 	Spec = serve.Spec
-	// Env carries execution details that never change a document.
-	Env = serve.Env
-	// Output is a study's document.
-	Output = serve.Output
 	// SpecError reports an invalid spec field.
 	SpecError = serve.SpecError
 )
 
-// RunSpec computes the study a spec describes; an invalid spec fails with
-// a *SpecError before any work starts.
-func RunSpec(ctx context.Context, spec Spec, env Env) (*Output, error) {
-	return serve.Run(ctx, spec, env)
+// RunSpec computes the document of the study a spec describes; an invalid
+// spec fails with a *SpecError before any work starts.
+func RunSpec(ctx context.Context, spec Spec) (*obs.Document, error) {
+	return serve.Run(ctx, spec, 0)
 }
 
 // Text renders a registered kind's text report from its document.

@@ -32,14 +32,14 @@ func TestVersionsOrder(t *testing.T) {
 // text report, failing the test on error or a missing document.
 func runText(t *testing.T, spec Spec) string {
 	t.Helper()
-	out, err := RunSpec(context.Background(), spec, Env{})
+	doc, err := RunSpec(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("%+v: %v", spec, err)
 	}
-	if out.Doc == nil {
+	if doc == nil {
 		t.Fatalf("%+v: no document", spec)
 	}
-	return Text(spec.Kind, out.Doc)
+	return Text(spec.Kind, doc)
 }
 
 func TestTableRenderersProduceOutput(t *testing.T) {
