@@ -15,7 +15,6 @@
 //	protolat -sensitivity cache                   # i-cache size sweep
 //	protolat -faults -seed 7                      # fault-injection study
 //	protolat -faults -rates 0,0.05 -stack rpc     # custom rates / RPC stack
-//	protolat -stack tcpip -policy adaptive        # adaptive recovery timers
 //	protolat -profile -top 8                      # per-function mCPI attribution
 //	protolat -lint                                # static layout lint, no simulation
 //	protolat -optimize dec3000 -seed 1            # search placements vs the hand ALL layout
@@ -86,7 +85,6 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.StringVar(&o.sensitivity, "sensitivity", "", "run a sensitivity sweep: cache, machine, or assoc")
 	fs.BoolVar(&o.multiconn, "multiconn", false, "run the connection-time cloning experiment")
 	fs.BoolVar(&o.faults, "faults", false, "run the fault-injection study (degraded-path latency per layout strategy)")
-	fs.StringVar(&s.Policy, "policy", "", "recovery policy for -stack runs: fixed (default) or adaptive")
 	fs.Uint64Var(&s.Seed, "seed", 1, "deterministic seed for -faults, -machines and -optimize; same seed = byte-identical report at any -parallel")
 	fs.StringVar(&s.Rates, "rates", "", "comma-separated fault rates for -faults (default 0,0.02,0.05,0.10) and -machines (default 0)")
 	fs.StringVar(&o.machines, "machines", "", "run the machine-matrix study on these models: \"all\", a comma-separated list of names, or \"list\" to print the matrix")

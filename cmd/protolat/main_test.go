@@ -62,8 +62,8 @@ type kindCase struct {
 // kindCases holds, for every registry kind, a small quick-quality CLI
 // invocation and the spec a daemon client would send for it.
 var kindCases = map[string]kindCase{
-	"run": {[]string{"-stack", "rpc", "-version", "pin", "-samples", "1", "-classifier", "-policy", "adaptive"},
-		repro.Spec{Kind: "run", Stack: "rpc", Version: "PIN", Samples: 1, Classifier: true, Policy: "adaptive"}},
+	"run": {[]string{"-stack", "rpc", "-version", "pin", "-samples", "1", "-classifier"},
+		repro.Spec{Kind: "run", Stack: "rpc", Version: "PIN", Samples: 1, Classifier: true}},
 	"table":  {[]string{"-table", "7"}, repro.Spec{Kind: "table", Table: 7}},
 	"figure": {[]string{"-figure", "1"}, repro.Spec{Kind: "figure", Table: 1}},
 	"all":    {nil, repro.Spec{Kind: "all"}},
@@ -158,7 +158,6 @@ func TestBadInputBothShells(t *testing.T) {
 		{"quality", []string{"-quality", "fast"}, `{"kind":"all","quality":"fast"}`},
 		{"version", []string{"-stack", "rpc", "-version", "NOPE"}, `{"kind":"run","stack":"rpc","version":"NOPE"}`},
 		{"faults stack", []string{"-faults", "-stack", "osi"}, `{"kind":"faults","stack":"osi"}`},
-		{"policy", []string{"-stack", "rpc", "-policy", "psychic"}, `{"kind":"run","stack":"rpc","policy":"psychic"}`},
 		{"table", []string{"-table", "12"}, `{"kind":"table","table":12}`},
 		{"figure", []string{"-figure", "3"}, `{"kind":"figure","table":3}`},
 		{"rates", []string{"-faults", "-rates", "0.5,2"}, `{"kind":"faults","rates":"0.5,2"}`},

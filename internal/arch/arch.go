@@ -221,11 +221,6 @@ func Future266() Machine {
 // CyclesPerMicrosecond converts between the virtual-time domains.
 func (m Machine) CyclesPerMicrosecond() float64 { return m.ClockMHz }
 
-// MicrosecondsFor converts a cycle count to microseconds on this machine.
-func (m Machine) MicrosecondsFor(cycles uint64) float64 {
-	return float64(cycles) / m.ClockMHz
-}
-
 // InstrPerBlock is the number of instructions held by one i-cache block.
 func (m Machine) InstrPerBlock() int { return m.BlockBytes / m.InstrBytes }
 

@@ -133,3 +133,8 @@ func TestOpString(t *testing.T) {
 		t.Error("out-of-range op must still stringify")
 	}
 }
+
+// MicrosecondsFor converts a cycle count to microseconds on this machine.
+func (m Machine) MicrosecondsFor(cycles uint64) float64 {
+	return float64(cycles) / m.ClockMHz
+}

@@ -82,14 +82,6 @@ func (b *Builder) ALU(n int) *Builder {
 	return b
 }
 
-// Nop emits n scheduling fillers.
-func (b *Builder) Nop(n int) *Builder {
-	for i := 0; i < n; i++ {
-		b.emit(Instr{Op: arch.OpNop})
-	}
-	return b
-}
-
 // Mul emits one integer multiply.
 func (b *Builder) Mul() *Builder { return b.emit(Instr{Op: arch.OpMul}) }
 

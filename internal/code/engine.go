@@ -67,10 +67,6 @@ func (e *Engine) CPU() *cpu.CPU { return e.cpu }
 // Program returns the program under execution.
 func (e *Engine) Program() *Program { return e.prog }
 
-// SetProgram swaps the program (used when an experiment re-links with a
-// different layout while keeping the simulated machine state).
-func (e *Engine) SetProgram(p *Program) { e.prog = p }
-
 // Run executes the named function's model under env; a nil env binds
 // nothing.
 func (e *Engine) Run(fn string, env *Binding) error {

@@ -594,9 +594,6 @@ func (p *Program) TextOrder() []TextBlock {
 // TextBase returns the base address of program text.
 func (p *Program) TextBase() uint64 { return p.textBase }
 
-// SetTextBase changes where Link starts placing text (must precede linking).
-func (p *Program) SetTextBase(addr uint64) { p.textBase = addr }
-
 // TextEnd returns the first address past all placed code.
 func (p *Program) TextEnd() uint64 { return p.textEnd }
 

@@ -87,9 +87,6 @@ func TestFaultStudyCtxPreCancelled(t *testing.T) {
 	if _, err := faultReport(ctx, cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("faultReport: err = %v, want context.Canceled", err)
 	}
-	if _, err := RecoveryComparisonCtx(ctx, StackTCPIP, 3, cfg.Quality); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RecoveryComparisonCtx: err = %v, want context.Canceled", err)
-	}
 	if _, err := RunVersionsCtx(ctx, StackTCPIP, cfg.Quality); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunVersionsCtx: err = %v, want context.Canceled", err)
 	}

@@ -16,7 +16,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/protocols/features"
-	"repro/internal/protocols/recovery"
 	"repro/internal/protocols/rpc"
 	"repro/internal/protocols/tcpip"
 	"repro/internal/protocols/wire"
@@ -50,12 +49,6 @@ type Config struct {
 	// Each sample derives its own seed from (plan seed, sample index), so
 	// parallel runs remain byte-identical to serial ones.
 	Faults *faults.Plan
-
-	// Recovery selects the transport retransmission-timer policy on both
-	// hosts (TCP RTO, or the CHAN call timer for the RPC stack). Empty
-	// means recovery.Fixed, the historical behavior; on fault-free runs
-	// every policy is cycle-identical because the timer never fires.
-	Recovery recovery.Kind
 
 	// Profile, when set, attaches a per-function attribution collector to
 	// the client over the traced path invocation, filling Sample.Profile.
@@ -237,24 +230,6 @@ func (r *Result) MCPIMean() float64 {
 	return s / float64(len(r.Samples))
 }
 
-// FaultTotals sums fault accounting over all samples.
-func (r *Result) FaultTotals() FaultStats {
-	var f FaultStats
-	for _, s := range r.Samples {
-		f.Add(s.Faults)
-	}
-	return f
-}
-
-// ICPIMean averages iCPI over samples.
-func (r *Result) ICPIMean() float64 {
-	var s float64
-	for _, x := range r.Samples {
-		s += x.ICPI
-	}
-	return s / float64(len(r.Samples))
-}
-
 // Run executes the experiment. Samples are independent — each gets its own
 // event queue, hosts and caches, and shares only the immutable linked
 // program — so they fan out over a bounded worker pool (see SetParallelism)
@@ -423,10 +398,6 @@ func buildPair(cfg Config, sampleIdx, roundtrips int) (*hostPair, error) {
 	case StackRPC:
 		client := rpc.Build(ch, link, wire.MACAddr{8, 0, 0x2b, 1, 1, 1}, 0x0a000001, 0x0a000002, cfg.Feat, false, roundtrips)
 		server := rpc.Build(sh, link, wire.MACAddr{8, 0, 0x2b, 2, 2, 2}, 0x0a000002, 0x0a000001, cfg.Feat, true, 0)
-		if cfg.Recovery != "" {
-			client.SetRecovery(cfg.Recovery)
-			server.SetRecovery(cfg.Recovery)
-		}
 		rpc.Connect(client, server)
 		hp.devs = [2]*lance.Device{client.Dev, server.Dev}
 		if cfg.UseClassifier && (cfg.Version == PIN || cfg.Version == ALL) {
@@ -450,10 +421,6 @@ func buildPair(cfg Config, sampleIdx, roundtrips int) (*hostPair, error) {
 	default:
 		client := tcpip.Build(ch, link, wire.MACAddr{8, 0, 0x2b, 1, 1, 1}, 0xc0a80001, cfg.Feat, false, roundtrips)
 		server := tcpip.Build(sh, link, wire.MACAddr{8, 0, 0x2b, 2, 2, 2}, 0xc0a80002, cfg.Feat, true, 0)
-		if cfg.Recovery != "" {
-			client.SetRecovery(cfg.Recovery)
-			server.SetRecovery(cfg.Recovery)
-		}
 		tcpip.Connect(client, server)
 		hp.devs = [2]*lance.Device{client.Dev, server.Dev}
 		if cfg.UseClassifier && (cfg.Version == PIN || cfg.Version == ALL) {

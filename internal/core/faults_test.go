@@ -22,19 +22,14 @@ func quickFaultCfg(kind StackKind) FaultStudyConfig {
 	}
 }
 
-// faultReport runs a fault study and its recovery comparison and renders
-// the report from their document, as the faults registry kind does.
+// faultReport runs a fault study and renders the report from its
+// document, as the faults registry kind does.
 func faultReport(ctx context.Context, cfg FaultStudyConfig) (string, error) {
 	cells, err := FaultStudyCtx(ctx, cfg)
 	if err != nil {
 		return "", err
 	}
-	rcells, err := RecoveryComparisonCtx(ctx, cfg.Stack, cfg.Seed, cfg.Quality)
-	if err != nil {
-		return "", err
-	}
 	doc := &obs.Document{Manifest: NewManifest("", cfg.Seed, cfg.Quality), FaultStudy: FaultStudyDocOf(cfg, cells)}
-	doc.FaultStudy.Recovery = RecoveryDocOf(rcells)
 	return RenderFaultStudy(doc), nil
 }
 

@@ -74,17 +74,12 @@ type FaultCell struct {
 	Stats FaultStats
 }
 
-// FaultStudy runs every (version, rate) cell of the study. Cells fan out
-// over the worker pool and assemble in index order; within a cell, samples
-// run serially with per-sample derived seeds, so the result is identical
-// at any parallelism.
-func FaultStudy(cfg FaultStudyConfig) ([]FaultCell, error) {
-	return FaultStudyCtx(context.Background(), cfg)
-}
-
-// FaultStudyCtx is FaultStudy with cooperative cancellation: ctx is checked
-// between cells and between the samples within a cell, so a cancelled
-// context stops the study at the next sample boundary.
+// FaultStudyCtx runs every (version, rate) cell of the study. Cells fan
+// out over the worker pool and assemble in index order; within a cell,
+// samples run serially with per-sample derived seeds, so the result is
+// identical at any parallelism. ctx is checked between cells and between
+// the samples within a cell, so a cancelled context stops the study at the
+// next sample boundary.
 func FaultStudyCtx(ctx context.Context, cfg FaultStudyConfig) ([]FaultCell, error) {
 	if len(cfg.Rates) == 0 || len(cfg.Versions) == 0 {
 		d := DefaultFaultStudy(cfg.Stack, cfg.Seed)

@@ -182,8 +182,8 @@ const faultPlanDesc = "loss r, corruption r, duplication r/2, reordering r/2"
 
 // RenderFaultStudy renders the degraded-path latency study: per strategy
 // and fault rate, mainline vs degraded roundtrip latency, the degradation
-// penalty, the injected-fault counters reconciled against the link
-// totals, and the recovery-policy comparison run alongside.
+// penalty, and the injected-fault counters reconciled against the link
+// totals.
 func RenderFaultStudy(doc *obs.Document) string {
 	fs, m := doc.FaultStudy, doc.Manifest
 	var b strings.Builder
@@ -246,15 +246,6 @@ func RenderFaultStudy(doc *obs.Document) string {
 	fmt.Fprintf(&b, "link totals (all cells): %d frames = %d delivered + %d dropped - %d duplicated; %d corrupted, %d reordered in transit\n",
 		total.Frames, total.Delivered, total.Dropped, total.Duplicated, inj.Corrupted, inj.Reordered)
 
-	b.WriteString("\nRecovery-policy comparison (ALL layout, pure Bernoulli loss, per-rate shared seeds):\n")
-	b.WriteString("policy    rate  rt(c/d)    clean p50/p99 [us]   degraded p50/p99 [us]   deg-mean[us]  rexmit  fastrx\n")
-	b.WriteString("------    ----  -------    ------------------   ---------------------  ------------  ------  ------\n")
-	for _, c := range fs.Recovery {
-		fmt.Fprintf(&b, "%-8s  %.2f  %4d/%-3d   %8.1f /%8.1f   %9.1f /%9.1f  %12.1f  %6d  %6d\n",
-			c.Policy, c.Rate, c.CleanRT, c.DegradedRT,
-			c.CleanP50US, c.CleanP99US, c.DegradedP50US, c.DegradedP99US,
-			c.DegradedMeanUS, c.Retransmits, c.FastRetransmits)
-	}
 	return b.String()
 }
 

@@ -45,20 +45,10 @@ func RunVersions(kind StackKind, q Quality) (map[Version]*Result, error) {
 	return runVersions(context.Background(), kind, q, false)
 }
 
-// RunVersionsCtx is RunVersions with cooperative cancellation: ctx is
-// consulted between version cells and between the samples within each.
-func RunVersionsCtx(ctx context.Context, kind StackKind, q Quality) (map[Version]*Result, error) {
-	return runVersions(ctx, kind, q, false)
-}
-
-// RunVersionsProfiled is RunVersions with per-function attribution
-// enabled: each result's first sample carries a Profile.
-func RunVersionsProfiled(kind StackKind, q Quality) (map[Version]*Result, error) {
-	return runVersions(context.Background(), kind, q, true)
-}
-
-// RunVersionsProfiledCtx is RunVersionsProfiled with cooperative
-// cancellation (see RunVersionsCtx).
+// RunVersionsProfiledCtx is RunVersions with per-function attribution
+// enabled, so each result's first sample carries a Profile, and with
+// cooperative cancellation: ctx is consulted between version cells and
+// between the samples within each.
 func RunVersionsProfiledCtx(ctx context.Context, kind StackKind, q Quality) (map[Version]*Result, error) {
 	return runVersions(ctx, kind, q, true)
 }

@@ -445,3 +445,25 @@ func TestCloneForConnectionsRejectsBadInput(t *testing.T) {
 		t.Fatal("bad spec accepted")
 	}
 }
+
+// OutlineStats reports, for the given functions (all functions if names is
+// nil), how many instructions sit in outlinable blocks versus in total —
+// the "34% of the code could be outlined" measure of Table 9.
+func OutlineStats(p *code.Program, names []string) (outlined, total int) {
+	if names == nil {
+		names = p.Names()
+	}
+	for _, n := range names {
+		f := p.Func(n)
+		if f == nil {
+			continue
+		}
+		total += f.StaticInstrs()
+		outlined += f.StaticInstrs() - f.MainlineInstrs()
+	}
+	return outlined, total
+}
+
+// Gaps reports the bytes of padding a stripe allocator introduced; exposed
+// for tests and layout diagnostics.
+func (a *stripeAlloc) Gaps() uint64 { return a.gaps }

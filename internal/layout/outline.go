@@ -37,24 +37,6 @@ func Outline(p *code.Program) *code.Program {
 	return q
 }
 
-// OutlineStats reports, for the given functions (all functions if names is
-// nil), how many instructions sit in outlinable blocks versus in total —
-// the "34% of the code could be outlined" measure of Table 9.
-func OutlineStats(p *code.Program, names []string) (outlined, total int) {
-	if names == nil {
-		names = p.Names()
-	}
-	for _, n := range names {
-		f := p.Func(n)
-		if f == nil {
-			continue
-		}
-		total += f.StaticInstrs()
-		outlined += f.StaticInstrs() - f.MainlineInstrs()
-	}
-	return outlined, total
-}
-
 // Spec names the functions participating in a cloned layout: the path
 // functions in invocation order and the library functions in first-use
 // order. Functions of the program not listed are placed after the cloned

@@ -203,10 +203,6 @@ func Bad(p *code.Program, s Spec, m arch.Machine) (*code.Program, error) {
 	return q, nil
 }
 
-// Gaps reports the bytes of padding a stripe allocator introduced; exposed
-// for tests and layout diagnostics.
-func (a *stripeAlloc) Gaps() uint64 { return a.gaps }
-
 // placeSegments packs a function's hot blocks into this allocator's
 // partition, splitting across stripes when the blocks do not fit the
 // remaining room (the split costs one explicit branch, materialized by the

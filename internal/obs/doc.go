@@ -211,25 +211,8 @@ type RecoveryDoc struct {
 	Aborts         int `json:"aborts"`
 	ChecksumErrors int `json:"checksum_errors"`
 	// FastRetransmits counts duplicate-ACK-triggered TCP retransmissions
-	// (0 for timer-only policies and for the RPC stack).
+	// (0 for the RPC stack).
 	FastRetransmits int `json:"fast_retransmits,omitempty"`
-}
-
-// RecoveryCellDoc is one (policy, rate) cell of the recovery-policy
-// comparison: tail latencies of the clean and degraded roundtrip
-// populations under a pure Bernoulli loss plan shared across policies.
-type RecoveryCellDoc struct {
-	Policy          string  `json:"policy"`
-	Rate            float64 `json:"rate"`
-	CleanRT         int     `json:"clean_rt"`
-	DegradedRT      int     `json:"degraded_rt"`
-	CleanP50US      float64 `json:"clean_p50_us"`
-	CleanP99US      float64 `json:"clean_p99_us"`
-	DegradedP50US   float64 `json:"degraded_p50_us"`
-	DegradedP99US   float64 `json:"degraded_p99_us"`
-	DegradedMeanUS  float64 `json:"degraded_mean_us"`
-	Retransmits     int     `json:"retransmits"`
-	FastRetransmits int     `json:"fast_retransmits"`
 }
 
 // FaultCellDoc is one (version, rate) cell of the fault study, with the
@@ -253,9 +236,6 @@ type FaultCellDoc struct {
 type FaultStudyDoc struct {
 	Stack string         `json:"stack"`
 	Cells []FaultCellDoc `json:"cells"`
-	// Recovery, when present, is the fixed-vs-adaptive retransmission
-	// policy comparison run alongside the study.
-	Recovery []RecoveryCellDoc `json:"recovery,omitempty"`
 }
 
 // ServeStatsDoc is the daemon-health section of a document: the lifetime

@@ -81,8 +81,7 @@ type Config struct {
 	// default.
 	EventBudget int
 	// Weights overrides the per-function fetch-frequency weights of the
-	// cost objective. Nil selects the micro-positioning usage hints;
-	// WeightsFromProfile derives a map from a dynamic profile document.
+	// cost objective. Nil selects the micro-positioning usage hints.
 	Weights map[string]float64
 }
 

@@ -118,3 +118,22 @@ func TestWeightsFromProfile(t *testing.T) {
 		t.Fatal("nil profile produced weights")
 	}
 }
+
+// WeightsFromProfile derives the cost engine's per-function frequency
+// weights from a dynamic profile: each profiled function weighs its call
+// count (functions the profile never saw keep weight 1). This is the
+// "seeded from an obs profile" mode — run protolat -profile once, feed the
+// document back, and the search optimizes for the measured frequencies
+// instead of the static usage hints.
+func WeightsFromProfile(p *obs.Profile) map[string]float64 {
+	w := map[string]float64{}
+	if p == nil {
+		return w
+	}
+	for name, fs := range p.Funcs {
+		if fs.Calls > 0 {
+			w[name] = float64(fs.Calls)
+		}
+	}
+	return w
+}

@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"repro/internal/netsim"
-	"repro/internal/protocols/recovery"
 	"repro/internal/protocols/tcpip"
 	"repro/internal/protocols/wire"
 	"repro/internal/xkernel"
@@ -336,41 +335,12 @@ type Chan struct {
 
 	channels map[uint32]*Channel
 
-	// RetransTimeoutCycles is the request retransmission timeout (the
-	// fixed policy's constant value and the adaptive policy's pre-sample
-	// starting point). Channels capture it at creation.
+	// RetransTimeoutCycles is the constant per-call request
+	// retransmission timeout (no backoff).
 	RetransTimeoutCycles uint64
-
-	// Policy selects the per-channel retransmission-timer policy; nil
-	// means the historical fixed (non-backoff) timeout.
-	Policy recovery.Policy
 
 	// Stats.
 	Calls, Replies, Retransmits, DupRequests int
-}
-
-// chanAdaptiveMinRTO floors CHAN's adaptive RTO at 2 ms, several times
-// the worst simulated call roundtrip, so a converged estimator cannot
-// retransmit into a healthy exchange.
-const chanAdaptiveMinRTO = 2_000 * netsim.CyclesPerMicrosecond
-
-// ChanPolicyFor maps a recovery kind to CHAN's parameterization of it:
-// fixed is the historical constant per-call timeout; adaptive is the
-// Jacobson/Karn estimator with exponential backoff clamped to
-// [2 ms, base] — an adaptive channel never waits longer than a fixed one.
-func ChanPolicyFor(kind recovery.Kind, base uint64) recovery.Policy {
-	if kind == recovery.Adaptive {
-		return recovery.AdaptivePolicy{Init: base, Min: chanAdaptiveMinRTO, Max: base}
-	}
-	return recovery.FixedPolicy{Base: base}
-}
-
-// policy returns the channel-timer policy new channels use.
-func (c *Chan) policy() recovery.Policy {
-	if c.Policy != nil {
-		return c.Policy
-	}
-	return ChanPolicyFor(recovery.Fixed, c.RetransTimeoutCycles)
 }
 
 // Channel is one request-reply channel.
@@ -380,13 +350,10 @@ type Channel struct {
 	seq uint32
 
 	// client side
-	waiting    *xkernel.BlockedThread
-	pending    func(reply []byte)
-	timer      *xkernel.TimerEvent
-	rtimer     recovery.Timer
-	lastReq    []byte
-	callSentAt uint64
-	rexmitted  bool // current call was retransmitted (Karn's rule)
+	waiting *xkernel.BlockedThread
+	pending func(reply []byte)
+	timer   *xkernel.TimerEvent
+	lastReq []byte
 
 	// server side
 	lastSeqSeen uint32
@@ -412,7 +379,7 @@ func (c *Chan) Name() string { return "CHAN" }
 func (c *Chan) Channel(id uint32) *Channel {
 	ch := c.channels[id]
 	if ch == nil {
-		ch = &Channel{C: c, ID: id, rtimer: c.policy().NewTimer()}
+		ch = &Channel{C: c, ID: id}
 		c.channels[id] = ch
 	}
 	return ch
@@ -431,8 +398,6 @@ func (ch *Channel) Call(payload []byte, done func(reply []byte)) error {
 	req := append(h.Marshal(), payload...)
 	ch.lastReq = req
 	ch.pending = done
-	ch.callSentAt = c.H.Queue.Now()
-	ch.rexmitted = false
 	ch.waiting = c.H.Threads.Block(c.H.CurrentStack, func(stack uint64) {
 		c.H.SetStack(stack)
 	})
@@ -445,13 +410,11 @@ func (ch *Channel) armRetransmit() {
 		ch.timer.Cancel()
 	}
 	c := ch.C
-	ch.timer = c.H.Queue.Schedule(ch.rtimer.RTO(), func() {
+	ch.timer = c.H.Queue.Schedule(c.RetransTimeoutCycles, func() {
 		if ch.pending == nil {
 			return
 		}
 		c.Retransmits++
-		ch.rexmitted = true
-		ch.rtimer.OnTimeout()
 		c.H.BeginEvent(nil)
 		_ = c.send(ch.lastReq)
 		ch.armRetransmit()
@@ -515,9 +478,6 @@ func (c *Chan) Demux(m *xkernel.Msg) error {
 			ch.timer.Cancel()
 			ch.timer = nil
 		}
-		// Karn's rule: only calls that were never retransmitted may
-		// contribute an RTT sample (and reset accumulated backoff).
-		ch.rtimer.OnAck(c.H.Queue.Now()-ch.callSentAt, !ch.rexmitted)
 		done := ch.pending
 		ch.pending = nil
 		waiting := ch.waiting

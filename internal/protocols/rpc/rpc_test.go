@@ -272,8 +272,10 @@ func TestChanRetransmitsUntilServerAnswers(t *testing.T) {
 	if client.Test.Done() {
 		t.Fatal("call completed through a dead link")
 	}
-	if client.Chan.Retransmits < 2 {
-		t.Fatalf("only %d retransmits while the link was dead", client.Chan.Retransmits)
+	// A constant 100 ms timer fires at 100, 200, 300 and 400 ms; a
+	// backing-off one would have fired only twice by 450 ms.
+	if client.Chan.Retransmits != 4 {
+		t.Fatalf("%d retransmits in 450 ms of dead link, want 4 (constant 100 ms timer)", client.Chan.Retransmits)
 	}
 	dead = false
 	q.Run(100000)

@@ -5,7 +5,6 @@ import (
 	"repro/internal/lance"
 	"repro/internal/netsim"
 	"repro/internal/protocols/features"
-	"repro/internal/protocols/recovery"
 	"repro/internal/protocols/tcpip"
 	"repro/internal/protocols/wire"
 	"repro/internal/xkernel"
@@ -53,13 +52,6 @@ func Build(h *xkernel.Host, l *netsim.Link, mac wire.MACAddr, addr, peer wire.IP
 	}
 	h.EnvHooks = append(h.EnvHooks, s.bindConds)
 	return s
-}
-
-// SetRecovery selects the CHAN retransmission-timer policy for channels
-// created after the call. The default (Fixed) is bit-identical to the
-// historical constant 100 ms timeout.
-func (s *Stack) SetRecovery(kind recovery.Kind) {
-	s.Chan.Policy = ChanPolicyFor(kind, s.Chan.RetransTimeoutCycles)
 }
 
 // Connect wires two RPC stacks over their shared link.

@@ -5,7 +5,6 @@ import (
 	"repro/internal/lance"
 	"repro/internal/netsim"
 	"repro/internal/protocols/features"
-	"repro/internal/protocols/recovery"
 	"repro/internal/protocols/wire"
 	"repro/internal/xkernel"
 )
@@ -41,13 +40,6 @@ func Build(h *xkernel.Host, l *netsim.Link, mac wire.MACAddr, addr wire.IPAddr, 
 	}
 	h.EnvHooks = append(h.EnvHooks, s.bindConds)
 	return s
-}
-
-// SetRecovery selects the transport recovery policy for connections this
-// stack opens after the call. The default (Fixed) is bit-identical to the
-// historical 200 ms doubling RTO.
-func (s *Stack) SetRecovery(kind recovery.Kind) {
-	s.TCP.Policy = PolicyFor(kind)
 }
 
 // Connect wires two stacks to each other over their shared link.

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/protocols/features"
-	"repro/internal/protocols/recovery"
 	"repro/internal/protocols/wire"
 	"repro/internal/xkernel"
 )
@@ -38,18 +37,9 @@ const (
 	tcpMSS = 1460
 	// tcbBytes is the virtual size of a connection control block.
 	tcbBytes = 256
-	// initialRTO is the fixed-policy retransmission timeout (200 ms in
-	// cycles) and the adaptive policy's pre-sample starting point.
+	// initialRTO is the retransmission timeout (200 ms in cycles): doubled
+	// on every timeout and reset by any acknowledgment.
 	initialRTO = 200_000 * netsim.CyclesPerMicrosecond
-	// adaptiveMinRTO floors the adaptive policy's RTO at 2 ms — several
-	// times the worst (BAD-version) simulated roundtrip, so a converged
-	// estimator can never fire a spurious retransmission into a healthy
-	// clean-path exchange.
-	adaptiveMinRTO = 2_000 * netsim.CyclesPerMicrosecond
-	// adaptiveMaxRTO caps adaptive backoff at the fixed policy's initial
-	// timeout: adaptive recovery never waits longer than fixed recovery's
-	// very first retry.
-	adaptiveMaxRTO = initialRTO
 	// tcpDupAckThreshold is the fast-retransmit trigger (RFC 5681 §3.2).
 	tcpDupAckThreshold = 3
 	// defaultRcvWnd is the advertised receive window.
@@ -59,26 +49,6 @@ const (
 	// spirit, scaled to the simulation's short runs).
 	DefaultMaxRetransmits = 8
 )
-
-// FixedRecovery returns TCP's historical recovery policy: a 200 ms RTO
-// blindly doubled on every timeout and reset by any acknowledgment.
-func FixedRecovery() recovery.Policy {
-	return recovery.FixedPolicy{Base: initialRTO, Double: true}
-}
-
-// AdaptiveRecovery returns TCP's Jacobson/Karn policy: RTO follows
-// SRTT + 4·RTTVAR with exponential backoff, clamped to [2 ms, 200 ms].
-func AdaptiveRecovery() recovery.Policy {
-	return recovery.AdaptivePolicy{Init: initialRTO, Min: adaptiveMinRTO, Max: adaptiveMaxRTO}
-}
-
-// PolicyFor maps a policy kind to TCP's parameterization of it.
-func PolicyFor(kind recovery.Kind) recovery.Policy {
-	if kind == recovery.Adaptive {
-		return AdaptiveRecovery()
-	}
-	return FixedRecovery()
-}
 
 // App is the layer above TCP (the test protocol): it is notified when a
 // connection reaches the established state and when data arrives.
@@ -101,11 +71,6 @@ type TCP struct {
 	// exceeding it aborts the connection (0 means DefaultMaxRetransmits,
 	// negative disables the cap).
 	MaxRetransmits int
-
-	// Policy selects the recovery policy new connections get their
-	// retransmission timers from; nil means FixedRecovery, the historical
-	// behavior (see Stack.SetRecovery).
-	Policy recovery.Policy
 
 	// Counters for tests and CPU-utilization reporting.
 	SegsIn, SegsOut   int
@@ -171,10 +136,9 @@ type TCB struct {
 	app App
 
 	retrans     *xkernel.TimerEvent
-	rtimer      recovery.Timer
-	retries     int // consecutive retransmissions of the unacked segment
-	dupAcks     int // consecutive duplicate ACKs for sndUna
-	sentAt      uint64
+	rto         uint64 // current retransmission timeout, in cycles
+	retries     int    // consecutive retransmissions of the unacked segment
+	dupAcks     int    // consecutive duplicate ACKs for sndUna
 	unackedSeq  uint32
 	unackedData []byte
 	unackedFlag uint8
@@ -213,17 +177,8 @@ func (t *TCP) Listen(port uint16, app App) {
 	t.listeners[port] = app
 }
 
-// policy returns the recovery policy new connections use.
-func (t *TCP) policy() recovery.Policy {
-	if t.Policy != nil {
-		return t.Policy
-	}
-	return FixedRecovery()
-}
-
 // newConn allocates, initializes and binds a connection control block —
-// the single seam both open paths (active and passive) share, and where
-// the recovery policy hands out the connection's retransmission timer.
+// the single seam both open paths (active and passive) share.
 func (t *TCP) newConn(state TCPState, lport, rport uint16, raddr wire.IPAddr, app App) *TCB {
 	t.connectionsOpened++
 	c := &TCB{
@@ -231,7 +186,7 @@ func (t *TCP) newConn(state TCPState, lport, rport uint16, raddr wire.IPAddr, ap
 		LocalPort: lport, RemotePort: rport, RemoteAddr: raddr,
 		iss:    uint32(t.connectionsOpened) * 64000,
 		rcvWnd: defaultRcvWnd, cwnd: tcpMSS, ssthresh: 64 * 1024,
-		rtimer: t.policy().NewTimer(), app: app,
+		rto: initialRTO, app: app,
 		VAddr: t.H.Alloc.Alloc(tcbBytes),
 	}
 	c.sndNxt = c.iss
@@ -329,7 +284,6 @@ func (c *TCB) sendSegment(flags uint8, payload []byte, retain bool) {
 		c.unackedSeq = c.sndNxt
 		c.unackedData = append([]byte(nil), payload...)
 		c.unackedFlag = flags
-		c.sentAt = t.H.Queue.Now() // RTT sample origin (first transmission)
 		c.armRetransmit()
 	}
 	c.sndNxt += consumed
@@ -347,12 +301,11 @@ func (c *TCB) armRetransmit() {
 		c.retrans.Cancel()
 	}
 	t := c.T
-	c.retrans = t.H.Queue.Schedule(c.rtimer.RTO(), func() { t.retransmit(c) })
+	c.retrans = t.H.Queue.Schedule(c.rto, func() { t.retransmit(c) })
 }
 
-// retransmit resends the unacknowledged segment, backing the timer off
-// through the recovery policy and aborting the connection once the retry
-// cap is exhausted.
+// retransmit resends the unacknowledged segment, doubling the timeout and
+// aborting the connection once the retry cap is exhausted.
 func (t *TCP) retransmit(c *TCB) {
 	if c.sndUna == c.sndNxt || c.unackedData == nil && c.unackedFlag == 0 {
 		return
@@ -368,7 +321,7 @@ func (t *TCP) retransmit(c *TCB) {
 	// Congestion response: ssthresh halves, window closes.
 	c.ssthresh = max32(c.cwnd/2, tcpMSS)
 	c.cwnd = tcpMSS
-	c.rtimer.OnTimeout()
+	c.rto *= 2
 	c.dupAcks = 0
 	saveNxt := c.sndNxt
 	c.sndNxt = c.unackedSeq
@@ -388,9 +341,7 @@ func (t *TCP) fastRetransmit(c *TCB) {
 		return
 	}
 	t.FastRetransmits++
-	// Karn's rule: the exchange now has a retransmitted segment, so the
-	// eventual ACK must not be RTT-sampled. retries carries that mark
-	// (and keeps the abort cap honest).
+	// A fast retransmission counts against the abort cap.
 	c.retries++
 	c.ssthresh = max32(c.cwnd/2, tcpMSS)
 	saveNxt := c.sndNxt
@@ -515,10 +466,7 @@ func (t *TCP) input(c *TCB, h *wire.TCPHeader, m *xkernel.Msg) error {
 				}
 				c.unackedData = nil
 				c.unackedFlag = 0
-				// Karn's rule: sample the exchange's RTT only if no
-				// part of it was ever retransmitted; a non-clean ack
-				// leaves the policy's backoff in place.
-				c.rtimer.OnAck(t.H.Queue.Now()-c.sentAt, c.retries == 0)
+				c.rto = initialRTO
 				c.retries = 0
 				if c.OnAcked != nil {
 					c.OnAcked()

@@ -433,10 +433,12 @@ func TestRecoverEdgeCases(t *testing.T) {
 		t.Fatalf("plant drift job: %v", err)
 	}
 	// Jobs journaled by a binary whose spec had fields this one lacks:
-	// a soak-shaped run would otherwise replay as a different study.
+	// a soak-shaped run would otherwise replay as a different study, an
+	// adaptive-timer run as a fixed-timer one.
 	removedFPs := map[string]string{
 		"cccc000000000007": `{"kind":"run","version":"ALL","samples":3,"soak_roundtrips":4}`,
 		"cccc000000000008": `{"kind":"soak","seed":5,"soak_batches":1,"soak_roundtrips":4}`,
+		"cccc000000000009": `{"kind":"run","stack":"tcpip","policy":"adaptive"}`,
 	}
 	for fp, spec := range removedFPs {
 		if err := storage.SaveEnvelopeFS(mem, st.jobPath(fp), jobMagic, storeSchema, fp, json.RawMessage(spec)); err != nil {

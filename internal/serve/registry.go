@@ -8,7 +8,6 @@ import (
 	"repro/internal/machines"
 	"repro/internal/obs"
 	"repro/internal/optimize"
-	"repro/internal/protocols/recovery"
 )
 
 // An entry is one kind of study: the parameters it reads, how it computes
@@ -47,7 +46,7 @@ func (e *entry) declared() []string {
 // registry holds one entry per kind, in the order errors and docs list
 // them.
 var registry = []*entry{
-	{kind: "run", params: []string{"stack", "version", "samples", "policy?", "classifier?", "quality?"}, run: runOne, text: core.RenderRun},
+	{kind: "run", params: []string{"stack", "version", "samples", "classifier?", "quality?"}, run: runOne, text: core.RenderRun},
 	{kind: "table", params: []string{"table", "quality"}, run: runTable, text: core.RenderTables},
 	{kind: "figure", params: []string{"figure"}, run: runFigure, text: core.RenderFigure},
 	{kind: "all", params: []string{"quality"}, run: runAll, text: core.RenderReport},
@@ -130,12 +129,10 @@ func rpcShape(doc *obs.Document, q core.Quality) {
 
 func runOne(ctx context.Context, s Spec, budget int, doc *obs.Document) error {
 	ver, _ := s.version()
-	rk, _ := recovery.ParseKind(s.Policy)
 	q := s.quality()
 	cfg := core.DefaultConfig(s.stackKind(), ver)
 	cfg.Warmup, cfg.Measured, cfg.Samples = q.Warmup, q.Measured, s.Samples
 	cfg.UseClassifier = s.Classifier
-	cfg.Recovery = rk
 	cfg.EventBudget = budget
 	cfg.Profile = true // observation-only: the text is identical unprofiled
 	res, err := core.RunCtx(ctx, cfg)
@@ -252,13 +249,8 @@ func runFaults(ctx context.Context, s Spec, budget int, doc *obs.Document) error
 	if err != nil {
 		return err
 	}
-	rcells, err := core.RecoveryComparisonCtx(ctx, cfg.Stack, cfg.Seed, cfg.Quality)
-	if err != nil {
-		return err
-	}
 	shape(doc, cfg.Quality)
 	doc.FaultStudy = core.FaultStudyDocOf(cfg, cells)
-	doc.FaultStudy.Recovery = core.RecoveryDocOf(rcells)
 	return nil
 }
 

@@ -18,7 +18,6 @@ func TestPinnedFingerprints(t *testing.T) {
 		fp   string
 	}{
 		{Spec{Kind: "run", Version: "STD"}, "2cc298cbf3819785"},
-		{Spec{Kind: "run", Stack: "rpc", Version: "all", Samples: 1, Policy: "Adaptive"}, "7cdc5f14fa1d193d"},
 		{Spec{Kind: "table", Table: 4}, "eb0d706e52b37a62"},
 		{Spec{Kind: "faults", Seed: 7, Rates: "0, 0.05"}, "1c08873df27aeff5"},
 		{Spec{Kind: "lint", Stack: "rpc"}, "5e3d679942f641fd"},
@@ -46,7 +45,6 @@ func TestManifestCommand(t *testing.T) {
 		want string
 	}{
 		{Spec{Kind: "run", Version: "std"}, "protolat -stack tcpip -version STD -samples 3"},
-		{Spec{Kind: "run", Stack: "RPC", Samples: 1, Policy: "Adaptive"}, "protolat -stack rpc -version ALL -samples 1 -policy adaptive"},
 		{Spec{Kind: "run", Samples: 1, Classifier: true, Quality: "paper"}, "protolat -stack tcpip -version ALL -samples 1 -classifier -quality paper"},
 		{Spec{Kind: "table", Table: 4, Stack: "rpc"}, "protolat -table 4 -quality quick"},
 		{Spec{Kind: "figure", Table: 2, Quality: "paper"}, "protolat -figure 2"},

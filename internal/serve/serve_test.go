@@ -511,7 +511,7 @@ func TestValidation(t *testing.T) {
 		{"bad version", `{"kind":"run","version":"NOPE"}`, "spec"},
 		{"bad table", `{"kind":"table","table":12}`, "spec"},
 		{"bad rates", `{"kind":"faults","rates":"0.5,2.0"}`, "spec"},
-		{"bad policy", `{"kind":"run","policy":"psychic"}`, "spec"},
+		{"removed policy", `{"kind":"run","policy":"adaptive"}`, "parse"},
 		{"removed soak shape", `{"kind":"faults","soak_batches":1}`, "parse"},
 		{"removed kind", `{"kind":"soak"}`, "spec"},
 		{"bad model", `{"kind":"machines","models":"pdp11"}`, "spec"},

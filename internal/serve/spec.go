@@ -53,7 +53,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/machines"
 	"repro/internal/optimize"
-	"repro/internal/protocols/recovery"
 )
 
 // Spec is one experiment request: the CLI parses its flags into one, the
@@ -79,9 +78,6 @@ type Spec struct {
 	Quality string `json:"quality,omitempty"`
 	// Samples is the sample count for "run" (default 3).
 	Samples int `json:"samples,omitempty"`
-	// Policy is the recovery policy for "run": "fixed" (default) or
-	// "adaptive".
-	Policy string `json:"policy,omitempty"`
 	// Classifier charges the packet-classifier cost on the PIN/ALL
 	// receive path of a "run".
 	Classifier bool `json:"classifier,omitempty"`
@@ -178,11 +174,6 @@ var params = map[string]param{
 	"samples": {
 		keep: func(d *Spec, s Spec) { d.Samples = positiveOr(s.Samples, 3) },
 		flag: func(s Spec) string { return "-samples " + strconv.Itoa(s.Samples) },
-	},
-	"policy": {
-		keep:  func(d *Spec, s Spec) { d.Policy = lower(s.Policy) },
-		check: func(s Spec) error { _, err := recovery.ParseKind(s.Policy); return fieldErr("policy", err) },
-		flag:  func(s Spec) string { return "-policy " + s.Policy },
 	},
 	"classifier": {
 		keep: func(d *Spec, s Spec) { d.Classifier = s.Classifier },
@@ -323,7 +314,7 @@ func (s Spec) Fingerprint(gitDescribe string) string {
 // command is the protolat invocation that reproduces the document of a
 // canonical spec — the manifest's command. It walks the entry's
 // parameters in order: a literal flag ("-faults") is written as is, a
-// parameter through its flag, and a parameter marked optional ("policy?")
+// parameter through its flag, and a parameter marked optional ("rates?")
 // only when it differs from the kind's default.
 func (s Spec) command() string {
 	e := lookup(s.Kind)

@@ -20,9 +20,9 @@ type CostSpec struct {
 	PathSpec
 	// FuncWeights scales each function's reference frequency — how many
 	// times per roundtrip its path blocks are fetched. Functions absent
-	// from the map (or the whole map when nil) weigh 1. Seed it from a
-	// dynamic profile via optimize.WeightsFromProfile, or from the
-	// invocation-count hints the micro-positioning layout already uses.
+	// from the map (or the whole map when nil) weigh 1. Seed it from the
+	// invocation-count hints the micro-positioning layout already uses, or
+	// from a dynamic profile's per-function call counts.
 	FuncWeights map[string]float64
 	// LoopWeight multiplies a block's weight once per loop-nesting level,
 	// estimated from the CFG's back edges (a terminator targeting an

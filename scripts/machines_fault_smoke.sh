@@ -5,7 +5,7 @@
 # projected 266 MHz successor — and diff the report against the checked-in
 # golden. Like every study, the report must be byte-identical at any
 # -parallel width, which the script checks by running serial and 8-wide.
-# Any drift means the degraded path, a recovery policy, or a machine model
+# Any drift means the degraded path, a transport timer, or a machine model
 # changed and the golden needs a deliberate refresh.
 #
 #   REGEN=1 ./scripts/machines_fault_smoke.sh   # refresh the golden
