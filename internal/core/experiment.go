@@ -327,6 +327,7 @@ type hostPair struct {
 	serverHost     *xkernel.Host
 	clientProg     *code.Program
 	devs           [2]*lance.Device // client, server
+	tcp            [2]*tcpip.Stack  // client, server; nil on RPC
 	stampFn        func() []uint64
 	completedFn    func() int
 	startFn        func()
@@ -423,6 +424,7 @@ func buildPair(cfg Config, sampleIdx, roundtrips int) (*hostPair, error) {
 		server := tcpip.Build(sh, link, wire.MACAddr{8, 0, 0x2b, 2, 2, 2}, 0xc0a80002, cfg.Feat, true, 0)
 		tcpip.Connect(client, server)
 		hp.devs = [2]*lance.Device{client.Dev, server.Dev}
+		hp.tcp = [2]*tcpip.Stack{client, server}
 		if cfg.UseClassifier && (cfg.Version == PIN || cfg.Version == ALL) {
 			cl := classifier.ForTCPIP()
 			client.Dev.Classify = cl.Match

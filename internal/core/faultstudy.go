@@ -25,8 +25,6 @@ type FaultStudyConfig struct {
 	Versions []Version
 	// Quality sets the per-cell measurement shape.
 	Quality Quality
-	// EventBudget overrides the per-sample watchdog (0 = default).
-	EventBudget int
 }
 
 // DefaultFaultStudy is the standard study shape: the four constructive
@@ -116,7 +114,6 @@ func runFaultCell(ctx context.Context, cfg FaultStudyConfig, v Version, rate flo
 	rcfg.Warmup = cfg.Quality.Warmup
 	rcfg.Measured = cfg.Quality.Measured
 	rcfg.Samples = cfg.Quality.Samples
-	rcfg.EventBudget = cfg.EventBudget
 	if rate > 0 {
 		plan := PlanForRate(faults.Mix(cfg.Seed, uint64(cellIdx)), rate)
 		rcfg.Faults = &plan

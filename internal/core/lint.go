@@ -33,12 +33,12 @@ func LintSpec(kind StackKind, v Version) verify.PathSpec {
 // LintStudy lints every version's linked image: a purely static sweep that
 // predicts per-version i-cache behaviour in microseconds of CPU time rather
 // than minutes of simulation. Cells come back in Versions() order.
-func LintStudy(kind StackKind, strat CloneStrategy) ([]LintCell, error) {
+func LintStudy(kind StackKind) ([]LintCell, error) {
 	m := arch.DEC3000_600()
 	feat := features.Improved()
 	var cells []LintCell
 	for _, v := range Versions() {
-		prog, err := BuildProgram(kind, v, feat, strat, m)
+		prog, err := BuildProgram(kind, v, feat, Bipartite, m)
 		if err != nil {
 			return nil, err
 		}
@@ -52,8 +52,8 @@ func LintStudy(kind StackKind, strat CloneStrategy) ([]LintCell, error) {
 }
 
 // LintStudyDocOf converts a lint study to its JSON form.
-func LintStudyDocOf(kind StackKind, strat CloneStrategy, cells []LintCell) *obs.VerifyDoc {
-	doc := &obs.VerifyDoc{Stack: kind.String(), Strategy: strat.String()}
+func LintStudyDocOf(kind StackKind, cells []LintCell) *obs.VerifyDoc {
+	doc := &obs.VerifyDoc{Stack: kind.String(), Strategy: Bipartite.String()}
 	for _, c := range cells {
 		cell := obs.LintCellDoc{
 			Version:             c.Version.String(),

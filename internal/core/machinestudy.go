@@ -24,8 +24,6 @@ type MachineStudyConfig struct {
 	// Versions are the layout versions compared on each machine. Empty
 	// means all six (BAD..ALL).
 	Versions []Version
-	// Strategy selects the cloned-code layout for CLO/ALL.
-	Strategy CloneStrategy
 	// Quality sets the per-cell measurement shape.
 	Quality Quality
 	// Rates are optional per-frame fault intensities (see PlanForRate);
@@ -35,8 +33,6 @@ type MachineStudyConfig struct {
 	// Seed drives the fault plans of non-zero rates; identical seeds
 	// produce byte-identical reports at any parallelism.
 	Seed uint64
-	// EventBudget overrides the per-sample watchdog (0 = default).
-	EventBudget int
 }
 
 // DefaultMachineStudy is the standard study shape: the full matrix, all six
@@ -128,8 +124,6 @@ func (cfg MachineStudyConfig) withDefaults() MachineStudyConfig {
 // same image on the same geometry.
 func runMachineCell(ctx context.Context, cfg MachineStudyConfig, model machines.Model, v Version, rate float64, cellIdx int) (MachineCell, error) {
 	rcfg := cfg.Quality.Apply(DefaultConfig(cfg.Stack, v))
-	rcfg.Strategy = cfg.Strategy
-	rcfg.EventBudget = cfg.EventBudget
 	rcfg.Machine = model.Machine
 	if rate > 0 {
 		plan := PlanForRate(faults.Mix(cfg.Seed, uint64(cellIdx)), rate)
@@ -155,7 +149,7 @@ func runMachineCell(ctx context.Context, cfg MachineStudyConfig, model machines.
 	// Static cross-check: re-run the layout lint against this machine's
 	// i-cache geometry so predicted and measured per-set replacements stay
 	// comparable on every variant, not just the paper's machine.
-	prog, err := BuildProgram(cfg.Stack, v, rcfg.Feat, cfg.Strategy, model.Machine)
+	prog, err := BuildProgram(cfg.Stack, v, rcfg.Feat, rcfg.Strategy, model.Machine)
 	if err != nil {
 		return MachineCell{}, err
 	}
@@ -179,7 +173,7 @@ func lintReport(prog *code.Program, kind StackKind, v Version, model machines.Mo
 // MachineStudyDocOf converts a machine study to its JSON section.
 func MachineStudyDocOf(cfg MachineStudyConfig, cells []MachineCell) *obs.MachinesDoc {
 	cfg = cfg.withDefaults()
-	doc := &obs.MachinesDoc{Stack: cfg.Stack.String(), Strategy: cfg.Strategy.String(), Seed: cfg.Seed}
+	doc := &obs.MachinesDoc{Stack: cfg.Stack.String(), Strategy: Bipartite.String(), Seed: cfg.Seed}
 	for _, m := range cfg.Models {
 		doc.Models = append(doc.Models, obs.MachineModelDoc{
 			Name:       m.Name,

@@ -136,7 +136,7 @@ func TestMachineStudyDoc(t *testing.T) {
 // replacements.
 func runMachineLintOnly(cfg MachineStudyConfig, model machines.Model, v Version) (int, error) {
 	rcfg := cfg.Quality.Apply(DefaultConfig(cfg.Stack, v))
-	prog, err := BuildProgram(cfg.Stack, v, rcfg.Feat, cfg.Strategy, model.Machine)
+	prog, err := BuildProgram(cfg.Stack, v, rcfg.Feat, rcfg.Strategy, model.Machine)
 	if err != nil {
 		return -1, err
 	}

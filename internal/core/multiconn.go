@@ -5,15 +5,10 @@ import (
 	"fmt"
 	"strconv"
 
-	"repro/internal/arch"
 	"repro/internal/code"
 	"repro/internal/layout"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/protocols/tcpip"
-	"repro/internal/protocols/wire"
-	"repro/internal/sim/cpu"
-	"repro/internal/sim/mem"
 	"repro/internal/xkernel"
 )
 
@@ -91,54 +86,34 @@ func MultiConnection(nConns, roundtrips int, perConnClones bool) (MultiConnResul
 	if nConns < 1 {
 		return MultiConnResult{}, fmt.Errorf("core: need at least one connection")
 	}
-	m := arch.DEC3000_600()
-	feat := DefaultConfig(StackTCPIP, CLO).Feat
-
-	build := func() (*code.Program, func(conn int, name string) string, error) {
-		if !perConnClones {
-			p, err := BuildProgram(StackTCPIP, CLO, feat, Bipartite, m)
-			return p, nil, err
-		}
-		fns, spec := stackModels(StackTCPIP, feat)
+	cfg := DefaultConfig(StackTCPIP, CLO)
+	m := cfg.machine()
+	var sel func(conn int, name string) string
+	if perConnClones {
+		fns, spec := stackModels(StackTCPIP, cfg.Feat)
 		base := code.NewProgram()
 		if err := base.Add(fns...); err != nil {
-			return nil, nil, err
+			return MultiConnResult{}, err
 		}
-		return layout.CloneForConnections(layout.Outline(base), spec, m, layout.DefaultCloneBase, nConns)
+		prog, s, err := layout.CloneForConnections(layout.Outline(base), spec, m, layout.DefaultCloneBase, nConns)
+		if err != nil {
+			return MultiConnResult{}, err
+		}
+		cfg.Custom, sel = prog, s
 	}
-
-	clientProg, clientSel, err := build()
+	hp, err := buildPair(cfg, 0, 1)
 	if err != nil {
 		return MultiConnResult{}, err
 	}
-	serverProg, serverSel, err := build()
-	if err != nil {
-		return MultiConnResult{}, err
-	}
-
-	q := xkernel.NewEventQueue()
-	link := netsim.NewLink(q)
-	mkHost := func(name string, prog *code.Program, perturb uint64) *xkernel.Host {
-		hm := mem.New(m)
-		c := cpu.New(hm)
-		return xkernel.NewHost(name, c, hm, code.NewEngine(c, prog), q, perturb)
-	}
-	ch := mkHost("client", clientProg, 0)
-	sh := mkHost("server", serverProg, 7)
-
-	client := tcpip.Build(ch, link, wire.MACAddr{8, 0, 0x2b, 1, 1, 1}, 0xc0a80001, feat, false, 1)
-	server := tcpip.Build(sh, link, wire.MACAddr{8, 0, 0x2b, 2, 2, 2}, 0xc0a80002, feat, true, 0)
-	tcpip.Connect(client, server)
+	ch, sh, client, server := hp.clientHost, hp.serverHost, hp.tcp[0], hp.tcp[1]
 
 	const basePort = 3000
-	if clientSel != nil {
+	if sel != nil {
 		ch.ModelSelector = func(name string) string {
-			return clientSel(connIdxFromFrame(ch.CurrentFrame, basePort, nConns, false), name)
+			return sel(connIdxFromFrame(ch.CurrentFrame, basePort, nConns, false), name)
 		}
-	}
-	if serverSel != nil {
 		sh.ModelSelector = func(name string) string {
-			return serverSel(connIdxFromFrame(sh.CurrentFrame, basePort, nConns, true), name)
+			return sel(connIdxFromFrame(sh.CurrentFrame, basePort, nConns, true), name)
 		}
 	}
 
@@ -153,7 +128,7 @@ func MultiConnection(nConns, roundtrips int, perConnClones bool) (MultiConnResul
 	for i := 0; i < nConns; i++ {
 		app.conns[i] = client.TCP.Open(uint16(basePort+i), 2000, server.IP.Local, app)
 	}
-	q.Run(2_000_000)
+	hp.q.Run(2_000_000)
 	if app.completed < roundtrips {
 		return MultiConnResult{}, fmt.Errorf("core: multi-conn run stalled at %d/%d", app.completed, roundtrips)
 	}
@@ -167,13 +142,15 @@ func MultiConnection(nConns, roundtrips int, perConnClones bool) (MultiConnResul
 	if hits+misses > 0 {
 		hitRate = float64(hits) / float64(hits+misses)
 	}
-	return MultiConnResult{
+	r := MultiConnResult{
 		Connections:   nConns,
 		PerConnClones: perConnClones,
 		TeUS:          te,
 		CacheHitRate:  hitRate,
 		InstrPerRT:    float64(ch.CPU.Metrics().Instructions) / float64(roundtrips),
-	}, nil
+	}
+	hp.release()
+	return r, nil
 }
 
 // MultiConnectionTable sweeps connection counts with and without

@@ -38,10 +38,10 @@ func RecordTrace(cfg Config) (*trace.Trace, error) {
 		}
 	})
 	hp.startFn()
-	hp.q.Run(1_000_000)
-	if hp.completedFn() < roundtrips {
-		return nil, fmt.Errorf("core: trace run stalled")
+	if err := hp.finishRun(cfg, 0, roundtrips); err != nil {
+		return nil, fmt.Errorf("core: trace run: %w", err)
 	}
+	hp.release()
 	if t.Len() == 0 {
 		return nil, fmt.Errorf("core: empty trace")
 	}

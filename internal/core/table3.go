@@ -71,9 +71,9 @@ func measureXKernelRegions(q Quality) (xkernelCounts, error) {
 		}
 	})
 	hp.startFn()
-	hp.q.Run(1_000_000)
-	if hp.completedFn() < roundtrips {
-		return xkernelCounts{}, fmt.Errorf("core: table 3 run stalled")
+	if err := hp.finishRun(cfg, 0, roundtrips); err != nil {
+		return xkernelCounts{}, fmt.Errorf("core: table 3 run: %w", err)
 	}
+	hp.release()
 	return counts, nil
 }

@@ -3,14 +3,8 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/arch"
-	"repro/internal/code"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/protocols/tcpip"
-	"repro/internal/protocols/wire"
-	"repro/internal/sim/cpu"
-	"repro/internal/sim/mem"
 	"repro/internal/xkernel"
 )
 
@@ -71,43 +65,26 @@ func Throughput(v Version, segments, payloadBytes int) (ThroughputResult, error)
 	if payloadBytes <= 0 || payloadBytes > 1400 {
 		payloadBytes = 1400
 	}
-	m := arch.DEC3000_600()
-	feat := DefaultConfig(StackTCPIP, v).Feat
-	clientProg, err := BuildProgram(StackTCPIP, v, feat, Bipartite, m)
+	cfg := DefaultConfig(StackTCPIP, v)
+	hp, err := buildPair(cfg, 0, 1)
 	if err != nil {
 		return ThroughputResult{}, err
 	}
-	serverProg, err := BuildProgram(StackTCPIP, v, feat, Bipartite, m)
-	if err != nil {
-		return ThroughputResult{}, err
-	}
-
-	q := xkernel.NewEventQueue()
-	link := netsim.NewLink(q)
-	mkHost := func(name string, prog *code.Program, perturb uint64) *xkernel.Host {
-		hm := mem.New(m)
-		c := cpu.New(hm)
-		return xkernel.NewHost(name, c, hm, code.NewEngine(c, prog), q, perturb)
-	}
-	ch := mkHost("client", clientProg, 0)
-	sh := mkHost("server", serverProg, 7)
-
-	client := tcpip.Build(ch, link, wire.MACAddr{8, 0, 0x2b, 1, 1, 1}, 0xc0a80001, feat, false, 1)
-	server := tcpip.Build(sh, link, wire.MACAddr{8, 0, 0x2b, 2, 2, 2}, 0xc0a80002, feat, true, 0)
-	tcpip.Connect(client, server)
+	ch, client, server := hp.clientHost, hp.tcp[0], hp.tcp[1]
 
 	payload := make([]byte, payloadBytes)
 	for i := range payload {
 		payload[i] = byte(i)
 	}
 	sender := &tputApp{host: ch, payload: payload, want: segments}
-	sink := &tputApp{host: sh, sink: true}
+	sink := &tputApp{host: hp.serverHost, sink: true}
 	server.TCP.Listen(4000, sink)
 
 	ch.BeginEvent(nil)
 	ch.SetStack(ch.Threads.AcquireStack())
 	client.TCP.Open(4001, 4000, server.IP.Local, sender)
-	q.Run(5_000_000)
+	hp.q.Run(5_000_000)
+	hp.release()
 
 	if sender.sent < segments {
 		return ThroughputResult{}, fmt.Errorf("core: throughput run stalled at %d/%d segments", sender.sent, segments)
@@ -115,7 +92,7 @@ func Throughput(v Version, segments, payloadBytes int) (ThroughputResult, error)
 	if sink.received != segments*payloadBytes {
 		return ThroughputResult{}, fmt.Errorf("core: sink received %d bytes, want %d", sink.received, segments*payloadBytes)
 	}
-	elapsedUS := float64(sender.end-sender.start) / m.CyclesPerMicrosecond()
+	elapsedUS := float64(sender.end-sender.start) / cfg.machine().CyclesPerMicrosecond()
 	bytes := segments * payloadBytes
 	return ThroughputResult{
 		Version:  v,

@@ -107,7 +107,7 @@ func TestSabotagedImageRejected(t *testing.T) {
 // and for the conflict-heavy layouts the sets the lint names must be where
 // the measured replacement misses actually land.
 func TestLintAgreesWithMeasuredConflicts(t *testing.T) {
-	cells, err := LintStudy(StackTCPIP, Bipartite)
+	cells, err := LintStudy(StackTCPIP)
 	if err != nil {
 		t.Fatal(err)
 	}

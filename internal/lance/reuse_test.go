@@ -44,7 +44,7 @@ func TestReuseLeavesNoTrace(t *testing.T) {
 	docs := func() [][]byte {
 		var out [][]byte
 		for _, s := range specs {
-			doc, err := serve.Run(context.Background(), s, 0)
+			doc, err := serve.Run(context.Background(), s)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -266,9 +266,6 @@ type ServeStatsDoc struct {
 	// store write failed (computed but not memoized).
 	Recovered        int `json:"recovered"`
 	DegradedPersists int `json:"degraded_persists"`
-	// HungJobs counts jobs the per-job watchdog abandoned after they
-	// ignored cancellation (served as 504, journal kept for replay).
-	HungJobs int `json:"hung_jobs,omitempty"`
 	// Evicted and EvictedBytes count memoized documents removed (and the
 	// bytes they freed) by the LRU store-size cap since the daemon
 	// started.

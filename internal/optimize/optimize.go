@@ -77,12 +77,6 @@ type Config struct {
 	// Quality shapes the confirmation runs; the zero value matches the
 	// machine study's default (4 warmup, 12 measured, 1 sample).
 	Quality core.Quality
-	// EventBudget bounds each confirmation sample; 0 means the core
-	// default.
-	EventBudget int
-	// Weights overrides the per-function fetch-frequency weights of the
-	// cost objective. Nil selects the micro-positioning usage hints.
-	Weights map[string]float64
 }
 
 // Default returns the standard search configuration for a stack: the full
@@ -189,8 +183,8 @@ func RunCtx(ctx context.Context, cfg Config) ([]MachineResult, error) {
 }
 
 // reference builds the specialized reference image of cfg.Stack's ALL
-// material, its layout spec, and the cost weights: cfg.Weights, or the
-// micro-positioning usage hints when that is nil.
+// material, its layout spec, and the cost weights: the micro-positioning
+// usage hints, one per-function fetch frequency each.
 func reference(cfg Config, feat features.Set) (*code.Program, layout.Spec, map[string]float64, error) {
 	material, spec, usage, err := core.OptimizeMaterial(cfg.Stack, feat)
 	if err != nil {
@@ -200,12 +194,9 @@ func reference(cfg Config, feat features.Set) (*code.Program, layout.Spec, map[s
 	// and nothing else holds it): the reference image every working image
 	// is cloned from and every candidate is proved move-only equivalent to.
 	layout.Specialize(material, spec)
-	weights := cfg.Weights
-	if weights == nil {
-		weights = make(map[string]float64, len(usage))
-		for n, c := range usage {
-			weights[n] = float64(c)
-		}
+	weights := make(map[string]float64, len(usage))
+	for n, c := range usage {
+		weights[n] = float64(c)
 	}
 	return material, spec, weights, nil
 }
@@ -422,13 +413,12 @@ func (s *searcher) tamperProbe(order []string, pads []int) error {
 // machine under search, optionally with a custom client image.
 func (s *searcher) simConfig(custom *code.Program) core.Config {
 	cfg := core.Config{
-		Stack:       s.cfg.Stack,
-		Version:     core.ALL,
-		Feat:        s.feat,
-		Strategy:    core.Bipartite,
-		Machine:     s.model.Machine,
-		EventBudget: s.cfg.EventBudget,
-		Custom:      custom,
+		Stack:    s.cfg.Stack,
+		Version:  core.ALL,
+		Feat:     s.feat,
+		Strategy: core.Bipartite,
+		Machine:  s.model.Machine,
+		Custom:   custom,
 	}
 	return s.cfg.Quality.Apply(cfg)
 }

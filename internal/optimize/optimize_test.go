@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/machines"
-	"repro/internal/obs"
 )
 
 func quickConfig(t *testing.T, models string) Config {
@@ -101,39 +100,4 @@ func TestSearchIsDeterministic(t *testing.T) {
 	if string(a) != string(b) {
 		t.Fatal("two identical searches produced different documents")
 	}
-}
-
-func TestWeightsFromProfile(t *testing.T) {
-	p := obs.NewProfile(4)
-	p.Funcs["tcp_input"] = &obs.FuncStats{Name: "tcp_input", Calls: 7}
-	p.Funcs["idle"] = &obs.FuncStats{Name: "idle"}
-	w := WeightsFromProfile(p)
-	if w["tcp_input"] != 7 {
-		t.Fatalf("tcp_input weight = %g, want 7", w["tcp_input"])
-	}
-	if _, ok := w["idle"]; ok {
-		t.Fatal("zero-call function got a weight")
-	}
-	if len(WeightsFromProfile(nil)) != 0 {
-		t.Fatal("nil profile produced weights")
-	}
-}
-
-// WeightsFromProfile derives the cost engine's per-function frequency
-// weights from a dynamic profile: each profiled function weighs its call
-// count (functions the profile never saw keep weight 1). This is the
-// "seeded from an obs profile" mode — run protolat -profile once, feed the
-// document back, and the search optimizes for the measured frequencies
-// instead of the static usage hints.
-func WeightsFromProfile(p *obs.Profile) map[string]float64 {
-	w := map[string]float64{}
-	if p == nil {
-		return w
-	}
-	for name, fs := range p.Funcs {
-		if fs.Calls > 0 {
-			w[name] = float64(fs.Calls)
-		}
-	}
-	return w
 }

@@ -353,33 +353,6 @@ func TestWorkersByteIdentical(t *testing.T) {
 	}
 }
 
-// TestWatchdogHungJob: a job that ignores cancellation past the watchdog
-// and its grace period is abandoned with a typed 504 "watchdog" response,
-// counted in stats, and leaves its journal entry for restart replay.
-func TestWatchdogHungJob(t *testing.T) {
-	release := make(chan struct{})
-	t.Cleanup(func() { close(release) })
-	s, ts := newTestServer(t, Config{JobWatchdog: 30 * time.Millisecond})
-	s.beforeRun = func(j *job) { <-release } // ignores cancellation entirely
-
-	resp, body := post(t, ts, lintSpec)
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("hung job: %s: %s", resp.Status, body)
-	}
-	var eb errorBody
-	if err := json.Unmarshal(body, &eb); err != nil || eb.Reason != "watchdog" {
-		t.Fatalf("hung job reason = %q (err %v), want watchdog", eb.Reason, err)
-	}
-	st := s.Stats()
-	if st.HungJobs != 1 || st.Failed != 1 {
-		t.Fatalf("stats after hang: hung=%d failed=%d", st.HungJobs, st.Failed)
-	}
-	fp := resp.Header.Get("X-Protolat-Fingerprint")
-	if _, err := s.store.fs.Stat(s.store.jobPath(fp)); err != nil {
-		t.Fatalf("hung job's journal entry was dropped: %v", err)
-	}
-}
-
 // TestDaemonENOSPCDegraded: an injected ENOSPC on document writes pushes
 // the full daemon path into degraded persistence — the result still
 // serves, flagged, and the journal entry survives for recomputation.
@@ -434,11 +407,13 @@ func TestRecoverEdgeCases(t *testing.T) {
 	}
 	// Jobs journaled by a binary whose spec had fields this one lacks:
 	// a soak-shaped run would otherwise replay as a different study, an
-	// adaptive-timer run as a fixed-timer one.
+	// adaptive-timer run as a fixed-timer one, a deadlined lint as an
+	// unbounded one.
 	removedFPs := map[string]string{
 		"cccc000000000007": `{"kind":"run","version":"ALL","samples":3,"soak_roundtrips":4}`,
 		"cccc000000000008": `{"kind":"soak","seed":5,"soak_batches":1,"soak_roundtrips":4}`,
 		"cccc000000000009": `{"kind":"run","stack":"tcpip","policy":"adaptive"}`,
+		"cccc00000000000a": `{"kind":"lint","timeout_ms":5000}`,
 	}
 	for fp, spec := range removedFPs {
 		if err := storage.SaveEnvelopeFS(mem, st.jobPath(fp), jobMagic, storeSchema, fp, json.RawMessage(spec)); err != nil {

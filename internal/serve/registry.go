@@ -20,13 +20,12 @@ type entry struct {
 	// of them canonicalizes a valid value to the default. A trailing "?"
 	// keeps a parameter off the command while it holds its default.
 	params []string
-	// run computes the study into doc, which already holds the manifest;
-	// budget overrides the per-sample simulation watchdog (0 = library
-	// default). A kind whose measurement shape is not the quality preset
-	// records the shape it ran in the manifest's quality block. run and
-	// lint still carry the preset: perfbench/reference.txt pins the bytes
-	// of both documents.
-	run func(ctx context.Context, s Spec, budget int, doc *obs.Document) error
+	// run computes the study into doc, which already holds the manifest.
+	// A kind whose measurement shape is not the quality preset records the
+	// shape it ran in the manifest's quality block. run and lint still
+	// carry the preset: perfbench/reference.txt pins the bytes of both
+	// documents.
+	run func(ctx context.Context, s Spec, doc *obs.Document) error
 	// text renders the report from the document and its manifest alone.
 	text func(*obs.Document) string
 }
@@ -81,16 +80,14 @@ func lookup(kind string) *entry {
 // Run computes the document of the study a spec describes, its manifest
 // complete but for the checkout identity (git_describe), which the shell
 // stamps. The spec is normalized and validated first, so an invalid one
-// fails with a *SpecError before any work starts. eventBudget overrides
-// the per-sample simulation watchdog (0 = library default); it never
-// changes a document's bytes and does not enter the fingerprint.
-func Run(ctx context.Context, spec Spec, eventBudget int) (*obs.Document, error) {
+// fails with a *SpecError before any work starts.
+func Run(ctx context.Context, spec Spec) (*obs.Document, error) {
 	spec = spec.Normalized()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	doc := &obs.Document{Manifest: core.NewManifest(spec.command(), spec.Seed, spec.quality())}
-	if err := lookup(spec.Kind).run(ctx, spec, eventBudget, doc); err != nil {
+	if err := lookup(spec.Kind).run(ctx, spec, doc); err != nil {
 		return nil, err
 	}
 	return doc, nil
@@ -127,13 +124,12 @@ func rpcShape(doc *obs.Document, q core.Quality) {
 // The entries' run functions receive specs Run has validated, so
 // re-parsing a validated field cannot fail.
 
-func runOne(ctx context.Context, s Spec, budget int, doc *obs.Document) error {
+func runOne(ctx context.Context, s Spec, doc *obs.Document) error {
 	ver, _ := s.version()
 	q := s.quality()
 	cfg := core.DefaultConfig(s.stackKind(), ver)
 	cfg.Warmup, cfg.Measured, cfg.Samples = q.Warmup, q.Measured, s.Samples
 	cfg.UseClassifier = s.Classifier
-	cfg.EventBudget = budget
 	cfg.Profile = true // observation-only: the text is identical unprofiled
 	res, err := core.RunCtx(ctx, cfg)
 	if err != nil {
@@ -173,7 +169,7 @@ func sweeps(ctx context.Context, q core.Quality, doc *obs.Document) (tcpip, rpc 
 	return tcpip, rpc, nil
 }
 
-func runTable(ctx context.Context, s Spec, budget int, doc *obs.Document) error {
+func runTable(ctx context.Context, s Spec, doc *obs.Document) error {
 	q := s.quality()
 	if s.Table <= 3 {
 		t, err := measuredTables[s.Table-1](q)
@@ -205,14 +201,14 @@ func figure(doc *obs.Document, n int) error {
 	return err
 }
 
-func runFigure(ctx context.Context, s Spec, budget int, doc *obs.Document) error {
+func runFigure(ctx context.Context, s Spec, doc *obs.Document) error {
 	shape(doc, core.Quality{})
 	return figure(doc, s.Table)
 }
 
 // runAll is the full evaluation report: both figures, tables 1..3 and the
 // version sweeps behind tables 4..9.
-func runAll(ctx context.Context, s Spec, budget int, doc *obs.Document) error {
+func runAll(ctx context.Context, s Spec, doc *obs.Document) error {
 	q := s.quality()
 	for _, t := range measuredTables {
 		data, err := t(q)
@@ -236,7 +232,7 @@ func runAll(ctx context.Context, s Spec, budget int, doc *obs.Document) error {
 	return nil
 }
 
-func runFaults(ctx context.Context, s Spec, budget int, doc *obs.Document) error {
+func runFaults(ctx context.Context, s Spec, doc *obs.Document) error {
 	cfg := core.DefaultFaultStudy(s.stackKind(), s.Seed)
 	if s.Quality != "paper" {
 		cfg.Quality = faultQuickQuality
@@ -244,7 +240,6 @@ func runFaults(ctx context.Context, s Spec, budget int, doc *obs.Document) error
 	if r := s.rates(); r != nil {
 		cfg.Rates = r
 	}
-	cfg.EventBudget = budget
 	cells, err := core.FaultStudyCtx(ctx, cfg)
 	if err != nil {
 		return err
@@ -254,17 +249,17 @@ func runFaults(ctx context.Context, s Spec, budget int, doc *obs.Document) error
 	return nil
 }
 
-func runLint(ctx context.Context, s Spec, budget int, doc *obs.Document) error {
+func runLint(ctx context.Context, s Spec, doc *obs.Document) error {
 	kind := s.stackKind()
-	cells, err := core.LintStudy(kind, core.Bipartite)
+	cells, err := core.LintStudy(kind)
 	if err != nil {
 		return err
 	}
-	doc.Verify = core.LintStudyDocOf(kind, core.Bipartite, cells)
+	doc.Verify = core.LintStudyDocOf(kind, cells)
 	return nil
 }
 
-func runProfile(ctx context.Context, s Spec, budget int, doc *obs.Document) error {
+func runProfile(ctx context.Context, s Spec, doc *obs.Document) error {
 	t, results, err := core.ProfileReportCtx(ctx, s.stackKind(), s.quality(), s.Top)
 	if err != nil {
 		return err
@@ -277,7 +272,7 @@ func runProfile(ctx context.Context, s Spec, budget int, doc *obs.Document) erro
 	return nil
 }
 
-func runMachines(ctx context.Context, s Spec, budget int, doc *obs.Document) error {
+func runMachines(ctx context.Context, s Spec, doc *obs.Document) error {
 	cfg := core.DefaultMachineStudy(s.stackKind(), s.Seed)
 	cfg.Models, _ = machines.Select(s.Models)
 	if s.Quality == "paper" {
@@ -286,7 +281,6 @@ func runMachines(ctx context.Context, s Spec, budget int, doc *obs.Document) err
 	if r := s.rates(); r != nil {
 		cfg.Rates = r
 	}
-	cfg.EventBudget = budget
 	cells, err := core.MachineStudyCtx(ctx, cfg)
 	if err != nil {
 		return err
@@ -296,7 +290,7 @@ func runMachines(ctx context.Context, s Spec, budget int, doc *obs.Document) err
 	return nil
 }
 
-func runOptimize(ctx context.Context, s Spec, budget int, doc *obs.Document) error {
+func runOptimize(ctx context.Context, s Spec, doc *obs.Document) error {
 	cfg := optimize.Default(s.stackKind(), s.Seed)
 	cfg.Models, _ = machines.Select(s.Models)
 	cfg.Budget = s.Budget
@@ -306,7 +300,6 @@ func runOptimize(ctx context.Context, s Spec, budget int, doc *obs.Document) err
 	if s.Quality == "paper" {
 		cfg.Quality = studyPaperQuality
 	}
-	cfg.EventBudget = budget
 	results, err := optimize.RunCtx(ctx, cfg)
 	if err != nil {
 		return err
@@ -322,7 +315,7 @@ const (
 	multiconnRoundtrips                   = 32
 )
 
-func runThroughput(ctx context.Context, s Spec, budget int, doc *obs.Document) error {
+func runThroughput(ctx context.Context, s Spec, doc *obs.Document) error {
 	// One transfer per version, every segment timed.
 	shape(doc, core.Quality{Measured: throughputSegments, Samples: 1})
 	t, err := core.ThroughputTable(throughputSegments, throughputPayload)
@@ -330,7 +323,7 @@ func runThroughput(ctx context.Context, s Spec, budget int, doc *obs.Document) e
 	return err
 }
 
-func runMultiConn(ctx context.Context, s Spec, budget int, doc *obs.Document) error {
+func runMultiConn(ctx context.Context, s Spec, doc *obs.Document) error {
 	// One run per cell; Te averages the second half of the roundtrips.
 	shape(doc, core.Quality{Warmup: multiconnRoundtrips / 2, Measured: multiconnRoundtrips / 2, Samples: 1})
 	t, err := core.MultiConnectionTable(multiconnRoundtrips)
@@ -338,7 +331,7 @@ func runMultiConn(ctx context.Context, s Spec, budget int, doc *obs.Document) er
 	return err
 }
 
-func runSensitivity(ctx context.Context, s Spec, budget int, doc *obs.Document) error {
+func runSensitivity(ctx context.Context, s Spec, doc *obs.Document) error {
 	// One sample per (machine, version) cell of the machine study.
 	q := s.quality()
 	shape(doc, core.Quality{Warmup: q.Warmup, Measured: q.Measured, Samples: 1})

@@ -72,7 +72,7 @@ func TestManifestCommand(t *testing.T) {
 // print.
 func TestManifestRecordsShape(t *testing.T) {
 	for _, s := range []Spec{{Kind: "machines", Models: "dec3000"}, {Kind: "faults", Rates: "0"}} {
-		doc, err := Run(context.Background(), s, 0)
+		doc, err := Run(context.Background(), s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestClassifierIsSemantic(t *testing.T) {
 	}
 	var te [2]float64
 	for i, s := range []Spec{plain, charged} {
-		doc, err := Run(context.Background(), s, 0)
+		doc, err := Run(context.Background(), s)
 		if err != nil {
 			t.Fatal(err)
 		}

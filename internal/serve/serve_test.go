@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -382,6 +383,60 @@ func TestDrain(t *testing.T) {
 	}
 }
 
+// TestDrainCancelsRunningJob: a job still running when the drain timeout
+// expires is cancelled, the one way a daemon stops running work. Drain
+// reports the overrun, the waiter gets a 503 "cancelled", the job journal
+// survives, and the next start on the same store replays the job to a
+// document byte-identical to an undisturbed run's.
+func TestDrainCancelsRunningJob(t *testing.T) {
+	_, refTS := newTestServer(t, Config{})
+	refResp, refBody := post(t, refTS, runSpec)
+	if refResp.StatusCode != http.StatusOK {
+		t.Fatalf("reference run: %s: %s", refResp.Status, refBody)
+	}
+
+	cfg := Config{StoreDir: "store", FS: storage.NewMemFS()}
+	s, ts := newTestServer(t, cfg)
+	// run, not lint: the lint study never consults its context, so only a
+	// simulating kind observes the cancellation.
+	s.beforeRun = func(*job) { <-s.baseCtx.Done() }
+	type reply struct {
+		resp *http.Response
+		body []byte
+	}
+	replies := make(chan reply, 1)
+	go func() {
+		resp, body := post(t, ts, runSpec)
+		replies <- reply{resp, body}
+	}()
+	waitFor(t, "job in flight", func() bool { return s.Stats().InFlight == 1 })
+	if err := s.Drain(20 * time.Millisecond); err == nil || !strings.Contains(err.Error(), "in-flight work cancelled") {
+		t.Fatalf("Drain = %v, want the drain-exceeded error", err)
+	}
+	r := <-replies
+	var eb errorBody
+	if r.resp.StatusCode != http.StatusServiceUnavailable || json.Unmarshal(r.body, &eb) != nil || eb.Reason != "cancelled" {
+		t.Fatalf("cancelled job: %s: %s, want 503 cancelled", r.resp.Status, r.body)
+	}
+	fp := r.resp.Header.Get("X-Protolat-Fingerprint")
+	if _, err := cfg.FS.Stat(s.store.jobPath(fp)); err != nil {
+		t.Fatalf("cancelled job's journal entry was dropped: %v", err)
+	}
+
+	s2, ts2 := newTestServer(t, cfg)
+	if st := s2.Stats(); st.Recovered != 1 {
+		t.Fatalf("Recovered = %d, want 1", st.Recovered)
+	}
+	waitFor(t, "replayed job to complete", func() bool { return s2.Stats().Completed >= 1 })
+	resp, body := post(t, ts2, runSpec)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Protolat-Cache") != "hit" {
+		t.Fatalf("re-request after replay: %s cache=%q", resp.Status, resp.Header.Get("X-Protolat-Cache"))
+	}
+	if !bytes.Equal(body, refBody) {
+		t.Fatal("replayed document differs from the undisturbed reference")
+	}
+}
+
 // TestCrashRecoveryRun is the PR's crash criterion for plain jobs: a job
 // journaled at admission but killed before completion is replayed on the
 // next start, and the recovered document is byte-identical to one computed
@@ -512,6 +567,7 @@ func TestValidation(t *testing.T) {
 		{"bad table", `{"kind":"table","table":12}`, "spec"},
 		{"bad rates", `{"kind":"faults","rates":"0.5,2.0"}`, "spec"},
 		{"removed policy", `{"kind":"run","policy":"adaptive"}`, "parse"},
+		{"removed timeout_ms", `{"kind":"lint","timeout_ms":5000}`, "parse"},
 		{"removed soak shape", `{"kind":"faults","soak_batches":1}`, "parse"},
 		{"removed kind", `{"kind":"soak"}`, "spec"},
 		{"bad model", `{"kind":"machines","models":"pdp11"}`, "spec"},
@@ -537,9 +593,9 @@ func TestValidation(t *testing.T) {
 // onto one fingerprint; changed semantics or checkout do not.
 func TestFingerprintCanonicalization(t *testing.T) {
 	a := Spec{Kind: "run", Version: "all", Samples: 3}.Fingerprint("v1")
-	b := Spec{Kind: "RUN", Version: "ALL", TimeoutMS: 9000}.Fingerprint("v1")
+	b := Spec{Kind: "RUN", Version: "ALL"}.Fingerprint("v1")
 	if a != b {
-		t.Fatal("case, defaults, and timeout changed the fingerprint")
+		t.Fatal("case and defaults changed the fingerprint")
 	}
 	if fp := (Spec{Kind: "run", Version: "STD"}).Fingerprint("v1"); fp == a {
 		t.Fatal("different version, same fingerprint")
@@ -686,6 +742,8 @@ func TestSpecErrorClassification(t *testing.T) {
 		{&core.BudgetError{Sample: 1, Budget: 10}, 422, "budget"},
 		{&storage.EnvelopeError{Path: "p", Reason: "corrupt"}, 500, "journal-corrupt"},
 		{fmt.Errorf("wrap: %w", &storage.EnvelopeError{Path: "p", Reason: "mismatch"}), 500, "journal-mismatch"},
+		{context.Canceled, 503, "cancelled"},
+		{fmt.Errorf("machine study: %w", context.Canceled), 503, "cancelled"},
 		{errors.New("boom"), 500, "internal"},
 	}
 	for _, tc := range cases {

@@ -36,12 +36,6 @@ type Config struct {
 	// waits for in-flight work before cancelling it. A cancelled job keeps
 	// its journal entry and is replayed on the next start.
 	DrainTimeout time.Duration
-	// JobTimeout, when positive, deadlines every job that does not carry
-	// its own timeout_ms (0 = no deadline).
-	JobTimeout time.Duration
-	// EventBudget overrides the per-sample simulation watchdog (0 =
-	// library default); exhaustion surfaces as a 422.
-	EventBudget int
 	// GitDescribe identifies the checkout; it salts every fingerprint so
 	// a rebuilt daemon never serves a stale memoized document.
 	GitDescribe string
@@ -54,11 +48,6 @@ type Config struct {
 	// bytes; the store evicts least-recently-used documents to stay
 	// under it (journaled-but-unserved jobs are never evicted).
 	StoreMaxBytes int64
-	// JobWatchdog, when positive, bounds how long a job may run before
-	// the daemon cancels it; a job that ignores cancellation for another
-	// JobWatchdog period is abandoned and reported as hung (504,
-	// reason "watchdog"), its journal entry kept for restart replay.
-	JobWatchdog time.Duration
 	// FS is the filesystem every durable write goes through; nil means
 	// the real disk. Tests and the PROTOLAT_FSFAULT env knob inject a
 	// storage fault layer here.
@@ -195,16 +184,10 @@ func (s *Server) runJob(j *job) {
 		}
 		ctx = core.WithParallelism(ctx, share)
 	}
-	cancel := func() {}
-	timeout := s.cfg.JobTimeout
-	if j.spec.TimeoutMS > 0 {
-		timeout = time.Duration(j.spec.TimeoutMS) * time.Millisecond
+	if hook := s.beforeRun; hook != nil {
+		hook(j)
 	}
-	if timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-	}
-	doc, err := s.buildWatched(ctx, cancel, j)
-	cancel()
+	doc, err := s.buildDocument(ctx, j.spec)
 	if err == nil {
 		j.doc, err = doc.Marshal()
 	}
@@ -227,74 +210,11 @@ func (s *Server) runJob(j *job) {
 	s.addStats(func(st *obs.ServeStatsDoc) { st.Completed++ })
 }
 
-// WatchdogError reports a job the per-job watchdog gave up on: it exceeded
-// the watchdog period, was cancelled, and then ignored cancellation for a
-// full grace period. The job's journal entry is kept so a restart replays
-// it from scratch.
-type WatchdogError struct {
-	Fingerprint string
-	After       time.Duration
-}
-
-// Error renders the hung-job failure.
-func (e *WatchdogError) Error() string {
-	return fmt.Sprintf("serve: job %s hung: exceeded the %v watchdog and ignored cancellation", e.Fingerprint, e.After)
-}
-
-// buildWatched runs the test hook and buildDocument for a job. With no
-// watchdog configured it runs them inline. With cfg.JobWatchdog set it runs
-// them in a child goroutine: if the job outlives the watchdog its context
-// is cancelled, and if it then ignores cancellation for a full grace period
-// (another watchdog interval) the goroutine is abandoned and the job
-// reported hung with a typed WatchdogError. An abandoned build can never
-// corrupt the store — only runJob persists documents, and it has already
-// walked away.
-func (s *Server) buildWatched(ctx context.Context, cancel context.CancelFunc, j *job) (*obs.Document, error) {
-	wd := s.cfg.JobWatchdog
-	if wd <= 0 {
-		if hook := s.beforeRun; hook != nil {
-			hook(j)
-		}
-		return s.buildDocument(ctx, j.spec)
-	}
-	type buildRes struct {
-		doc *obs.Document
-		err error
-	}
-	ch := make(chan buildRes, 1)
-	go func() {
-		if hook := s.beforeRun; hook != nil {
-			hook(j)
-		}
-		doc, err := s.buildDocument(ctx, j.spec)
-		ch <- buildRes{doc, err}
-	}()
-	timer := time.NewTimer(wd)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		return r.doc, r.err
-	case <-timer.C:
-		cancel()
-	}
-	grace := time.NewTimer(wd)
-	defer grace.Stop()
-	select {
-	case r := <-ch:
-		// The job honored cancellation inside the grace period; its own
-		// (likely context.Canceled) error classifies normally.
-		return r.doc, r.err
-	case <-grace.C:
-		s.addStats(func(st *obs.ServeStatsDoc) { st.HungJobs++ })
-		return nil, &WatchdogError{Fingerprint: j.fp, After: wd}
-	}
-}
-
 // buildDocument computes a job's document through the registry — the
 // same call the protolat CLI makes for -json, so the two are
 // byte-identical by construction.
 func (s *Server) buildDocument(ctx context.Context, spec Spec) (*obs.Document, error) {
-	doc, err := Run(ctx, spec, s.cfg.EventBudget)
+	doc, err := Run(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -308,7 +228,6 @@ func classify(err error) (int, string) {
 	var se *SpecError
 	var be *core.BudgetError
 	var ee *storage.EnvelopeError
-	var we *WatchdogError
 	switch {
 	case errors.As(err, &se):
 		return http.StatusBadRequest, "spec"
@@ -316,10 +235,6 @@ func classify(err error) (int, string) {
 		return http.StatusUnprocessableEntity, "budget"
 	case errors.As(err, &ee):
 		return http.StatusInternalServerError, "journal-" + ee.Reason
-	case errors.As(err, &we):
-		return http.StatusGatewayTimeout, "watchdog"
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout, "deadline"
 	case errors.Is(err, context.Canceled):
 		return http.StatusServiceUnavailable, "cancelled"
 	default:

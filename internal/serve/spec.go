@@ -28,9 +28,9 @@
 //     results are persisted before the response is sent, both atomically.
 //     After a kill -9 the daemon replays the journaled queue on startup
 //     and serves re-requests byte-identically from the store.
-//   - Watchdogs: every job runs under the per-sample event-budget
-//     watchdog (422 on exhaustion) and an optional deadline (504), and is
-//     cancelled cooperatively when the daemon drains past its timeout.
+//   - Bounds: every sample runs under the event-budget watchdog (422 on
+//     exhaustion). A running job is stopped one way only: cooperative
+//     cancellation when the daemon drains past its timeout (503).
 //   - Graceful degradation: a result whose store write fails is still
 //     served (flagged degraded); a tampered stored document surfaces as
 //     a typed 500 naming the corruption instead of a wrong answer.
@@ -107,10 +107,6 @@ type Spec struct {
 	// Sweep names the "sensitivity" sweep: "machine" (default), "cache"
 	// or "assoc".
 	Sweep string `json:"sweep,omitempty"`
-	// TimeoutMS bounds the job's execution (0 = the daemon default). A
-	// deadline is an execution detail, not a semantic input, so it is
-	// excluded from the fingerprint.
-	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 
 // decodeSpec reads one JSON spec, refusing fields Spec does not have: a
@@ -252,7 +248,7 @@ var params = map[string]param{
 // into Fingerprint. An unknown kind keeps only its kind, stack and
 // quality; Validate rejects it.
 func (s Spec) Normalized() Spec {
-	c := Spec{Kind: lower(s.Kind), TimeoutMS: max(s.TimeoutMS, 0)}
+	c := Spec{Kind: lower(s.Kind)}
 	params["stack"].keep(&c, s)
 	params["quality"].keep(&c, s)
 	e := lookup(c.Kind)
@@ -297,11 +293,10 @@ func (s Spec) Validate() error {
 }
 
 // Fingerprint identifies the document this spec computes: a hash of the
-// canonical spec (minus execution details) and the checkout identity.
-// Equal fingerprints are the daemon's license to memoize and coalesce.
+// canonical spec and the checkout identity. Equal fingerprints are the
+// daemon's license to memoize and coalesce.
 func (s Spec) Fingerprint(gitDescribe string) string {
 	c := s.Normalized()
-	c.TimeoutMS = 0
 	b, err := json.Marshal(c)
 	if err != nil {
 		// A Spec of plain scalars cannot fail to marshal; guard anyway.

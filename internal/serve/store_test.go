@@ -38,7 +38,7 @@ func schemaOneEnvelope(t *testing.T, fp string, doc []byte) []byte {
 // does before storing it.
 func studyBytes(t *testing.T, spec Spec) []byte {
 	t.Helper()
-	doc, err := Run(context.Background(), spec, 0)
+	doc, err := Run(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("Run %+v: %v", spec, err)
 	}

@@ -110,7 +110,7 @@ type (
 // RunSpec computes the document of the study a spec describes; an invalid
 // spec fails with a *SpecError before any work starts.
 func RunSpec(ctx context.Context, spec Spec) (*obs.Document, error) {
-	return serve.Run(ctx, spec, 0)
+	return serve.Run(ctx, spec)
 }
 
 // Text renders a registered kind's text report from its document.
@@ -126,7 +126,7 @@ func MachineMatrix() []machines.Model { return machines.Matrix() }
 // Experiment daemon (see internal/serve): `protolat -serve` runs the
 // registry behind a persistent HTTP/JSON service with a bounded journaled
 // job queue, fingerprint-keyed result memoization, request coalescing,
-// per-job watchdogs, graceful drain, and crash recovery.
+// graceful drain, and crash recovery.
 type (
 	// ServeConfig shapes a daemon (address, store directory, queue bound,
 	// drain timeout).

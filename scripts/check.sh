@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification in one command: formatting, godoc coverage on the
-# public surfaces, vet (toolchain and the repo's own determinism
-# analyzers), build, the inline guard on the simulator's fetch and load
+# public surfaces, vet (toolchain, including the benchmark module, and the
+# repo's own determinism analyzers), build, the inline guard on the simulator's fetch and load
 # hit paths, the full test suite under the race detector (the
 # parallel runner and the fault-injection paths are both exercised), the
 # fixed-seed fault-study, layout-lint, layout-search, and machine-matrix smoke tests
@@ -42,6 +42,10 @@ if [ -n "$undocumented" ]; then
 fi
 
 go vet ./...
+# perfbench/ is its own module, so the vet above never compiles it; vet it
+# here so a program API change that breaks a benchmark probe fails now,
+# not when the benchmark next runs.
+go -C perfbench vet ./...
 go build ./...
 ./scripts/inline_check.sh
 go run ./cmd/protovet
